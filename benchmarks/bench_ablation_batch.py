@@ -32,7 +32,7 @@ quantifies the repo's answer to that cost:
   the timed region — it is paid once per trace and amortized over every
   analysis — so `fanout_speedup` must beat `shard_speedup` on *any*
   host: the fan-out run does strictly less work per analysis (no
-  re-record, no op-list pickle to the pool).  Byte-identity of the
+  re-record, no pickled column windows to the pool).  Byte-identity of the
   merged state is asserted in smoke mode too.
 
 * **static**: no pipeline at all — `repro.static.profile` predicts the
@@ -405,7 +405,7 @@ def _run_fanout(stored, jobs):
     leg's whole claim: one spilled recording feeds every downstream
     sharded analysis through the page cache, so the marginal cost of an
     additional analysis is the offset-range split plus the mmap replay,
-    never a re-record or an op-list pickle.
+    never a re-record or a pickled column window.
     """
     from repro.core.shard import analyze_trace_sharded
     gc.collect()
@@ -682,7 +682,7 @@ def test_ablation_batch_throughput(benchmark, record, request):
         assert r["shard_speedup"] >= 1.8
     # Fanning out from one spilled trace must beat the record-every-run
     # sharded pipeline on any host: the timed region drops the record
-    # phase entirely and ships offset slices instead of op lists, so if
+    # phase entirely and ships offset slices, not column windows, so if
     # this fails the store's replay path is slower than re-recording.
     assert r["fanout_speedup"] > r["shard_speedup"]
     assert r["trace_spill_bytes"] > 0

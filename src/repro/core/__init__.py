@@ -17,8 +17,8 @@ from repro.core.histogram import (
 from repro.core.patterns import COLD, PatternDB, PatternKey, ReusePattern
 from repro.core.scopestack import ScopeStack
 from repro.core.shard import (
-    RecordedTrace, ShardResult, ShardSlice, analyze_sharded,
-    analyze_trace_sharded, merge_shard_results, record_trace, split_trace,
+    ShardResult, analyze_sharded, analyze_trace_sharded,
+    merge_shard_results, record_trace, split_trace,
 )
 from repro.core.tracestore import (
     StoredShardSlice, StoredTrace, TraceStore, TraceStoreWriter,
@@ -30,8 +30,8 @@ __all__ = [
     "COLD", "CallingContextTree", "ContextReuseAnalyzer", "EXACT_LIMIT",
     "FenwickEngine", "FlatBlockTable", "GranularityState",
     "HierarchicalBlockTable", "Histogram", "PatternDB", "PatternKey",
-    "RecordedTrace", "ReuseAnalyzer", "ReusePattern", "SUBBINS",
-    "ScopeStack", "ShardResult", "ShardSlice", "StoredShardSlice",
+    "ReuseAnalyzer", "ReusePattern", "SUBBINS",
+    "ScopeStack", "ShardResult", "StoredShardSlice",
     "StoredTrace", "TraceStore", "TraceStoreWriter", "TreapEngine",
     "analyze_sharded", "analyze_trace_sharded", "bin_mid", "bin_of",
     "bin_range", "for_program", "from_raw", "load_trace",

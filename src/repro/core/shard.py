@@ -6,17 +6,18 @@ single access stream across workers, PARDA-style, and merges the partial
 results back into output byte-identical to a sequential run:
 
 1. **Record.**  The program runs once under a :class:`StreamRecorder`,
-   which captures the event stream as replayable ops.  Affine loops stay
-   unmaterialized (`("rows", ...)` ops mirror the
-   ``BatchExecutor.access_rows`` protocol), so recording is cheap — no
-   per-access Python work for the loops that dominate real traces.
+   which writes the event stream as a columnar trace
+   (:mod:`repro.core.tracestore`), in memory or spilled to a store
+   directory.  Affine loops stay unmaterialized (``rows`` records mirror
+   the ``BatchExecutor.access_rows`` protocol), so recording is cheap —
+   no per-access Python work for the loops that dominate real traces.
 2. **Split.**  :func:`split_trace` cuts the stream into K contiguous time
-   shards at access-count boundaries.  Batch chunks are sliced and affine
-   row blocks are split into partial-row / whole-rows / partial-row
-   pieces, so a boundary can land anywhere — mid-scope, mid-chunk, or in
-   the middle of a run-compressed region.  Each shard carries the scope
-   stack live at its start (*seed* scopes, with their global entry
-   clocks).
+   shards at access-count boundaries, as op-index ranges into the
+   trace.  A boundary can land anywhere — mid-scope, mid-chunk, or in
+   the middle of a run-compressed region; replay then passes a cut
+   batch chunk as its slice and a cut affine row block as partial-row /
+   whole-rows / partial-row pieces.  Each shard carries the scope stack
+   live at its start (*seed* scopes, with their global entry clocks).
 3. **Analyze.**  Each shard replays its ops through a
    :class:`ReuseAnalyzer` whose buffered numpy state is swapped for
    :class:`ShardBatchState`.  Global clocks are preserved (the shard
@@ -27,20 +28,20 @@ results back into output byte-identical to a sequential run:
    The first in-shard touch of each block cannot be classified locally
    (cold miss or cross-shard reuse?); it is diverted into a time-ordered
    *unresolved boundary set* instead of the cold table.
-4. **Merge.**  :func:`merge_shard_results` walks the shards in time
-   order, keeping a global last-touch table and a Fenwick tree over the
-   shards' *boundary sets only*.  Each unresolved access resolves
-   against the earlier shards' last-touch marks plus a count-smaller
-   correction for unresolved predecessors in its own shard; its carrying
-   scope comes from a binary search over the shard's seed clocks.  The
+4. **Merge.**  :func:`merge_shard_results` folds adjacent shards
+   pairwise, resolving each right span's boundary set against the left
+   span's last-touch table and a Fenwick tree over its marks.  Each
+   unresolved access resolves against those marks plus a count-smaller
+   correction for unresolved predecessors in its own span; its carrying
+   scope comes from a binary search over its shard's seed clocks.  The
    merged pattern databases are then rebuilt in global first-event-clock
    order, which reproduces the sequential engines' dict-insertion order
    exactly — ``dump_state()`` of the merge pickles byte-identical to
    ``engine="numpy"`` (and therefore fenwick/treap) run sequentially.
 
-The merge touches each distinct block once per shard, not each access:
-for a trace with footprint F and K shards the serial portion is
-O(K * F log F), while the O(N) analysis fans out across workers.
+The merge touches each distinct block once per tree level, not each
+access: for a trace with footprint F and K shards the serial portion is
+O(F log F * log K), while the O(N) analysis fans out across workers.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ from repro.core.histogram import bin_of_array
 from repro.core.npengine import (
     NumpyBatchState, NumpyFenwickEngine, _count_smaller_left,
 )
+from repro.core.tracestore import (
+    OP_ENTER, OP_EXIT, StoredShardSlice, StoredTrace, TraceStore,
+    TraceStoreWriter, replay_slice,
+)
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 
@@ -66,268 +71,117 @@ logger = logging.getLogger("repro.core.shard")
 #: Default granularities, matching MachineConfig.scaled_itanium2().
 _DEFAULT_GRANS = {"line": 64, "page": 512}
 
+#: The recorder closes an open scalar segment at this many accesses.
+COALESCE_CAP = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # Recording
 # ---------------------------------------------------------------------------
 
 class StreamRecorder:
-    """Event handler that captures the access stream as replayable ops.
+    """Event handler that records the access stream as a columnar trace.
 
-    Ops are plain tuples (picklable, slicable):
-
-    * ``("enter", sid)`` / ``("exit", sid)`` — scope events;
-    * ``("batch", rids, addrs, stores, period)`` — a materialized chunk
-      (scalar accesses between scope events are coalesced into one);
-    * ``("rows", rids, stores, bases, strides, m)`` — an unmaterialized
-      affine chunk, exactly the ``access_rows`` protocol.
-
-    With a ``spill`` sink (a :class:`~repro.core.tracestore.
-    TraceStoreWriter`), ops stream to the columnar on-disk store instead
-    of ``self.ops``, and open scalar segments are closed at a fixed cap
+    Every event goes to a :class:`~repro.core.tracestore.TraceStoreWriter`
+    (an in-memory one unless the caller passes a writer with a store
+    directory): scope events, materialized chunks, and unmaterialized
+    affine chunks, exactly the ``access_rows`` protocol.  Scalar accesses
+    between scope events coalesce into one chunk, closed at a fixed cap
     so the recorder's own buffering stays bounded too.  Chunk boundaries
     are analysis-neutral, so the cap cannot change results.
     """
 
-    #: spill mode only: close open scalar segments at this many accesses
-    SPILL_COALESCE_CAP = 1 << 16
-
-    def __init__(self, spill=None) -> None:
-        self.ops: List[tuple] = []
-        self.accesses = 0
+    def __init__(self, writer: Optional[TraceStoreWriter] = None) -> None:
+        self.writer = TraceStoreWriter() if writer is None else writer
+        self._add_scope = self.writer.add_scope
+        self._add_batch = self.writer.add_batch
+        self._add_rows = self.writer.add_rows
         self._open: Optional[Tuple[list, list, list]] = None
-        self._spill = spill
-        self._sink = spill.add_op if spill is not None else self.ops.append
 
     def enter_scope(self, sid: int) -> None:
-        self._close()
-        self._sink(("enter", sid))
+        if self._open is not None:
+            self._close()
+        self._add_scope(OP_ENTER, sid)
 
     def exit_scope(self, sid: int) -> None:
-        self._close()
-        self._sink(("exit", sid))
+        if self._open is not None:
+            self._close()
+        self._add_scope(OP_EXIT, sid)
 
     def access(self, rid: int, addr: int, is_store: bool) -> None:
         op = self._open
         if op is None:
             self._open = ([rid], [addr], [is_store])
         else:
-            op[0].append(rid)
-            op[1].append(addr)
-            op[2].append(is_store)
-            if (self._spill is not None
-                    and len(op[1]) >= self.SPILL_COALESCE_CAP):
+            rids, addrs, stores = op
+            rids.append(rid)
+            addrs.append(addr)
+            stores.append(is_store)
+            if len(addrs) >= COALESCE_CAP:
                 self._close()
-        self.accesses += 1
 
     def access_batch(self, rids, addrs, stores, period: int = 0) -> None:
         n = len(addrs)
         if not n:
             return
-        self._close()
-        self._sink(("batch", list(rids), list(addrs), list(stores),
-                    period if period and not n % period else 0))
-        self.accesses += n
+        if self._open is not None:
+            self._close()
+        self._add_batch(rids, addrs, stores,
+                        period if period and not n % period else 0)
 
     def access_rows(self, rids, stores, bases, strides, m: int) -> None:
-        n = m * len(bases)
-        if not n:
+        if not m * len(bases):
             return
+        if self._open is not None:
+            self._close()
+        self._add_rows(rids, stores, bases, strides, m)
+
+    def finish(self) -> StoredTrace:
+        """Close the open scalar segment and finalize the recording."""
         self._close()
-        self._sink(("rows", tuple(rids), tuple(stores), tuple(bases),
-                    tuple(strides), m))
-        self.accesses += n
+        return self.writer.finalize()
 
     def _close(self) -> None:
         op = self._open
         if op is not None:
-            self._sink(("batch", op[0], op[1], op[2], 0))
+            self._add_batch(op[0], op[1], op[2], 0)
             self._open = None
-
-
-@dataclass(frozen=True)
-class RecordedTrace:
-    """One program run's event stream, ready to split."""
-
-    ops: Tuple[tuple, ...]
-    accesses: int
 
 
 def record_trace(program, batch: bool = True, spill=None,
                  spill_mb: Optional[float] = None, **params):
     """Run ``program`` once under a recorder; returns (trace, stats).
 
-    With ``spill`` (a trace-store directory path, or an existing
-    :class:`~repro.core.tracestore.TraceStoreWriter`), the event stream
-    goes to the columnar on-disk store under a ``spill_mb``-bounded
-    buffer and the first return value is a
-    :class:`~repro.core.tracestore.StoredTrace` handle instead of an
-    in-memory :class:`RecordedTrace`.
+    The trace is a :class:`~repro.core.tracestore.StoredTrace` whose
+    columns stay in memory, unless ``spill`` names a trace-store
+    directory (or is an existing
+    :class:`~repro.core.tracestore.TraceStoreWriter`): then they stream
+    to disk under a ``spill_mb``-bounded buffer.
     """
     from repro.lang.batch import BatchExecutor
     from repro.lang.executor import Executor
-    writer = None
-    if spill is not None:
-        from repro.core.tracestore import TraceStoreWriter
-        writer = (spill if isinstance(spill, TraceStoreWriter)
-                  else TraceStoreWriter(spill, spill_mb=spill_mb))
-    recorder = StreamRecorder(spill=writer)
+    writer = (spill if isinstance(spill, TraceStoreWriter)
+              else TraceStoreWriter(spill, spill_mb=spill_mb))
+    recorder = StreamRecorder(writer)
     executor_cls = BatchExecutor if batch else Executor
     try:
         stats = executor_cls(program, recorder).run(**params)
-        recorder._close()
+        trace = recorder.finish()
     except Exception:
-        if writer is not None:
-            writer.abort()
+        writer.abort()
         raise
-    if writer is not None:
-        return writer.finalize(), stats
-    return RecordedTrace(tuple(recorder.ops), recorder.accesses), stats
+    return trace, stats
 
 
-# ---------------------------------------------------------------------------
-# Splitting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShardSlice:
-    """One contiguous time shard of a recorded trace (picklable)."""
-
-    index: int
-    nshards: int
-    #: global clock before the shard's first access
-    start: int
-    #: accesses in the shard
-    length: int
-    #: scope stack live at the shard start (global entry clocks)
-    seed_sids: Tuple[int, ...]
-    seed_clocks: Tuple[int, ...]
-    ops: Tuple[tuple, ...]
-
-
-def _emit_partial(out, rids, stores, bases, strides, row, jlo, jhi) -> None:
-    out.append(("batch", list(rids[jlo:jhi]),
-                [bases[j] + row * strides[j] for j in range(jlo, jhi)],
-                list(stores[jlo:jhi]), 0))
-
-
-def _emit_rows_piece(out, rids, stores, bases, strides, k, off, take) -> None:
-    """Emit accesses [off, off+take) of an m-iteration affine rows op.
-
-    Misaligned edges materialize only the partial rows; whole iterations
-    in between stay an unmaterialized ``rows`` op with shifted bases.
-    """
-    end = off + take
-    r0, j0 = divmod(off, k)
-    r1, j1 = divmod(end, k)
-    if j0:
-        jhi = k if r1 > r0 else j1
-        _emit_partial(out, rids, stores, bases, strides, r0, j0, jhi)
-        if jhi < k:
-            return
-        r0 += 1
-    if r1 > r0:
-        out.append(("rows", rids, stores,
-                    tuple(b + r0 * s for b, s in zip(bases, strides)),
-                    strides, r1 - r0))
-    if j1:
-        _emit_partial(out, rids, stores, bases, strides, r1, 0, j1)
-
-
-def split_trace(trace: RecordedTrace, nshards: int) -> List[ShardSlice]:
+def split_trace(trace, nshards: int) -> List[StoredShardSlice]:
     """Cut a recorded trace into K contiguous time shards.
 
-    Shard boundaries are access-count cuts at ``i * n // K``; K is
-    clamped to the access count (each shard gets at least one access,
-    and an empty trace yields a single empty shard).  Scope events that
-    fall exactly on a cut go to the *following* shard, so a shard's seed
-    clocks are all strictly below its start clock.
-
-    A spilled trace (:class:`~repro.core.tracestore.StoredTrace` or an
-    open :class:`~repro.core.tracestore.TraceStore`) routes to
-    :func:`~repro.core.tracestore.split_stored_trace`, which emits
-    file-offset slices instead of copied op lists — same cut semantics,
-    same seed stacks.
+    ``trace`` is a :class:`~repro.core.tracestore.StoredTrace` or an
+    open :class:`~repro.core.tracestore.TraceStore`; the cut rules are
+    :func:`~repro.core.tracestore.split_stored_trace`'s.
     """
-    if not isinstance(trace, RecordedTrace):
-        from repro.core.tracestore import split_stored_trace
-        return split_stored_trace(trace, nshards)
-    n = trace.accesses
-    k = max(1, min(int(nshards), n if n else 1))
-    cuts = [(i * n) // k for i in range(k + 1)]
-    shards: List[ShardSlice] = []
-    cur: List[tuple] = []
-    sids: List[int] = []
-    clocks: List[int] = []
-    state = {"si": 0, "consumed": 0, "start": 0,
-             "seed_s": (), "seed_c": ()}
-
-    def close() -> None:
-        shards.append(ShardSlice(
-            state["si"], k, state["start"],
-            state["consumed"] - state["start"],
-            state["seed_s"], state["seed_c"], tuple(cur)))
-        cur.clear()
-        state["si"] += 1
-        state["seed_s"] = tuple(sids)
-        state["seed_c"] = tuple(clocks)
-        state["start"] = state["consumed"]
-
-    def at_cut() -> bool:
-        return (state["si"] < k - 1
-                and state["consumed"] == cuts[state["si"] + 1])
-
-    for op in trace.ops:
-        tag = op[0]
-        if tag == "enter":
-            if at_cut():
-                close()
-            cur.append(op)
-            sids.append(op[1])
-            clocks.append(state["consumed"])
-        elif tag == "exit":
-            if at_cut():
-                close()
-            cur.append(op)
-            sids.pop()
-            clocks.pop()
-        elif tag == "batch":
-            _, rids, addrs, stores, period = op
-            total = len(addrs)
-            off = 0
-            while off < total:
-                if at_cut():
-                    close()
-                room = (cuts[state["si"] + 1] if state["si"] < k - 1
-                        else n) - state["consumed"]
-                take = min(room, total - off)
-                if off == 0 and take == total:
-                    cur.append(op)
-                else:
-                    per = (period if period and off % period == 0
-                           and take % period == 0 else 0)
-                    cur.append(("batch", rids[off:off + take],
-                                addrs[off:off + take],
-                                stores[off:off + take], per))
-                state["consumed"] += take
-                off += take
-        else:  # rows
-            _, rids, stores, bases, strides, m = op
-            krow = len(rids)
-            total = m * krow
-            off = 0
-            while off < total:
-                if at_cut():
-                    close()
-                room = (cuts[state["si"] + 1] if state["si"] < k - 1
-                        else n) - state["consumed"]
-                take = min(room, total - off)
-                _emit_rows_piece(cur, rids, stores, bases, strides,
-                                 krow, off, take)
-                state["consumed"] += take
-                off += take
-    close()
-    return shards
+    from repro.core.tracestore import split_stored_trace
+    return split_stored_trace(trace, nshards)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +275,7 @@ class ShardResult:
     metrics: Optional[Dict[str, Any]] = None
 
 
-def analyze_shard(sl: ShardSlice,
+def analyze_shard(sl: StoredShardSlice,
                   granularities: Dict[str, int]) -> ShardResult:
     """Replay one shard through a seeded analyzer; locally-exact result.
 
@@ -436,25 +290,7 @@ def analyze_shard(sl: ShardSlice,
     analyzer.clock = sl.start
     analyzer.stack._sids.extend(sl.seed_sids)
     analyzer.stack._clocks.extend(sl.seed_clocks)
-    if isinstance(sl, ShardSlice):
-        enter = analyzer.enter_scope
-        leave = analyzer.exit_scope
-        batch = analyzer.access_batch
-        rows = analyzer.access_rows
-        for op in sl.ops:
-            tag = op[0]
-            if tag == "batch":
-                batch(op[1], op[2], op[3], op[4])
-            elif tag == "rows":
-                rows(op[1], op[2], op[3], op[4], op[5])
-            elif tag == "enter":
-                enter(op[1])
-            else:
-                leave(op[1])
-    else:
-        # stored slice: stream the op range straight off the mmap
-        from repro.core.tracestore import TraceStore, replay_slice
-        replay_slice(TraceStore(sl.path), sl, analyzer)
+    replay_slice(TraceStore(sl.trace), sl, analyzer)
     analyzer._flush()
     grans = []
     for gi, g in enumerate(analyzer.grans):
@@ -487,25 +323,18 @@ def _min_into(target: Dict, source: Dict) -> None:
 
 def merge_shard_results(results: Sequence[ShardResult],
                         granularities: Dict[str, int],
-                        total_accesses: int,
-                        strategy: str = "tree") -> Dict:
+                        total_accesses: int) -> Dict:
     """Resolve the boundary sets and rebuild the sequential output.
 
-    Two strategies produce identical bytes:
+    Partial results merge in *adjacent pairs*, halving the count each
+    round.  Each pair resolves the right node's boundary set against only
+    the left node's last-touch table, so a block's marks are re-added
+    once per *level* rather than once per shard — O(F log F · log K) for
+    K shards of footprint F — and each round's pair merges are
+    independent.
 
-    * ``"linear"`` walks shards left to right, folding each into one
-      global last-touch table and Fenwick tree — O(K·F log F) serial
-      work for K shards of footprint F, because every shard's whole
-      last-touch table is folded into the single global tree;
-    * ``"tree"`` (default) merges *adjacent pairs* of partial results,
-      halving the count each round.  Each pair resolves the right node's
-      boundary set against only the left node's last-touch table, so a
-      block's marks are re-added once per *level* rather than once per
-      shard — O(F log F · log K) — and each round's pair merges are
-      independent (parallelizable).
-
-    In both, an unresolved access at global time t with previous global
-    touch t_prev resolves as
+    An unresolved access at global time t with previous global touch
+    t_prev resolves as
 
     ``d = active_pre - prefix_pre(t_prev) + corr``
 
@@ -526,113 +355,33 @@ def merge_shard_results(results: Sequence[ShardResult],
     is rebuilt from first-event clocks at the end, so it is independent
     of merge shape.
     """
-    if strategy not in ("tree", "linear"):
-        raise ValueError(f"unknown merge strategy {strategy!r}")
     results = sorted(results, key=lambda r: r.index)
-    if strategy == "tree":
-        return _merge_tree(results, granularities, total_accesses)
-    return _merge_linear(results, granularities, total_accesses)
-
-
-def _merge_linear(results: Sequence[ShardResult],
-                  granularities: Dict[str, int],
-                  total_accesses: int) -> Dict:
-    """Left-to-right merge against one global table (reference path)."""
+    pair_counter = _obs.counter("shard.merge_pairs")
     out_grans = []
     for gi, (name, size) in enumerate(granularities.items()):
-        counts: Dict[tuple, Dict[int, int]] = {}
-        key_first: Dict[tuple, int] = {}
-        bin_first: Dict[tuple, int] = {}
+        nodes = [_gran_leaf(res, gi) for res in results]
+        while len(nodes) > 1:
+            merged = []
+            for j in range(0, len(nodes) - 1, 2):
+                merged.append(_merge_pair(nodes[j], nodes[j + 1]))
+                pair_counter.inc()
+            if len(nodes) % 2:
+                merged.append(nodes[-1])
+            nodes = merged
+        root = nodes[0]
+        # Entries still unresolved at the root were never touched
+        # earlier anywhere: the true cold misses, in time order.
         cold_counts: Dict[int, int] = {}
         cold_first: Dict[int, int] = {}
-        eng = NumpyFenwickEngine()
-        last: Dict[int, tuple] = {}
-        for res in results:
-            g = res.grans[gi]
-            for key, bins in g["raw"].items():
-                tgt = counts.get(key)
-                if tgt is None:
-                    counts[key] = dict(bins)
-                else:
-                    for b, c in bins.items():
-                        tgt[b] = tgt.get(b, 0) + c
-            _min_into(key_first, g["key_first"])
-            _min_into(bin_first, g["bin_first"])
-            u = g["unresolved"]
-            if not u:
-                continue
-            nu = len(u)
-            blocks = [e[0] for e in u]
-            prevs = [last.get(b) for b in blocks]
-            t_now = np.fromiter((e[1] for e in u), np.int64, nu)
-            tp = np.fromiter(
-                (p[0] if p is not None else 0 for p in prevs), np.int64, nu)
-            found = np.fromiter(
-                (p is not None for p in prevs), bool, nu)
-            qf = np.flatnonzero(found)
-            if qf.size:
-                pre = eng.bulk_prefix(tp[qf])
-                # Count-smaller over this shard's boundary set: earlier
-                # unresolved entries with an older (or absent) previous
-                # touch were touched in (t_prev, t) but are invisible to
-                # the pre-shard tree.  Ties cannot occur (last-touch
-                # times are unique; colds rank below every real time).
-                ord2 = np.argsort(tp, kind="stable")
-                ranks = np.empty(nu, dtype=np.int64)
-                ranks[ord2] = np.arange(nu, dtype=np.int64)
-                corr = _count_smaller_left(ranks, qf)
-                d = eng._active - pre + corr
-                bins_q = bin_of_array(d)
-                # Carrying scope: previous touch predates every locally
-                # pushed scope, so only the live seed prefix matters.
-                sd = np.fromiter((u[i][3] for i in qf.tolist()),
-                                 np.int64, qf.size)
-                fs = np.fromiter((u[i][4] for i in qf.tolist()),
-                                 np.int64, qf.size)
-                if res.seed_sids:
-                    seed_c = np.asarray(res.seed_clocks, dtype=np.int64)
-                    seed_s = np.asarray(res.seed_sids, dtype=np.int64)
-                    pos = np.minimum(
-                        np.searchsorted(seed_c, tp[qf], side="left"), sd)
-                    carry = np.where(pos > 0,
-                                     seed_s[np.maximum(pos, 1) - 1], fs)
-                else:
-                    carry = fs
-                srcs = [prevs[i][2] for i in qf.tolist()]
-                rids = [u[i][2] for i in qf.tolist()]
-                tq = t_now[qf]
-                for rid, src, car, b, t in zip(
-                        rids, srcs, carry.tolist(), bins_q.tolist(),
-                        tq.tolist()):
-                    key = (rid, src, car)
-                    bins = counts.get(key)
-                    if bins is None:
-                        counts[key] = {b: 1}
-                    else:
-                        bins[b] = bins.get(b, 0) + 1
-                    prev_clk = key_first.get(key)
-                    if prev_clk is None or t < prev_clk:
-                        key_first[key] = t
-                    kb = (key, b)
-                    prev_clk = bin_first.get(kb)
-                    if prev_clk is None or t < prev_clk:
-                        bin_first[kb] = t
-            q_cold = np.flatnonzero(~found)
-            for i in q_cold.tolist():
-                rid = u[i][2]
+        for ents, _ss, _sc in root.segments:
+            for e in ents:
+                rid = e[2]
                 cold_counts[rid] = cold_counts.get(rid, 0) + 1
                 if rid not in cold_first:
-                    cold_first[rid] = u[i][1]
-            # Fold the shard into the global state: marks move to the
-            # shard's last-touch times, colds join the active set.
-            eng.ensure(int(res.end))
-            if qf.size:
-                eng.bulk_add(tp[qf], -1)
-            g_last = g["last"]
-            eng.bulk_add(np.fromiter((g_last[b][0] for b in blocks),
-                                     np.int64, nu), 1)
-            eng._active += nu - int(qf.size)
-            last.update(g_last)
+                    cold_first[rid] = e[1]
+        counts = root.counts
+        key_first = root.key_first
+        bin_first = root.bin_first
         raw_final = {
             key: {b: counts[key][b]
                   for b in sorted(counts[key],
@@ -643,7 +392,7 @@ def _merge_linear(results: Sequence[ShardResult],
                       for rid in sorted(cold_counts, key=cold_first.get)}
         out_grans.append({"name": name, "block_size": size,
                           "raw": raw_final, "cold": cold_final,
-                          "blocks": len(last)})
+                          "blocks": len(root.last)})
     return {"version": STATE_VERSION, "clock": total_accesses,
             "grans": out_grans}
 
@@ -790,51 +539,6 @@ def _merge_pair(left: _GranNode, right: _GranNode) -> _GranNode:
     return left
 
 
-def _merge_tree(results: Sequence[ShardResult],
-                granularities: Dict[str, int],
-                total_accesses: int) -> Dict:
-    """Pairwise reduction of partial results (see merge_shard_results)."""
-    pair_counter = _obs.counter("shard.merge_pairs")
-    out_grans = []
-    for gi, (name, size) in enumerate(granularities.items()):
-        nodes = [_gran_leaf(res, gi) for res in results]
-        while len(nodes) > 1:
-            merged = []
-            for j in range(0, len(nodes) - 1, 2):
-                merged.append(_merge_pair(nodes[j], nodes[j + 1]))
-                pair_counter.inc()
-            if len(nodes) % 2:
-                merged.append(nodes[-1])
-            nodes = merged
-        root = nodes[0]
-        # Entries still unresolved at the root were never touched
-        # earlier anywhere: the true cold misses, in time order.
-        cold_counts: Dict[int, int] = {}
-        cold_first: Dict[int, int] = {}
-        for ents, _ss, _sc in root.segments:
-            for e in ents:
-                rid = e[2]
-                cold_counts[rid] = cold_counts.get(rid, 0) + 1
-                if rid not in cold_first:
-                    cold_first[rid] = e[1]
-        counts = root.counts
-        key_first = root.key_first
-        bin_first = root.bin_first
-        raw_final = {
-            key: {b: counts[key][b]
-                  for b in sorted(counts[key],
-                                  key=lambda b2, _k=key: bin_first[(_k, b2)])}
-            for key in sorted(counts, key=key_first.get)
-        }
-        cold_final = {rid: cold_counts[rid]
-                      for rid in sorted(cold_counts, key=cold_first.get)}
-        out_grans.append({"name": name, "block_size": size,
-                          "raw": raw_final, "cold": cold_final,
-                          "blocks": len(root.last)})
-    return {"version": STATE_VERSION, "clock": total_accesses,
-            "grans": out_grans}
-
-
 # ---------------------------------------------------------------------------
 # Orchestration
 # ---------------------------------------------------------------------------
@@ -864,7 +568,7 @@ def _run_shard(args) -> ShardResult:
     return result
 
 
-def run_shards(slices: Sequence[ShardSlice],
+def run_shards(slices: Sequence[StoredShardSlice],
                granularities: Dict[str, int],
                jobs: Optional[int] = None) -> List[ShardResult]:
     """Analyze every shard, inline or across a process pool.
@@ -872,6 +576,12 @@ def run_shards(slices: Sequence[ShardSlice],
     ``jobs=None`` picks ``min(len(slices), cpu_count)``.  Worker metric
     snapshots are merged back into the parent registry (and stay on each
     :class:`ShardResult` for manifests).
+
+    After the map, the pool is closed and joined so idle workers exit
+    on their own: a worker's SIGTERM handler raises ``SystemExit``, and
+    the ``Pool.terminate`` the ``with`` block ends in could hang on a
+    worker that gets the signal mid-teardown.  Only a failed map still
+    terminates the pool.
     """
     slices = list(slices)
     if jobs is None:
@@ -887,6 +597,8 @@ def run_shards(slices: Sequence[ShardSlice],
                                 logging.getLogger("repro").level or None)
                       ) as pool:
             results = pool.map(_run_shard, payload, chunksize=1)
+            pool.close()
+            pool.join()
     if _obs.is_enabled():
         registry = _obs.registry()
         for res in results:
@@ -895,7 +607,7 @@ def run_shards(slices: Sequence[ShardSlice],
     return results
 
 
-def analyze_trace_sharded(trace: RecordedTrace,
+def analyze_trace_sharded(trace: StoredTrace,
                           granularities: Dict[str, int],
                           shards: int,
                           jobs: Optional[int] = None) -> Dict:

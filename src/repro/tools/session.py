@@ -359,7 +359,7 @@ class AnalysisSession:
 
         With :attr:`trace_store` set, the recording spills to a columnar
         on-disk store (:mod:`repro.core.tracestore`) and the shards
-        replay mmap'd file ranges instead of pickled op lists; the
+        replay mmap'd file ranges instead of in-memory columns; the
         partial keys are then derived from the trace's content digest,
         so any program that records identical bytes shares them.
         """

@@ -283,10 +283,10 @@ def _execute_stored_shard_unit(task: SweepTask, si: int) -> _ShardUnit:
     """Analyze shard ``si`` of a task whose trace the parent spilled.
 
     The zero-copy fan-out path: the unit opens the parent-recorded
-    columnar store read-only, computes its slice as file-offset ranges
+    columnar store read-only, computes its slice as op-index ranges
     (an O(nops) scan of the ops column, no side-table I/O), and replays
-    only its own range off the mmap — no program rebuild, no
-    re-recording, no pickled op lists.  Partials are cached under the
+    only its own range off the mmap — no program rebuild and no
+    re-recording.  Partials are cached under the
     trace's content digest, so *any* task recording identical bytes
     shares them.
     """

@@ -6,6 +6,7 @@ observability counters.  Byte-identity of the merged output against the
 sequential engines lives in ``tests/integration/test_shard_equivalence``.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -14,18 +15,24 @@ from repro.apps.kernels import stream_triad
 from repro.apps.sweep3d import SweepParams, build_original
 from repro.core import ReuseAnalyzer
 from repro.core.shard import (
-    RecordedTrace, ShardBatchState, analyze_shard, analyze_trace_sharded,
+    ShardBatchState, analyze_shard, analyze_trace_sharded,
     merge_shard_results, record_trace, run_shards, split_trace,
 )
 from repro.lang import BatchExecutor
 from repro.model import MachineConfig
+from tests.helpers import record_ops, replayed_ops
 
 GRANS = MachineConfig.scaled_itanium2().granularities()
 
 
+def _trace_ops(trace) -> list:
+    (sl,) = split_trace(trace, 1)
+    return replayed_ops(sl)
+
+
 def _slice_accesses(sl) -> int:
     total = 0
-    for op in sl.ops:
+    for op in replayed_ops(sl):
         if op[0] == "batch":
             total += len(op[2])
         elif op[0] == "rows":
@@ -46,9 +53,10 @@ class TestRecording:
         # The triad's inner loops are affine: recording must keep them as
         # rows ops, not expand them into per-access batch payloads.
         trace, stats = record_trace(stream_triad(512, 2))
-        rows = [op for op in trace.ops if op[0] == "rows"]
+        ops = _trace_ops(trace)
+        rows = [op for op in ops if op[0] == "rows"]
         assert rows
-        materialized = sum(len(op[2]) for op in trace.ops
+        materialized = sum(len(op[2]) for op in ops
                            if op[0] == "batch")
         assert materialized < stats.accesses
 
@@ -59,11 +67,10 @@ class TestRecording:
         for addr in (0, 64, 128):
             rec.access(0, addr, False)
         rec.exit_scope(1)
-        rec._close()
-        assert rec.ops == [("enter", 1),
-                           ("batch", [0, 0, 0], [0, 64, 128],
-                            [False, False, False], 0),
-                           ("exit", 1)]
+        assert _trace_ops(rec.finish()) == [
+            ("enter", 1),
+            ("batch", [0, 0, 0], [0, 64, 128], [False, False, False], 0),
+            ("exit", 1)]
 
 
 class TestSplitting:
@@ -91,10 +98,11 @@ class TestSplitting:
         stack = []
         consumed = 0
         cut_points = {sl.start: sl for sl in slices[1:]}
-        for op in trace.ops:
+        for op in _trace_ops(trace):
             if consumed in cut_points:
                 sl = cut_points.pop(consumed)
-                if sl.ops and sl.ops[0][0] not in ("enter", "exit"):
+                sl_ops = replayed_ops(sl)
+                if sl_ops and sl_ops[0][0] not in ("enter", "exit"):
                     assert list(sl.seed_sids) == [s for s, _c in stack]
             if op[0] == "enter":
                 stack.append((op[1], consumed))
@@ -112,9 +120,9 @@ class TestSplitting:
         assert all(sl.length == 1 for sl in slices)
 
     def test_empty_trace_single_shard(self):
-        slices = split_trace(RecordedTrace(ops=(), accesses=0), 7)
+        slices = split_trace(record_ops(()), 7)
         assert len(slices) == 1
-        assert slices[0].length == 0 and slices[0].ops == ()
+        assert slices[0].length == 0 and replayed_ops(slices[0]) == []
 
     def test_scope_event_on_cut_goes_to_next_shard(self):
         # accesses 0,1 | 2,3 — the exit/enter pair lands exactly on the
@@ -125,9 +133,9 @@ class TestSplitting:
                ("enter", 2),
                ("batch", [0, 0], [0, 128], [False, False], 0),
                ("exit", 2))
-        slices = split_trace(RecordedTrace(ops=ops, accesses=4), 2)
-        assert slices[0].ops[-1][0] == "batch"
-        assert slices[1].ops[0] == ("exit", 1)
+        slices = split_trace(record_ops(ops), 2)
+        assert replayed_ops(slices[0])[-1][0] == "batch"
+        assert replayed_ops(slices[1])[0] == ("exit", 1)
         assert slices[1].seed_sids == (1,)
         assert slices[1].seed_clocks == (0,)
 
@@ -135,23 +143,35 @@ class TestSplitting:
         # One rows op: 3 refs/iteration x 4 iterations = 12 accesses.
         ops = (("rows", (0, 1, 2), (False, False, True),
                 (0, 1000, 2000), (8, 8, 8), 4),)
-        slices = split_trace(RecordedTrace(ops=ops, accesses=12), 3)
+        slices = split_trace(record_ops(ops), 3)
         # 12/3 = 4 accesses per shard: every boundary is mid-row.
-        kinds = [[op[0] for op in sl.ops] for sl in slices]
+        kinds = [[op[0] for op in replayed_ops(sl)] for sl in slices]
         assert kinds[0] == ["rows", "batch"]          # 1 whole row + 1 ref
         assert kinds[1] == ["batch", "batch"]         # tail + head partials
         assert kinds[2] == ["batch", "rows"]
         assert [_slice_accesses(sl) for sl in slices] == [4, 4, 4]
         # the resumed whole-row piece keeps its stride with shifted bases
-        assert slices[2].ops[1] == ("rows", (0, 1, 2), (False, False, True),
-                                    (24, 1024, 2024), (8, 8, 8), 1)
+        assert replayed_ops(slices[2])[1] == (
+            "rows", (0, 1, 2), (False, False, True),
+            (24, 1024, 2024), (8, 8, 8), 1)
+
+    def test_mid_batch_cut_keeps_period_only_when_row_aligned(self):
+        # 4 rows of 3 refs: cuts at multiples of 3 keep the row period
+        ops = (("batch", [0, 1, 2] * 4, list(range(0, 768, 64)),
+                [False] * 12, 3),)
+        trace = record_ops(ops)
+        for k, periods in ((2, [3, 3]), (3, [0, 0, 0]), (4, [3] * 4)):
+            got = [op[4] for sl in split_trace(trace, k)
+                   for op in replayed_ops(sl)]
+            assert got == periods
 
     def test_emit_rows_piece_middle_rows_stay_unmaterialized(self):
-        from repro.core.shard import _emit_rows_piece
-        out = []
-        _emit_rows_piece(out, (0, 1, 2), (False, False, True),
-                         (0, 1000, 2000), (8, 8, 8), 3, 1, 8)
-        assert out == [
+        # accesses [1, 9) of a 3-ref x 3-iteration rows op
+        trace = record_ops([("rows", (0, 1, 2), (False, False, True),
+                             (0, 1000, 2000), (8, 8, 8), 3)])
+        (whole,) = split_trace(trace, 1)
+        sl = dataclasses.replace(whole, start=1, length=8, skip=1)
+        assert replayed_ops(sl) == [
             ("batch", [1, 2], [1000, 2000], [False, True], 0),
             ("rows", (0, 1, 2), (False, False, True),
              (8, 1008, 2008), (8, 8, 8), 2),
@@ -206,6 +226,24 @@ class TestShardAnalysis:
         key = lambda rs: pickle.dumps(
             merge_shard_results(rs, GRANS, trace.accesses))
         assert key(pooled) == key(inline)
+
+    def test_run_shards_pool_never_terminates_workers(self, monkeypatch):
+        # Pool.terminate SIGTERMs idle workers, whose handler raises
+        # SystemExit; a teardown through it could hang.  A pool that
+        # finished its map is closed and joined instead.
+        from multiprocessing.process import BaseProcess
+        terminated = []
+        terminate = BaseProcess.terminate
+
+        def spy(proc):
+            terminated.append(proc.pid)
+            terminate(proc)
+
+        monkeypatch.setattr(BaseProcess, "terminate", spy)
+        trace, _ = record_trace(stream_triad(64, 1))
+        results = run_shards(split_trace(trace, 2), GRANS, jobs=2)
+        assert [res.index for res in results] == [0, 1]
+        assert terminated == []
 
     def test_seed_depth_shrinks_on_seed_exit(self):
         # A shard that exits a seeded scope must not attribute later

@@ -1,24 +1,29 @@
 """Unit tests for the spillable columnar trace store.
 
 Writer spill bounds, digest stability across flush placement, the
-on-disk format guards, slice geometry against the in-memory splitter,
-dedup recording, and the ``trace.*`` observability counters.  Merged
+on-disk format guards, one format in memory and on disk (columns,
+digests, slice geometry, replayed streams, slice pickles), dedup
+recording, and the ``trace.*`` observability counters.  Merged
 byte-identity of spilled sharded analysis against the sequential
 engines lives in ``tests/integration/test_shard_equivalence``.
 """
 
 import json
 import os
+import pickle
 
 import pytest
 
-from repro.apps.kernels import stream_triad
+from repro.apps.kernels import irregular_gather, stream_triad
 from repro.apps.sweep3d import SweepParams, build_original
-from repro.core.shard import record_trace, split_trace
+from repro.core.shard import StreamRecorder, record_trace, split_trace
 from repro.core.tracestore import (
-    TRACESTORE_VERSION, StoredTrace, TraceStore, TraceStoreWriter,
-    load_trace, record_spilled, replay_slice, split_stored_trace,
+    _COLUMNS, TRACESTORE_VERSION, StoredTrace, TraceStore,
+    TraceStoreWriter, load_trace, record_spilled, replay_slice,
+    split_stored_trace,
 )
+from repro.lang import BatchExecutor
+from tests.helpers import OpCollector, replayed_ops
 
 
 def _build():
@@ -113,57 +118,107 @@ class TestLoadGuards:
             load_trace(str(tmp_path / "absent"))
 
 
+def _geometry(sl) -> tuple:
+    return (sl.index, sl.nshards, sl.start, sl.length, sl.seed_sids,
+            sl.seed_clocks, sl.skip, sl.op_hi - sl.op_lo)
+
+
 class TestSplitGeometry:
-    @pytest.mark.parametrize("k", [1, 2, 5, 9])
-    def test_matches_in_memory_splitter(self, tmp_path, k):
+    @pytest.mark.parametrize("spill_mb", [None, 0.001])
+    def test_in_memory_and_spilled_columns_equal(self, tmp_path, spill_mb):
         mem, _ = record_trace(_build())
-        stored, _ = record_trace(_build(), spill=str(tmp_path / "t"))
-        ref = split_trace(mem, k)
-        got = split_stored_trace(stored, k)
-        assert [(sl.index, sl.start, sl.length, sl.seed_sids,
-                 sl.seed_clocks) for sl in ref] == \
-               [(sl.index, sl.start, sl.length, sl.seed_sids,
-                 sl.seed_clocks) for sl in got]
+        stored, _ = record_trace(_build(), spill=str(tmp_path / "t"),
+                                 spill_mb=spill_mb)
+        assert mem.path is None
+        assert mem.digest == stored.digest
+        assert (mem.accesses, mem.nops) == (stored.accesses, stored.nops)
+        store = TraceStore(stored.path)
+        for name in _COLUMNS:
+            col, disk = mem.columns[name], getattr(store, name)
+            assert col.dtype == disk.dtype and col.shape == disk.shape
+            assert col.tobytes() == disk.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    def test_in_memory_and_spilled_slices_agree(self, tmp_path, k):
+        mem, _ = record_trace(_build())
+        stored, _ = record_trace(_build(), spill=str(tmp_path / "t"),
+                                 spill_mb=0.001)
+        ref = split_stored_trace(stored, k)
+        got = split_stored_trace(mem, k)
+        assert [_geometry(sl) for sl in got] == \
+               [_geometry(sl) for sl in ref]
         assert sum(sl.length for sl in got) == stored.accesses
+        for sl_mem, sl_disk in zip(got, ref):
+            assert sl_mem.path is None and sl_disk.path == stored.path
+            assert replayed_ops(sl_mem) == replayed_ops(sl_disk)
+
+    def test_replay_reproduces_recorder_stream(self, tmp_path):
+        # the triad emits scope events and affine rows only, so the
+        # executor's own event stream is the recording's exact content
+        class Tee(OpCollector):
+            def __init__(self, recorder):
+                super().__init__()
+                self.recorder = recorder
+
+            def enter_scope(self, sid):
+                super().enter_scope(sid)
+                self.recorder.enter_scope(sid)
+
+            def exit_scope(self, sid):
+                super().exit_scope(sid)
+                self.recorder.exit_scope(sid)
+
+            def access_rows(self, rids, stores, bases, strides, m):
+                super().access_rows(rids, stores, bases, strides, m)
+                self.recorder.access_rows(rids, stores, bases, strides, m)
+
+            def access(self, rid, addr, is_store):
+                raise AssertionError("the triad has no scalar accesses")
+
+        for writer in (TraceStoreWriter(),
+                       TraceStoreWriter(str(tmp_path / "t"),
+                                        spill_mb=0.001)):
+            tee = Tee(StreamRecorder(writer))
+            BatchExecutor(stream_triad(257, 3), tee).run()
+            (sl,) = split_stored_trace(tee.recorder.finish(), 1)
+            assert replayed_ops(sl) == tee.ops
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("build", [_build,
+                                       lambda: irregular_gather(512, 2048)],
+                             ids=["sweep3d", "gather"])
+    def test_in_memory_slice_pickles_only_its_window(self, build, k):
+        # the gather's few large batch ops are cut mid-op by every
+        # boundary: each side must ship only its own part of them
+        mem, _ = record_trace(build())
+        whole = sum(col.nbytes for col in mem.columns.values())
+        blobs = []
+        for sl in split_stored_trace(mem, k):
+            blobs.append(pickle.dumps(sl))
+            back = pickle.loads(blobs[-1])
+            assert back == sl
+            assert replayed_ops(back) == replayed_ops(sl)
+            if k >= 2:
+                assert len(blobs[-1]) < whole
+        # the slices together ship the trace about once, not K times
+        assert sum(map(len, blobs)) < whole + 4096 * k
+
+    def test_in_memory_recording_touches_no_file(self, obs_on, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        mem, _ = record_trace(_build(), spill_mb=0.001)
+        for sl in split_trace(mem, 3):
+            assert sl.path is None
+            replay_slice(TraceStore(sl.trace), sl, _NullHandler())
+        assert os.listdir(str(tmp_path)) == []
+        counters = obs_on.snapshot()["counters"]
+        assert counters.get("trace.spill_bytes", 0) == 0
+        assert counters.get("trace.mmap_opens", 0) == 0
 
     def test_split_trace_dispatches_on_stored_handles(self, tmp_path):
         stored, _ = record_trace(_build(), spill=str(tmp_path / "t"))
         slices = split_trace(stored, 3)
         assert all(sl.path == stored.path for sl in slices)
-
-    def test_replay_reproduces_recorder_stream(self, tmp_path):
-        mem, _ = record_trace(stream_triad(257, 3))
-        stored, _ = record_trace(stream_triad(257, 3),
-                                 spill=str(tmp_path / "t"),
-                                 spill_mb=0.001)
-        (ref,) = split_trace(mem, 1)
-        (sl,) = split_stored_trace(stored, 1)
-
-        class Collect:
-            def __init__(self):
-                self.ops = []
-
-            def enter_scope(self, sid):
-                self.ops.append(("enter", sid))
-
-            def exit_scope(self, sid):
-                self.ops.append(("exit", sid))
-
-            def access_batch(self, rids, addrs, stores, period=0):
-                self.ops.append(("batch", list(rids), list(addrs),
-                                 [bool(s) for s in stores], period))
-
-            def access_rows(self, rids, stores, bases, strides, m):
-                self.ops.append(("rows", tuple(rids),
-                                 tuple(bool(s) for s in stores),
-                                 tuple(bases), tuple(strides), m))
-
-        got = Collect()
-        replay_slice(TraceStore(stored.path), sl, got)
-        want = [("batch", list(op[1]), list(op[2]),
-                 [bool(s) for s in op[3]], op[4]) if op[0] == "batch"
-                else op for op in ref.ops]
-        assert got.ops == want
 
 
 class TestRecordSpilled:

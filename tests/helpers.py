@@ -85,3 +85,49 @@ def collect_trace(prog: Program) -> List[Tuple[int, int, bool]]:
     rec = TraceRecorder()
     run_program(prog, rec)
     return [(e[1], e[2], e[3]) for e in rec.accesses()]
+
+
+class OpCollector:
+    """Event handler that keeps a stream as comparable op tuples.
+
+    ``("enter", sid)`` / ``("exit", sid)``, ``("batch", rids, addrs,
+    stores, period)`` with list payloads, and ``("rows", rids, stores,
+    bases, strides, m)`` with tuple vectors; store flags as bools.
+    """
+
+    def __init__(self) -> None:
+        self.ops: List[tuple] = []
+
+    def enter_scope(self, sid: int) -> None:
+        self.ops.append(("enter", sid))
+
+    def exit_scope(self, sid: int) -> None:
+        self.ops.append(("exit", sid))
+
+    def access_batch(self, rids, addrs, stores, period: int = 0) -> None:
+        self.ops.append(("batch", list(rids), list(addrs),
+                         [bool(s) for s in stores], period))
+
+    def access_rows(self, rids, stores, bases, strides, m: int) -> None:
+        self.ops.append(("rows", tuple(rids),
+                         tuple(bool(s) for s in stores), tuple(bases),
+                         tuple(strides), m))
+
+
+def replayed_ops(sl) -> List[tuple]:
+    """The op stream one shard slice replays."""
+    from repro.core.tracestore import TraceStore, replay_slice
+    got = OpCollector()
+    replay_slice(TraceStore(sl.trace), sl, got)
+    return got.ops
+
+
+def record_ops(ops) -> "StoredTrace":
+    """An in-memory trace recorded from :class:`OpCollector`-style ops."""
+    from repro.core.shard import StreamRecorder
+    rec = StreamRecorder()
+    handlers = {"enter": rec.enter_scope, "exit": rec.exit_scope,
+                "batch": rec.access_batch, "rows": rec.access_rows}
+    for op in ops:
+        handlers[op[0]](*op[1:])
+    return rec.finish()
