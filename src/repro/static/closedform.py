@@ -1,9 +1,9 @@
 """Closed-form symbolic scaling: derive once, evaluate anywhere.
 
 The static profiler (:mod:`repro.static.profile`) replaced execution
-with enumeration: O(symbolic terms) instead of O(accesses).  But it
-still re-enumerates the iteration space for every bounds tuple, so a
-ten-size sweep pays ten full derivations.  Following Razzak et al.
+with enumeration: O(occurrences × references), not O(accesses).  But
+it still re-enumerates the iteration space for every bounds tuple, so
+a ten-size sweep pays ten full derivations.  Following Razzak et al.
 ("Static Reuse Profile Estimation for Array Applications" and the
 nested-loops follow-up), the per-reference reuse profiles of affine
 nests admit *closed forms* in the loop bounds: every quantity the

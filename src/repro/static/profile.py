@@ -46,6 +46,7 @@ from repro.core.analyzer import STATE_VERSION
 from repro.core.histogram import bin_of_array
 from repro.lang.ast import Program
 from repro.lang.executor import RunStats
+from repro.obs import metrics as _obs
 from repro.static.itermodel import (
     MAX_POINTS, ItemClass, StaticUnsupported, enumerate_program,
 )
@@ -178,8 +179,9 @@ class StaticProfiler:
         self.L = depth
         # D: per-level ordering/iteration digits; S: per-level scope sids
         # (-2 marks body-position levels, -3 padding past the chain end).
-        self.D = np.full((total, depth), -1, dtype=np.int64)
-        self.S = np.full((total, depth), -3, dtype=np.int64)
+        # Level-major: the lexsort and _carry read one level at a time.
+        self.D = np.full((depth, total), -1, dtype=np.int64)
+        self.S = np.full((depth, total), -3, dtype=np.int64)
         self.item_id = np.empty(total, dtype=np.int64)
         self.occ = np.empty(total, dtype=np.int64)
         self.item_base: List[int] = []
@@ -199,16 +201,15 @@ class StaticProfiler:
                 self.trip[sl] = item.trip
                 refpos[sl] = j
                 for lvl, (kind, sid, dig) in enumerate(item.chain):
-                    self.D[sl, lvl] = dig
-                    self.S[sl, lvl] = -2 if kind == "pos" else sid
+                    self.D[lvl, sl] = dig
+                    self.S[lvl, sl] = -2 if kind == "pos" else sid
                 off += n_occ
-        self.refpos = refpos
         self.arr_id = np.searchsorted(self.arr_bases, self.lo,
                                       side="right") - 1
         np.clip(self.arr_id, 0, None, out=self.arr_id)
         # Global time order: lexsort outer digits first, then the
         # reference's plan position within its item.
-        keys = (refpos,) + tuple(self.D[:, lvl]
+        keys = (refpos,) + tuple(self.D[lvl]
                                  for lvl in range(depth - 1, -1, -1))
         self.order = np.lexsort(keys)
 
@@ -245,10 +246,6 @@ class StaticProfiler:
         caps = self._caps(lo_blk, hi_blk)
         near = self._near_extra(nblocks, dup, key, shift)
 
-        packs: List[np.ndarray] = []
-        dists: List[np.ndarray] = []
-        weights: List[np.ndarray] = []
-
         # -- active events in global time order --------------------------
         act = ~dup
         order_act = self.order[act[self.order]]
@@ -257,33 +254,34 @@ class StaticProfiler:
         w_start = np.cumsum(w) - w
         keys_o = key[order_act]
         n_events = order_act.size
-        srt = np.lexsort((np.arange(n_events), keys_o))
+        idx = np.arange(n_events)
+        srt = np.lexsort((idx, keys_o))
         ks = keys_o[srt]
         adj = ks[1:] == ks[:-1]
         prev_of = np.full(n_events, -1, dtype=np.int64)
         prev_of[srt[1:][adj]] = srt[:-1][adj]
         # Re-touch gap per event in *array-local* time: weight-distance
         # (counting only this array's touches) until the next touch of
-        # the same region.  Keys are address-based, so a same-key chain
-        # never crosses arrays.  A window containing T of an array's
-        # touch weight re-touches a region instead of finding a fresh
-        # one whenever the region's gap is shorter than T, so the
-        # expected distinct weight is E_a(T) = Σ_e w_e·min(T, gap_e)/W_a
-        # — exact for cyclic streams, and the gap distribution captures
-        # repeat structure (a block re-touched within a phase stops
-        # contributing for windows longer than the phase).
+        # the same region.  A same-key chain crosses arrays (and a gap
+        # may be negative) only when blocks exceed the 4096-B object
+        # alignment.  A window containing T of an array's touch weight
+        # re-touches a region instead of finding a fresh one whenever the
+        # region's gap is shorter than T, so the expected distinct weight
+        # is E_a(T) = Σ_e w_e·min(T, gap_e)/W_a — exact for cyclic
+        # streams, and the gap distribution captures repeat structure (a
+        # block re-touched within a phase stops contributing for windows
+        # longer than the phase).
         arr_o = self.arr_id[order_act]
         nxt_of = np.full(n_events, -1, dtype=np.int64)
         nxt_of[srt[:-1][adj]] = srt[1:][adj]
-        ord_arr = np.lexsort((np.arange(n_events), arr_o))
+        # Events grouped by array (array a's run of ord_arr starts at
+        # arr_bounds[a]), in time order within each array.
+        ord_arr = np.lexsort((idx, arr_o))
+        arr_sorted = arr_o[ord_arr]
+        arr_bounds = np.searchsorted(arr_sorted, np.arange(self.n_arrays + 1))
+        w_before = np.cumsum(w[ord_arr]) - w[ord_arr]
         w_loc = np.empty(n_events, dtype=np.float64)
-        cum_arr = np.cumsum(w[ord_arr])
-        seg_new = np.concatenate(
-            ([True], arr_o[ord_arr[1:]] != arr_o[ord_arr[:-1]])
-        ) if n_events else np.empty(0, dtype=bool)
-        seg_id = np.cumsum(seg_new) - 1 if n_events else seg_new
-        seg_base = (cum_arr - w[ord_arr])[seg_new] if n_events else cum_arr
-        w_loc[ord_arr] = cum_arr - w[ord_arr] - seg_base[seg_id]
+        w_loc[ord_arr] = w_before - w_before[arr_bounds[arr_sorted]]
         arr_w = np.zeros(self.n_arrays, dtype=np.float64)
         np.add.at(arr_w, arr_o, w)
         has_nxt = nxt_of >= 0
@@ -293,89 +291,25 @@ class StaticProfiler:
         # Periodic continuation: a region's last touch wraps to its
         # first (steady-state assumption), keeping cycling streams
         # exact.
-        run_starts = np.flatnonzero(
-            np.concatenate(([True], ~adj))) if n_events else np.empty(
-                0, dtype=np.int64)
-        if run_starts.size:
-            run_ends = np.concatenate((run_starts[1:] - 1,
-                                       [n_events - 1]))
-            heads = srt[run_starts]
-            tails = srt[run_ends]
+        if n_events:
+            heads = srt[np.flatnonzero(np.concatenate(([True], ~adj)))]
+            tails = srt[np.flatnonzero(np.concatenate((~adj, [True])))]
             gap[tails] = arr_w[arr_o[tails]] - w_loc[tails] + w_loc[heads]
-        # Per-array lookup structures: events in time order (for the
+        # Per-array lookup tables: touch weights in time order (for the
         # window touch weight T_a) and gaps in sorted order (for the
         # expectation prefix sums).
-        per_array = []
-        for a in range(self.n_arrays):
-            ev = np.flatnonzero(arr_o == a)
-            if not ev.size:
-                per_array.append(None)
-                continue
-            ga = np.sort(gap[ev])
-            g_ord = np.argsort(gap[ev])
-            wa = w[ev][g_ord]
-            per_array.append((w_start[ev], np.cumsum(w[ev]),
-                              ga, np.cumsum(wa), np.cumsum(wa * ga),
-                              float(arr_w[a]), float(caps[a])))
-        self._link_covers(prev_of, order_act, nblocks, caps)
-
-        def estimate(cur: np.ndarray, prv: np.ndarray,
-                     delta: Optional[np.ndarray] = None) -> np.ndarray:
-            # Distinct blocks in the reuse window = Σ_a E_a(T_a) where
-            # T_a is the array's touch weight actually inside the
-            # window.  T_a is local, so phase boundaries (a window whose
-            # composition differs from the stationary mix) are seen;
-            # the array's footprint caps the double-count of
-            # overlapping same-array regions.  ``delta`` (links ×
-            # arrays) adjusts each array's distinct weight for aligned
-            # co-traversals whose true in-window share differs from the
-            # event-order window.
-            delta_w = w_start[cur] - w_start[prv]
-            x = w_start[cur]
-            x_lo = x - delta_w
-            out = np.zeros(cur.size, dtype=np.float64)
-            for a, entry in enumerate(per_array):
-                if entry is None:
-                    continue
-                starts_a, cums_a, ga, cum_wa, cum_wga, W_a, cap_a = entry
-                hi_i = np.searchsorted(starts_a, x, side="left")
-                lo_i = np.searchsorted(starts_a, x_lo, side="left")
-                T = (np.where(hi_i > 0,
-                              cums_a[np.maximum(hi_i - 1, 0)], 0.0)
-                     - np.where(lo_i > 0,
-                                cums_a[np.maximum(lo_i - 1, 0)], 0.0))
-                split = np.searchsorted(ga, T)
-                below_w = np.where(split > 0,
-                                   cum_wa[np.maximum(split - 1, 0)], 0.0)
-                below_wg = np.where(split > 0,
-                                    cum_wga[np.maximum(split - 1, 0)],
-                                    0.0)
-                e_a = (below_wg + T * (cum_wa[-1] - below_w)) / W_a
-                # A window holding exactly one event of the array has no
-                # within-window repeats: its distinct weight is the
-                # event's weight, regardless of the stationary mix.
-                e_a = np.where(hi_i - lo_i == 1, T, e_a)
-                if delta is not None:
-                    e_a = np.maximum(e_a + delta[:, a], 0.0)
-                out += np.minimum(e_a, cap_a)
-            if delta is not None:
-                delta_w = np.maximum(delta_w + delta.sum(axis=1), 0.0)
-            d_est = np.minimum(np.minimum(out, delta_w),
-                               float(caps.sum()))
-            return np.maximum(np.rint(d_est).astype(np.int64) - 1, 0)
-
-        def emit(cur: np.ndarray, prv: np.ndarray, wgt: np.ndarray,
-                 delta: Optional[np.ndarray] = None) -> None:
-            dist = estimate(cur, prv, delta)
-            g_prev = order_act[prv]
-            g_cur = order_act[cur]
-            carry = self._carry(g_prev, g_cur)
-            pack = ((self.rid[g_cur] * self.n_scopes
-                     + self.src_sid[g_prev]) * (self.n_scopes + 1)
-                    + carry + 1)
-            packs.append(pack)
-            dists.append(dist)
-            weights.append(wgt)
+        events = [ord_arr[arr_bounds[a]:arr_bounds[a + 1]]
+                  for a in range(self.n_arrays)]
+        tables = []
+        for a, ev in enumerate(events):
+            if ev.size:
+                g_ord = np.argsort(gap[ev])
+                ga = gap[ev][g_ord]
+                wa = w[ev][g_ord]
+                tables.append((a, _prefix(w[ev]), ga, _prefix(wa),
+                               _prefix(wa * ga), float(arr_w[a]),
+                               float(caps[a])))
+        self._link_covers(prev_of, events, w, caps)
 
         # -- overlap links -----------------------------------------------
         # A row whose block interval overlaps the temporally previous row
@@ -388,11 +322,9 @@ class StaticProfiler:
         lo_o = lo_blk[order_act]
         hi_o = hi_blk[order_act]
         full_span = (hi_o - lo_o + 1).astype(np.float64) == w
-        idx = np.arange(n_events)
-        srt_a = np.lexsort((idx, arr_o))
-        adj_a = arr_o[srt_a[1:]] == arr_o[srt_a[:-1]]
+        same_arr = arr_sorted[1:] == arr_sorted[:-1]
         prev_arr = np.full(n_events, -1, dtype=np.int64)
-        prev_arr[srt_a[1:][adj_a]] = srt_a[:-1][adj_a]
+        prev_arr[ord_arr[1:][same_arr]] = ord_arr[:-1][same_arr]
         # Walk a few same-array events back for the nearest overlapping
         # partner (interleaved refs of one array sweep together, so the
         # partner need not be the immediately previous event), stopping
@@ -419,71 +351,90 @@ class StaticProfiler:
             rest = open_[~ok]
             partner[rest] = prev_arr[partner[rest]]
         cur_ov = np.flatnonzero(chosen >= 0)
-        if cur_ov.size:
-            emit(cur_ov, chosen[cur_ov], ov[cur_ov])
 
-        # -- co-traversal alignment tables -------------------------------
+        # -- co-traversal alignment columns ------------------------------
         # Events of one item occurrence sweep their index range together,
         # element-wise, yet occupy disjoint stretches of the event-order
         # weight axis.  For a link endpoint inside such an item, a
         # co-event at an earlier plan position is wholly *outside* the
         # [prv, cur) window even though the fraction of its sweep past
         # the reused block's position t is really inside (and dually for
-        # later plan positions).  co_lo/co_hi hold, per event and array,
-        # the aligned co-event weight at earlier/later plan positions;
-        # the link correction is +(1-t)·(co_lo[prv]-co_lo[cur]) +
-        # t·(co_hi[cur]-co_hi[prv]) — identically zero for links between
+        # later plan positions).  co_lo/co_hi hold, per array and eligible
+        # event, the aligned co-event weight at earlier/later plan
+        # positions; the link correction is +(1-t)·(co_lo[prv]-co_lo[cur])
+        # + t·(co_hi[cur]-co_hi[prv]) — identically zero for links between
         # occurrences of one item class, so steady-state self links (and
-        # the triad exactness contract) are untouched.
+        # the triad exactness contract) are untouched.  Ineligible events
+        # all map to one zero column, so only a link with an eligible
+        # endpoint can need the correction.
         co_lo = co_hi = None
         nest_item = np.array([it.kind == "nest" for it in self.items],
                              dtype=bool)
         it_o = self.item_id[order_act]
         eligible = nest_item[it_o] & full_span
-        if (eligible.any()
-                and n_events * self.n_arrays <= _COTRAV_CELL_BUDGET):
+        el = np.flatnonzero(eligible)
+        if el.size and n_events * self.n_arrays > _COTRAV_CELL_BUDGET:
+            _obs.counter("static.cotrav_skipped").inc()
+        elif el.size:
             occ_o = self.occ[order_act]
             run_new = np.concatenate(
                 ([True], (it_o[1:] != it_o[:-1]) | (occ_o[1:] != occ_o[:-1])))
-            run_id = np.cumsum(run_new) - 1
-            we = np.where(eligible, w, 0.0)
-            co_lo = np.zeros((n_events, self.n_arrays))
-            co_hi = np.zeros((n_events, self.n_arrays))
-            first = np.flatnonzero(run_new)
+            # item occurrence of each eligible event, renumbered densely
+            run_el = (np.cumsum(run_new) - 1)[el]
+            first = np.concatenate(([True], run_el[1:] != run_el[:-1]))
+            run_id = np.cumsum(first) - 1
+            first = np.flatnonzero(first)
+            w_el = w[el]
+            arr_el = arr_o[el]
+            slot = np.full(n_events, el.size)
+            slot[el] = np.arange(el.size)
+            co_lo = np.zeros((self.n_arrays, el.size + 1))
+            co_hi = np.zeros((self.n_arrays, el.size + 1))
             for a in range(self.n_arrays):
-                wa = np.where(arr_o == a, we, 0.0)
+                wa = np.where(arr_el == a, w_el, 0.0)
                 cum = np.cumsum(wa)
                 excl = cum - wa
                 base = excl[first]
                 lo_pref = excl - base[run_id]
                 run_tot = np.concatenate((base[1:], [cum[-1]])) - base
-                co_lo[:, a] = lo_pref
-                co_hi[:, a] = run_tot[run_id] - lo_pref - wa
-            co_lo[~eligible] = 0.0
-            co_hi[~eligible] = 0.0
+                co_lo[a, :-1] = lo_pref
+                co_hi[a, :-1] = run_tot[run_id] - lo_pref - wa
 
         # -- reuse links -------------------------------------------------
         linked = prev_of >= 0
         cur = np.flatnonzero(linked)
-        if cur.size:
-            prv = prev_of[cur]
-            wlink = np.maximum(w[cur] - ov[cur] - ne_o[cur], 0.0)
-            if co_lo is not None:
-                c_lo = co_lo[prv] - co_lo[cur]
-                c_hi = co_hi[cur] - co_hi[prv]
-                corr = (np.abs(c_lo).sum(axis=1)
-                        + np.abs(c_hi).sum(axis=1)) > 0.0
-            else:
-                corr = np.zeros(cur.size, dtype=bool)
-            plain = ~corr
-            if plain.any():
-                emit(cur[plain], prv[plain], wlink[plain])
-            if corr.any():
-                cc, pc, wc = cur[corr], prv[corr], wlink[corr] / _QUANTILES
-                lo_c, hi_c = c_lo[corr], c_hi[corr]
-                for q in range(_QUANTILES):
-                    t = (q + 0.5) / _QUANTILES
-                    emit(cc, pc, wc, delta=(1.0 - t) * lo_c + t * hi_c)
+        prv = prev_of[cur]
+        wlink = np.maximum(w[cur] - ov[cur] - ne_o[cur], 0.0)
+        corr = np.zeros(cur.size, dtype=bool)
+        lo_c = hi_c = np.zeros((0, self.n_arrays))
+        if co_lo is not None:
+            s_prv, s_cur = slot[prv], slot[cur]
+            cand = np.flatnonzero((s_prv < el.size) | (s_cur < el.size))
+            pc, cc = s_prv[cand], s_cur[cand]
+            lo_c = np.ascontiguousarray((co_lo[:, pc] - co_lo[:, cc]).T)
+            hi_c = np.ascontiguousarray((co_hi[:, cc] - co_hi[:, pc]).T)
+            moved = (lo_c != 0.0).any(axis=1) | (hi_c != 0.0).any(axis=1)
+            corr[cand[moved]] = True
+            lo_c, hi_c = lo_c[moved], hi_c[moved]
+        plain = ~corr
+        # One link set: overlap links, plain reuse links, then the
+        # corrected reuse links whose distance varies with t.
+        link_cur = np.concatenate((cur_ov, cur[plain], cur[corr]))
+        link_prv = np.concatenate((chosen[cur_ov], prv[plain], prv[corr]))
+        n_plain = cur_ov.size + int(plain.sum())
+        parts = []
+        if link_cur.size:
+            g_prev = order_act[link_prv]
+            g_cur = order_act[link_cur]
+            pack = ((self.rid[g_cur] * self.n_scopes + self.src_sid[g_prev])
+                    * (self.n_scopes + 1) + self._carry(g_prev, g_cur) + 1)
+            d_plain, *d_corr = _link_distances(
+                link_cur, link_prv, lo_c, hi_c, w_start, arr_o, tables,
+                float(caps.sum()))
+            parts.append((pack[:n_plain], d_plain,
+                          np.concatenate((ov[cur_ov], wlink[plain]))))
+            wc = wlink[corr] / _QUANTILES
+            parts += [(pack[n_plain:], dist, wc) for dist in d_corr]
 
         # -- cold -------------------------------------------------------
         cold_ev = np.flatnonzero(~linked)
@@ -509,12 +460,10 @@ class StaticProfiler:
                 const = ((ref.rid * self.n_scopes + item.inner_sid)
                          * (self.n_scopes + 1) + item.inner_sid + 1)
                 live = cnt > 0
-                packs.append(np.full(int(live.sum()), const,
-                                     dtype=np.int64))
-                dists.append(dist[live])
-                weights.append(cnt[live].astype(np.float64))
+                parts.append((np.full(int(live.sum()), const, dtype=np.int64),
+                              dist[live], cnt[live].astype(np.float64)))
 
-        atoms = self._aggregate(packs, dists, weights)
+        atoms = self._aggregate(parts)
         return atoms, cold, int(caps.sum())
 
     # -- pieces ----------------------------------------------------------
@@ -649,8 +598,8 @@ class StaticProfiler:
             caps[a] = int(np.maximum(ha - start + 1, 0).sum())
         return caps
 
-    def _link_covers(self, prev_of: np.ndarray, order_act: np.ndarray,
-                     nblocks: np.ndarray, caps: np.ndarray) -> None:
+    def _link_covers(self, prev_of: np.ndarray, events: List[np.ndarray],
+                     w: np.ndarray, caps: np.ndarray) -> None:
         """Link partial touches to the latest full sweep of their array.
 
         Block-keyed linking misses reuse between a *partial* region (an
@@ -658,28 +607,19 @@ class StaticProfiler:
         region (a streaming pass over the whole array) because their keys
         differ.  For each array that has cover events, any other event of
         the array links to the latest cover preceding it when that is
-        more recent than its block-key predecessor.
+        more recent than its block-key predecessor.  ``events[a]`` lists
+        array a's events in time order.
         """
-        arr_o = self.arr_id[order_act]
-        nb_o = nblocks[order_act]
-        for a in range(self.n_arrays):
+        for a, ev in enumerate(events):
             if caps[a] < 2:
                 continue
-            in_a = arr_o == a
-            if not in_a.any():
+            cover = w[ev] >= max(2, int(np.ceil(caps[a] * _COVER_FRACTION)))
+            cpos, part = ev[cover], ev[~cover]
+            if not cpos.size or not part.size:
                 continue
-            cover = in_a & (nb_o >= max(
-                2, int(np.ceil(caps[a] * _COVER_FRACTION))))
-            if not cover.any():
-                continue
-            part = in_a & ~cover
-            if not part.any():
-                continue
-            cpos = np.flatnonzero(cover)
-            t = np.flatnonzero(part)
-            ci = np.searchsorted(cpos, t) - 1
+            ci = np.searchsorted(cpos, part) - 1
             cand = np.where(ci >= 0, cpos[np.maximum(ci, 0)], -1)
-            prev_of[t] = np.maximum(prev_of[t], cand)
+            prev_of[part] = np.maximum(prev_of[part], cand)
 
     def _carry(self, g_prev: np.ndarray, g_cur: np.ndarray) -> np.ndarray:
         """Carrying scope per link: the deepest scope of the destination's
@@ -687,36 +627,34 @@ class StaticProfiler:
         i.e. the deepest common level with every level strictly above it
         equal in both sid and iteration digit."""
         carry = np.full(g_cur.size, -1, dtype=np.int64)
-        prefix = np.ones(g_cur.size, dtype=bool)
+        # links whose chains still agree on every level above this one
+        live = np.arange(g_cur.size)
         for lvl in range(self.L):
-            sp = self.S[g_prev, lvl]
-            sc = self.S[g_cur, lvl]
-            dp = self.D[g_prev, lvl]
-            dc = self.D[g_cur, lvl]
-            here = prefix & (sc >= 0) & (sp == sc)
-            if here.any():
-                carry[here] = sc[here]
-            prefix &= (sp == sc) & (dp == dc)
-            if not prefix.any():
+            sp = self.S[lvl, g_prev]
+            sc = self.S[lvl, g_cur]
+            same = sp == sc
+            here = same & (sc >= 0)
+            carry[live[here]] = sc[here]
+            same &= self.D[lvl, g_prev] == self.D[lvl, g_cur]
+            live, g_prev, g_cur = live[same], g_prev[same], g_cur[same]
+            if not live.size:
                 break
         return carry
 
-    def _aggregate(self, packs: List[np.ndarray],
-                   dists: List[np.ndarray],
-                   weights: List[np.ndarray]
+    def _aggregate(self, parts: List[Tuple[np.ndarray, np.ndarray,
+                                           np.ndarray]]
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fold emissions into profile *atoms*: unique ``(key, distance)``
         pairs with integer counts, sorted by key then distance.  Atoms
         are the canonical intermediate form — the state dict is a pure
-        function of them (see :func:`atoms_to_raw`), which is what lets
+        function of them (see :func:`atoms_to_state`), which is what lets
         the closed-form engine predict atoms and synthesize byte-
         identical states."""
+        parts = [part for part in parts if part[0].size]
         empty = np.empty(0, dtype=np.int64)
-        if not packs:
+        if not parts:
             return empty, empty, empty
-        allp = np.concatenate(packs)
-        alld = np.concatenate(dists)
-        allw = np.concatenate(weights)
+        allp, alld, allw = (np.concatenate(col) for col in zip(*parts))
         order = np.lexsort((alld, allp))
         p_s, d_s, w_s = allp[order], alld[order], allw[order]
         first = np.concatenate(
@@ -728,6 +666,63 @@ class StaticProfiler:
         counts = np.add.reduceat(w_s, starts)
         keep = counts > 0
         return p_s[starts][keep], d_s[starts][keep], counts[keep]
+
+
+def _prefix(x: np.ndarray) -> np.ndarray:
+    """Prefix sums led by a zero: ``out[i] = x[:i].sum()``."""
+    return np.concatenate(([0], np.cumsum(x)))
+
+
+def _link_distances(cur: np.ndarray, prv: np.ndarray, lo_c: np.ndarray,
+                    hi_c: np.ndarray, w_start: np.ndarray, arr_o: np.ndarray,
+                    tables: List, total_cap: float) -> List[np.ndarray]:
+    """Reuse distance of each link ``prv[k] -> cur[k]`` (event indices).
+
+    Distinct blocks in the reuse window = Σ_a E_a(T_a) where T_a is the
+    array's touch weight actually inside the window.  T_a is local, so
+    phase boundaries (a window whose composition differs from the
+    stationary mix) are seen; the array's footprint caps the double-count
+    of overlapping same-array regions.  The last ``len(lo_c)`` links are
+    co-traversal-corrected: quantile t adjusts each array's distinct
+    weight by its term in (1-t)·lo_c + t·hi_c.  Returns one distance array
+    for the other links, then one per quantile for the corrected ones.
+    """
+    n_corr = lo_c.shape[0]
+    n_plain = cur.size - n_corr
+    ts = ([(q + 0.5) / _QUANTILES for q in range(_QUANTILES)]
+          if n_corr else [])
+    delta_w = w_start[cur] - w_start[prv]
+    out = np.zeros(n_plain)
+    outs = [np.zeros(n_corr) for _ in ts]
+    for a, cum_w, ga, cum_wa, cum_wga, W_a, cap_a in tables:
+        # Every event weighs at least one block, so the window holds the
+        # array's events with index in [prv, cur).  With none, T = 0 and
+        # the term Σ_{gap<0} w·gap / W_a is 0.0 unless a gap is negative.
+        before = _prefix(arr_o == a)
+        hi_i, lo_i = before[cur], before[prv]
+        nz = np.flatnonzero((hi_i != lo_i) | (ga[0] < 0.0))
+        hi_i, lo_i = hi_i[nz], lo_i[nz]
+        T = cum_w[hi_i] - cum_w[lo_i]
+        split = np.searchsorted(ga, T)
+        e_a = (cum_wga[split] + T * (cum_wa[-1] - cum_wa[split])) / W_a
+        # A window holding exactly one event of the array has no
+        # within-window repeats: its distinct weight is the event's
+        # weight, regardless of the stationary mix.
+        e_a = np.where(hi_i - lo_i == 1, T, e_a)
+        k = np.searchsorted(nz, n_plain)
+        out[nz[:k]] += np.minimum(e_a[:k], cap_a)
+        e_c = np.zeros(n_corr)
+        e_c[nz[k:] - n_plain] = e_a[k:]
+        for t, est in zip(ts, outs):
+            delta = (1.0 - t) * lo_c[:, a] + t * hi_c[:, a]
+            est += np.minimum(np.maximum(e_c + delta, 0.0), cap_a)
+    windows = [delta_w[:n_plain]] + [
+        np.maximum(delta_w[n_plain:]
+                   + ((1.0 - t) * lo_c + t * hi_c).sum(axis=1), 0.0)
+        for t in ts]
+    return [np.maximum(np.rint(np.minimum(np.minimum(est, win), total_cap))
+                       .astype(np.int64) - 1, 0)
+            for est, win in zip([out] + outs, windows)]
 
 
 def _fresh_counts(cases: np.ndarray, offs: List[int], stride: int,
@@ -747,6 +742,7 @@ def _fresh_counts(cases: np.ndarray, offs: List[int], stride: int,
     warm = int((spread + B) // abs(stride)) + 2
     sims = np.minimum(cases[:, 1], warm + 2 * period)
     if int(sims.sum()) * len(offs) > _FRESH_SIM_BUDGET:
+        _obs.counter("static.fresh_sim_skipped").inc()
         return None
     out = np.zeros((len(cases), len(offs)), dtype=np.float64)
     for pi, (phase, trip) in enumerate(cases):

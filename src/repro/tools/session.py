@@ -230,14 +230,18 @@ class AnalysisSession:
 
         :func:`repro.static.profile.static_profile` enumerates the
         lowered iteration space symbolically and synthesizes the same
-        state dict a dynamic run would have produced, in O(item classes)
-        instead of O(accesses).  Loading it into the analyzer makes the
-        whole downstream pipeline (predictor, scaling, reports,
-        recommendations) work unchanged; :attr:`stats` is synthesized to
-        match what an executor would have counted.  Programs the
-        iteration model cannot enumerate raise
-        :class:`~repro.static.itermodel.StaticUnsupported`, which the
-        caller degrades to a dynamic fenwick run.
+        state dict a dynamic run would have produced.  Its cost is linear
+        in rows (one per item occurrence × reference), so it grows with
+        outer trip counts: Sweep3D mesh 12 is 62,896 rows for 696,496
+        accesses, CG grid 48 254,268 for 392,448, GTC micell 6 303,916
+        for 799,948.  Only nests whose occurrences collapse into a few
+        rows, like the STREAM triad, cost O(symbolic terms).  Loading it
+        into the analyzer makes the whole downstream pipeline
+        (predictor, scaling, reports, recommendations) work unchanged;
+        :attr:`stats` is synthesized to match what an executor would
+        have counted.  Programs the iteration model cannot enumerate
+        raise :class:`~repro.static.itermodel.StaticUnsupported`, which
+        the caller degrades to a dynamic fenwick run.
         """
         from repro.static.profile import static_profile
         t0 = time.perf_counter()
