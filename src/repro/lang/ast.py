@@ -620,9 +620,11 @@ class Program:
         jobs: List[Tuple[Callable[[Callable], None], str]] = []
         for routine in self.routines.values():
             self._gen_body(routine.body, jobs)
-        env = {"V": self.value_stores(), "min": min, "max": max}
+        #: Globals of every compiled fragment (value stores and builtins);
+        #: code generated later from the same fragments runs in it too.
+        self.namespace = {"V": self.value_stores(), "min": min, "max": max}
         for setter, src in jobs:
-            setter(eval(src, env))
+            setter(eval(src, self.namespace))
 
     def _gen_body(self, body: Sequence[Node], jobs: List) -> None:
         for node in body:

@@ -1,14 +1,25 @@
-"""Batched trace pipeline: compile affine inner loops into access chunks.
+"""Batched trace pipeline: compile innermost loops into access chunks.
 
 The scalar :class:`~repro.lang.executor.Executor` crosses a Python call
 boundary per memory access (``addr_fn(env)`` + ``handler.access``), which
-dominates analysis cost.  For the loops that matter — innermost bodies made
-only of :class:`~repro.lang.ast.Stmt` nodes whose subscripts are affine in
-the loop variable — the whole iteration space is predictable: every
-reference walks an arithmetic address sequence.  :class:`BatchExecutor`
-detects such loops, materializes their address streams as ``range`` objects
-(C-level iteration), and hands whole chunks to the handler's
+dominates analysis cost.  :class:`BatchExecutor` compiles every innermost
+loop whose body holds only :class:`~repro.lang.ast.Stmt` and
+:class:`~repro.lang.ast.ScalarAssign` nodes into a plan, and hands whole
+chunks of iterations to the handler's
 ``access_batch(rids, addrs, stores, period)`` entry point in one call.
+A plan comes in one of two kinds, differing only in how a chunk's
+addresses are produced:
+
+* **affine** — a body of plain statements whose subscripts are affine in
+  the loop variable: every reference walks an arithmetic address
+  sequence, materialized as ``range`` objects (C-level iteration) or
+  handed over unmaterialized to row-aware handlers (``access_rows``);
+* **gather** — everything else: indirect (``Load``) subscripts, scalar
+  assignments, non-affine subscripts.  The body compiles to one
+  generated function that runs the chunk's iterations, evaluating the
+  same subscript and assignment source the scalar closures are built
+  from, in body order, and updating the environment as the scalar walk
+  does.
 
 ``period`` is the number of accesses per loop iteration: chunks always hold
 a whole number of iterations, so row-aware handlers (the analyzer's
@@ -16,11 +27,11 @@ specialized Fenwick path) can exploit the iteration structure.  Handlers
 without ``access_batch`` get a per-access fallback loop, so any event
 consumer works unmodified and sees the identical event stream.
 
-Loops that do not qualify — indirect (``Load``) subscripts, scalar
-assignments, nested loops, calls — fall back to the scalar walk, statement
-by statement.  The two paths are semantically identical: same events in the
-same order, same :class:`~repro.lang.executor.RunStats`; the test suite
-cross-checks both against each other.
+Loops that contain a nested loop or a call keep the scalar walk, statement
+by statement (their innermost loops are batched in turn).  The two paths
+are semantically identical: same events in the same order, same
+:class:`~repro.lang.executor.RunStats`, same environment afterwards; the
+test suite cross-checks both against each other.
 """
 
 from __future__ import annotations
@@ -29,8 +40,8 @@ from itertools import chain, repeat
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.lang.ast import (
-    Add, Const, Expr, FloorDiv, Load, Loop, Max, Min, Mod, Mul, Program,
-    Stmt, Sub, Var,
+    Add, Const, Expr, FloorDiv, Loop, Max, Min, Mod, Mul, Program,
+    ScalarAssign, Stmt, Sub, Var,
 )
 from repro.lang.executor import Executor, RunStats
 from repro.lang.events import EventHandler
@@ -46,20 +57,33 @@ _UNCOMPILED = object()
 
 
 class LoopBatchPlan:
-    """Compiled batch schedule for one affine innermost loop."""
+    """Compiled batch schedule for one innermost loop.
 
-    __slots__ = ("addr_fns", "rids", "stores", "k", "ops", "n_loads",
-                 "n_stores")
+    ``rids``/``stores`` describe one iteration's accesses in event order
+    (``k`` of them); ``ops`` is its non-memory operation count.  Affine
+    plans carry the per-access address closures (``addr_fns``), probed
+    for base and stride; gather plans carry ``gather(env, values)``,
+    which runs the iterations ``values`` and returns their addresses.
+    """
 
-    def __init__(self, addr_fns: List[Callable], rids: Tuple[int, ...],
-                 stores: Tuple[bool, ...], ops: int) -> None:
+    __slots__ = ("addr_fns", "gather", "rids", "stores", "k", "ops",
+                 "n_loads", "n_stores")
+
+    def __init__(self, rids: Tuple[int, ...], stores: Tuple[bool, ...],
+                 ops: int, addr_fns: Optional[List[Callable]] = None,
+                 gather: Optional[Callable] = None) -> None:
         self.addr_fns = addr_fns
+        self.gather = gather
         self.rids = rids
         self.stores = stores
         self.k = len(rids)
         self.ops = ops
         self.n_stores = sum(1 for s in stores if s)
         self.n_loads = self.k - self.n_stores
+
+    @property
+    def kind(self) -> str:
+        return "affine" if self.gather is None else "gather"
 
 
 # ---------------------------------------------------------------------------
@@ -108,35 +132,73 @@ def _affine_in(expr: Expr, var: str) -> bool:
     return False  # Load: data-dependent address
 
 
-def compile_loop(loop: Loop) -> Optional[LoopBatchPlan]:
-    """Return a batch plan for ``loop``, or None if it is not batchable.
+def compile_loop(loop: Loop, program: Program) -> Optional[LoopBatchPlan]:
+    """Return a batch plan for ``loop`` of ``program``, or None.
 
-    Batchable means: every body node is a plain :class:`Stmt`, no subscript
-    carries a :class:`Load` (the plan would interleave extra data-dependent
-    accesses), and every subscript is affine in the loop variable.
+    None means the body holds a nested :class:`Loop` or a call, or makes
+    no memory access at all: those loops keep the scalar walk.  A body of
+    plain :class:`Stmt` nodes whose subscripts are all affine in the loop
+    variable (no :class:`Load`) compiles to an affine plan; any other
+    body of statements and scalar assignments compiles to a gather plan.
     """
-    var = loop.var
-    addr_fns: List[Callable] = []
+    body = loop.body
+    if any(node.__class__ not in (Stmt, ScalarAssign) for node in body):
+        return None
     rids: List[int] = []
     stores: List[bool] = []
     ops = 0
-    for node in loop.body:
-        if node.__class__ is not Stmt:
-            return None
-        if len(node.plan) != len(node.accesses):
-            return None  # subscript Loads present: extra plan entries
-        for acc in node.accesses:
-            for ix in acc.indices:
-                if not _affine_in(ix, var):
-                    return None
-        for rid, addr_fn, is_store in node.plan:
-            addr_fns.append(addr_fn)
+    for node in body:
+        for rid, _addr_fn, is_store in node.plan:
             rids.append(rid)
             stores.append(is_store)
-        ops += node.ops
-    if not addr_fns:
+        ops += node.ops if node.__class__ is Stmt else 1
+    if not rids:
         return None  # nothing to batch
-    return LoopBatchPlan(addr_fns, tuple(rids), tuple(stores), ops)
+    var = loop.var
+    if all(
+            node.__class__ is Stmt
+            and all(_affine_in(ix, var)
+                    for acc in node.accesses for ix in acc.indices)
+            for node in body):
+        addr_fns = [fn for node in body for _rid, fn, _st in node.plan]
+        return LoopBatchPlan(tuple(rids), tuple(stores), ops,
+                             addr_fns=addr_fns)
+    return LoopBatchPlan(tuple(rids), tuple(stores), ops,
+                         gather=_compile_gather(loop, program))
+
+
+def _compile_gather(loop: Loop, program: Program) -> Callable:
+    """Generate ``gather(env, values)`` for a loop's body.
+
+    Per iteration it binds the loop variable, then walks the body: each
+    plan entry's address (subscript loads before the reference they
+    feed, as in the plan) and each scalar assignment, in order.  The
+    fragments are the ones the program's closures are compiled from, and
+    the function runs in the same namespace, so every value — including
+    ``//``, ``%``, ``min`` and ``max`` on negative operands — is the
+    scalar walk's.
+    """
+    lines = ["def gather(env, values):",
+             "    out = []",
+             "    for v in values:",
+             f"        env[{loop.var!r}] = v"]
+    pending: List[str] = []
+    for node in loop.body:
+        pending += [program.refs[rid].access.compile_addr(program)
+                    for rid, _addr_fn, _st in node.plan]
+        if node.__class__ is ScalarAssign:
+            if pending:
+                lines.append(f"        out += ({', '.join(pending)},)")
+                pending = []
+            lines.append(f"        env[{node.var!r}] = "
+                         f"{node.expr.compile(program)}")
+    if pending:
+        lines.append(f"        out += ({', '.join(pending)},)")
+    lines.append("    return out")
+    scope: Dict[str, Callable] = {}
+    exec(compile("\n".join(lines), f"<gather {loop.name}>", "exec"),
+         program.namespace, scope)
+    return scope["gather"]
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +206,7 @@ def compile_loop(loop: Loop) -> Optional[LoopBatchPlan]:
 # ---------------------------------------------------------------------------
 
 class BatchExecutor(Executor):
-    """Executor that batches affine innermost loops through access_batch.
+    """Executor that batches innermost loops through access_batch.
 
     Drop-in replacement for :class:`Executor`: identical event semantics
     and statistics, ~an order of magnitude fewer Python-level call
@@ -178,19 +240,22 @@ class BatchExecutor(Executor):
         # every executor that runs it.
         self._plans: Dict[int, object] = program.__dict__.setdefault(
             "_batch_plans", {})
-        # Obs counters: loop-entry / chunk granularity, no-ops when
-        # observability is disabled.
+        # Obs counters: compile / loop-entry / chunk granularity, no-ops
+        # when observability is disabled.
         self._obs_compiled = _obs.counter("batch.plans_compiled")
+        self._obs_gather = _obs.counter("batch.gather_plans")
         self._obs_fallbacks = _obs.counter("batch.fallback_loops")
         self._obs_chunks = _obs.counter("batch.chunks")
 
     def _run_loop(self, loop: Loop, env: Dict[str, int]) -> None:
         plan = self._plans.get(loop.sid, _UNCOMPILED)
         if plan is _UNCOMPILED:
-            plan = compile_loop(loop)
+            plan = compile_loop(loop, self.program)
             self._plans[loop.sid] = plan
             if plan is not None:
                 self._obs_compiled.inc()
+                if plan.gather is not None:
+                    self._obs_gather.inc()
         if plan is None:
             self._obs_fallbacks.inc()
             Executor._run_loop(self, loop, env)
@@ -210,16 +275,19 @@ class BatchExecutor(Executor):
         stats.loop_entries[sid] = stats.loop_entries.get(sid, 0) + 1
         stats.loop_iters[sid] = stats.loop_iters.get(sid, 0) + trips
         if trips:
-            var = loop.var
             k = plan.k
-            env[var] = lo
-            bases = [fn(env) for fn in plan.addr_fns]
-            if trips == 1:
-                strides = [0] * k
-            else:
-                env[var] = lo + step
-                strides = [fn(env) - base
-                           for fn, base in zip(plan.addr_fns, bases)]
+            gather = plan.gather
+            if gather is None:
+                var = loop.var
+                env[var] = lo
+                bases = [fn(env) for fn in plan.addr_fns]
+                if trips == 1:
+                    strides = [0] * k
+                else:
+                    env[var] = lo + step
+                    strides = [fn(env) - base
+                               for fn, base in zip(plan.addr_fns, bases)]
+                env[var] = rng[-1]  # the value the scalar loop leaves behind
             rows_per_chunk = max(1, self._chunk // k)
             batch = self._access_batch
             rows_fn = self._access_rows
@@ -228,7 +296,12 @@ class BatchExecutor(Executor):
             done = 0
             while done < trips:
                 m = min(rows_per_chunk, trips - done)
-                if rows_fn is not None:
+                if gather is not None:
+                    # Runs the chunk's iterations against env, as the
+                    # scalar walk would, collecting their addresses.
+                    addrs = gather(env, rng[done:done + m])
+                    batch(rids * m, addrs, stores * m, k)
+                elif rows_fn is not None:
                     if done:
                         chunk_bases = [base + done * st
                                        for base, st in zip(bases, strides)]
@@ -251,7 +324,6 @@ class BatchExecutor(Executor):
                     batch(rids * m, addrs, stores * m, k)
                 self._obs_chunks.inc()
                 done += m
-            env[var] = rng[-1]  # the value the scalar loop leaves behind
             stats.accesses += trips * k
             stats.loads += trips * plan.n_loads
             stats.stores += trips * plan.n_stores

@@ -1,11 +1,12 @@
 """Distance engines (Fenwick, treap, numpy) against the LRU-stack oracle."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fenwick import FenwickEngine
-from repro.core.npengine import NumpyFenwickEngine
+from repro.core.npengine import NumpyFenwickEngine, _count_smaller_left
 from repro.core.treap import TreapEngine
 
 from tests.helpers import NaiveReuseDistance
@@ -142,8 +143,6 @@ class TestNumpyFenwickGrowth:
         assert np_eng.active_blocks == fw_eng.active_blocks
 
     def test_bulk_ops_match_scalar(self):
-        import numpy as np
-
         engine = NumpyFenwickEngine(initial_capacity=8)
         for t in range(1, 40):
             engine.first(t)
@@ -171,3 +170,27 @@ class TestTreapStructure:
         engine.first(5)
         with pytest.raises(KeyError):
             engine._delete(7)
+
+
+class TestCountSmallerLeft:
+    """The numpy flush's blocked count-smaller kernel against brute force."""
+
+    @staticmethod
+    def _brute(ranks, queries):
+        return np.array([int((ranks[:i] < ranks[i]).sum()) for i in queries],
+                        dtype=np.int64)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 129, 1000, 4097])
+    @pytest.mark.parametrize("queries", ["empty", "all", "half"])
+    def test_matches_brute_force(self, n, queries):
+        rng = np.random.default_rng(n)
+        ranks = rng.permutation(n).astype(np.int64)
+        if queries == "empty":
+            qpos = np.zeros(0, dtype=np.int64)
+        elif queries == "all":
+            qpos = np.arange(n, dtype=np.int64)
+        else:
+            qpos = np.sort(rng.choice(n, size=n // 2, replace=False))
+        got = _count_smaller_left(ranks, qpos)
+        assert got.dtype == np.int64
+        assert got.tolist() == self._brute(ranks, qpos).tolist()

@@ -3,6 +3,7 @@
 import json
 
 from repro.apps.kernels import fig1_interchange
+from repro.apps.spcg import build_cg
 from repro.obs.manifest import RunManifest
 from repro.tools import AnalysisCache, AnalysisSession, program_fingerprint
 
@@ -44,6 +45,14 @@ class TestSessionManifest:
         counters = session.manifest.metrics["counters"]
         assert counters["analyzer.batch_events"] == session.stats.accesses
         assert counters["batch.chunks"] >= 1
+        # fig1 is affine throughout; CG's sparse gathers compile to
+        # gather plans (counted once per compiled loop, not per access).
+        assert counters.get("batch.gather_plans", 0) == 0
+        cg = AnalysisSession(build_cg(grid=6, iterations=1))
+        cg.run()
+        cg_counters = cg.manifest.metrics["counters"]
+        assert 0 < cg_counters["batch.gather_plans"] <= \
+            cg_counters["batch.plans_compiled"]
 
     def test_metrics_empty_when_disabled(self):
         session = AnalysisSession(fig1_interchange(8, 8))
