@@ -524,12 +524,14 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--level", default="L2",
                          choices=("L2", "L3", "TLB"),
                          help="level for the detailed reports")
-    analyze.add_argument("--engine", default="fenwick",
+    analyze.add_argument("--engine", default="numpy",
                          choices=("fenwick", "treap", "numpy", "static"),
                          help="reuse-distance engine (numpy = buffered "
-                              "array path, results identical; static = "
-                              "analytical estimate without executing "
-                              "the program)")
+                              "array path, the default; fenwick = the "
+                              "per-access reference, whose batched runs "
+                              "also go through the numpy path; results "
+                              "are identical; static = analytical "
+                              "estimate without executing the program)")
     analyze.add_argument("--closed-form", action="store_true",
                          help="with --engine static: evaluate the "
                               "cached closed-form derivation instead of "
@@ -594,8 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MB",
                        help="in-memory buffer bound for trace-store "
                             "recordings (default 64)")
-    sweep.add_argument("--engine", default="fenwick",
-                       choices=("fenwick", "treap", "numpy", "static"))
+    sweep.add_argument("--engine", default="numpy",
+                       choices=("fenwick", "treap", "numpy", "static"),
+                       help="reuse-distance engine, as for analyze")
     sweep.add_argument("--closed-form", action="store_true",
                        help="with --engine static: derive the "
                             "closed-form profile once parent-side and "

@@ -70,10 +70,13 @@ class ReuseAnalyzer:
         Mapping of granularity name to block size in bytes (must be powers
         of two), e.g. ``{"line": 64, "page": 512}``.
     engine:
-        ``"fenwick"`` (default, fast), ``"treap"`` (the paper's balanced
-        tree), or ``"numpy"`` (buffered array engine, see
-        :mod:`repro.core.npengine`).  All three produce identical
-        results.
+        ``"fenwick"`` (default: the per-access reference, a binary indexed
+        tree walked by an inlined closure), ``"treap"`` (the paper's
+        balanced tree), or ``"numpy"`` (the buffered array engine, see
+        :mod:`repro.core.npengine`, and the one batched implementation:
+        :class:`~repro.tools.session.AnalysisSession` runs every batched
+        fenwick or numpy analysis through it).  All three produce
+        identical results.
     table:
         ``"flat"`` (default, dict) or ``"hierarchical"`` (the paper's
         three-level block table).  Both produce identical results.
@@ -129,12 +132,12 @@ class ReuseAnalyzer:
         # no-op objects (see repro.obs.metrics).
         self._obs_batch_calls = _obs.counter("analyzer.batch_calls")
         self._obs_batch_events = _obs.counter("analyzer.batch_events")
-        # Specialized closure hot path (fenwick + flat only): inlines the
+        # Specialized per-access closure (fenwick + flat only): inlines the
         # Fenwick traversals and histogram binning, ~2x faster in CPython.
+        # access_batch stays the generic per-element loop below.
         if (engine == "fenwick" and table == "flat"
                 and len(self.grans) in (1, 2)):
             self.access = _specialized_access(self)
-            self.access_batch = _specialized_access_batch(self)
         elif engine == "numpy":
             # Buffered array path: accesses accumulate across calls and
             # scope events; the clock advances eagerly on append, results
@@ -232,10 +235,11 @@ class ReuseAnalyzer:
 
         ``period`` (optional) declares that the chunk is row-structured:
         ``rids``/``stores`` repeat with period ``period`` and the chunk
-        holds a whole number of rows (one row per loop iteration).  The
-        generic path ignores the hint; the specialized Fenwick/flat path
-        (installed in ``__init__``) exploits it.  Semantically identical
-        to calling :meth:`access` per element.
+        holds a whole number of rows (one row per loop iteration).  This
+        generic per-element loop ignores the hint; the numpy engine's
+        buffered window (installed in ``__init__``) uses it for run
+        compression.  Semantically identical to calling :meth:`access`
+        per element.
         """
         self._obs_batch_calls.inc()
         self._obs_batch_events.inc(len(addrs))
@@ -411,317 +415,3 @@ def _specialized_access(analyzer: "ReuseAnalyzer"):
             table[block] = (clock, rid, cur_sid)
 
     return access
-
-
-#: Memo of per-position run distances keyed by the row's equality
-#: structure (first-occurrence labeling).  Distances depend only on which
-#: positions alias which, never on the block numbers themselves, and loop
-#: nests produce a handful of structures, so this stays tiny.
-_ROW_DIST_MEMO: Dict[Tuple[int, ...], Tuple[List[int], List[int]]] = {}
-
-#: ``firsts`` for the all-one-block fast path in :func:`_apply_run`.
-_SINGLE_FIRST = (0,)
-
-
-def _row_distances(row_blocks: List[int], k: int):
-    """Reuse structure of a steady-state repeated row.
-
-    When an iteration touches exactly the same block sequence as the
-    previous iteration, every access is a reuse whose previous touch sits
-    either earlier in the same row or at the same block's last occurrence
-    in the previous row.  The distance is then the number of distinct
-    blocks strictly between the two occurrences (cyclically across rows),
-    computable from the row's aliasing structure alone.
-
-    Returns ``(dists, firsts)``: per-position distances and the positions
-    of each distinct block's first occurrence.
-    """
-    # Block-number translation preserves the equality pattern, so relative
-    # offsets from the first block are a sound (and cheap) memo key: one
-    # key per (loop, stride) shape instead of a canonical relabeling pass.
-    b0 = row_blocks[0]
-    key = tuple([b - b0 for b in row_blocks])
-    cached = _ROW_DIST_MEMO.get(key)
-    if cached is not None:
-        return cached
-    label: Dict[int, int] = {}
-    canon = []
-    for block in row_blocks:
-        lab = label.get(block)
-        if lab is None:
-            lab = len(label)
-            label[block] = lab
-        canon.append(lab)
-    occ: Dict[int, List[int]] = {}
-    for p, lab in enumerate(canon):
-        occ.setdefault(lab, []).append(p)
-    dists = [0] * k
-    firsts = []
-    for positions in occ.values():
-        firsts.append(positions[0])
-        for j, p in enumerate(positions):
-            if j == 0:
-                q = positions[-1]  # previous occurrence: previous row
-                window = canon[q + 1:] + canon[:p]
-            else:
-                q = positions[j - 1]
-                window = canon[q + 1:p]
-            dists[p] = len(set(window))
-    cached = (dists, firsts)
-    _ROW_DIST_MEMO[key] = cached
-    return cached
-
-
-def _apply_run(row_blocks, row_rids, run_len, k, cur_sid, tree, cap,
-               table, raw):
-    """Fast-forward ``run_len`` repeated rows in one step.
-
-    Called by the specialized batch path after detecting that consecutive
-    iterations touch an identical block sequence: histogram counts are
-    bulk-incremented and each distinct block's Fenwick mark moves straight
-    to its final position — O(row) work instead of O(run_len * row).
-    """
-    raw_get = raw.get
-    b0 = row_blocks[0]
-    if row_blocks.count(b0) == k:
-        # Whole row in one block (a row inside one line/page): every
-        # position reuses at distance 0 and only one mark moves.
-        for rid in row_rids:
-            key = (rid, cur_sid, cur_sid)
-            bins = raw_get(key)
-            if bins is None:
-                bins = {}
-                raw[key] = bins
-            bins[0] = bins.get(0, 0) + run_len
-        firsts = _SINGLE_FIRST
-    else:
-        dists, firsts = _row_distances(row_blocks, k)
-        for rid, d in zip(row_rids, dists):
-            key = (rid, cur_sid, cur_sid)
-            bins = raw_get(key)
-            if bins is None:
-                bins = {}
-                raw[key] = bins
-            bins[d] = bins.get(d, 0) + run_len
-    shift_by = run_len * k
-    for p in firsts:
-        block = row_blocks[p]
-        t_old, rid_last, _ = table[block]
-        t_new = t_old + shift_by
-        table[block] = (t_new, rid_last, cur_sid)
-        # Move the mark t_old -> t_new; interleave the two update walks so
-        # the shared path suffix cancels (-1 then +1) and is never touched.
-        r, s = t_old, t_new
-        while r != s and r <= cap and s <= cap:
-            if r < s:
-                tree[r] -= 1
-                r += r & (-r)
-            else:
-                tree[s] += 1
-                s += s & (-s)
-        if r != s:  # pragma: no cover - only if the tree was under-grown
-            while r <= cap:
-                tree[r] -= 1
-                r += r & (-r)
-            while s <= cap:
-                tree[s] += 1
-                s += s & (-s)
-
-
-def _specialized_access_batch(analyzer: "ReuseAnalyzer"):
-    """Build the chunked access handler (fenwick + flat tables only).
-
-    Semantically identical to calling :meth:`ReuseAnalyzer.access` per
-    element (the test suite cross-checks this); the speed comes from four
-    structural moves the scalar path cannot make:
-
-    * per-chunk hoisting — capacity checks, scope-stack reads, and all
-      attribute lookups happen once per (chunk, granularity), not per
-      access;
-    * path-cancelled Fenwick walks — the prefix difference
-      ``prefix(now-1) - prefix(t_prev)`` merges both descents and stops at
-      their common ancestor, and the mark move interleaves the two update
-      walks so the shared suffix is never touched: short reuses (the
-      overwhelming majority in loop nests) cost O(log span), not
-      O(log clock);
-    * carrying-scope shortcut — a previous access inside the current batch
-      is necessarily newer than every scope entry, so the bisect collapses
-      to the innermost scope;
-    * steady-state run multiplication — consecutive iterations touching an
-      identical block sequence are detected by row comparison and applied
-      wholesale (see :func:`_apply_run`).
-    """
-    stack_sids = analyzer.stack._sids
-    stack_clocks = analyzer.stack._clocks
-    grans = []
-    for g in analyzer.grans:
-        grans.append((g.block_bits, g.table.raw, g.engine, g.db.raw,
-                      g.db.cold))
-    state = analyzer
-    obs_calls = analyzer._obs_batch_calls
-    obs_events = analyzer._obs_batch_events
-    obs_runs = _obs.counter("analyzer.runs_fastforwarded")
-
-    def access_batch(rids, addrs, stores, period=0,
-                     _grans=tuple(grans), _bisect=bisect_left):
-        n = len(addrs)
-        if not n:
-            return
-        obs_calls.inc()
-        obs_events.inc(n)
-        clock0 = state.clock
-        end = clock0 + n
-        cur_sid = stack_sids[-1] if stack_sids else -1
-        top_clock = stack_clocks[-1] if stack_clocks else -1
-        k = period
-        row_mode = k and 0 < k < _EXACT_LIMIT and n % k == 0
-        for shift, table, eng, raw, cold in _grans:
-            eng.ensure(end)
-            tree = eng._tree
-            cap = eng._cap
-            active = eng._active
-            clk = clock0
-            table_get = table.get
-            raw_get = raw.get
-            if row_mode:
-                row_rids = rids[:k]
-                blocks = [a >> shift for a in addrs]
-                run_row = None
-                run_len = 0
-                pos = 0
-                while pos < n:
-                    row_end = pos + k
-                    row_blocks = blocks[pos:row_end]
-                    if row_blocks == run_row:
-                        run_len += 1
-                        pos = row_end
-                        continue
-                    if run_len:
-                        _apply_run(run_row, row_rids, run_len, k, cur_sid,
-                                   tree, cap, table, raw)
-                        obs_runs.inc()
-                        clk += run_len * k
-                        run_len = 0
-                    for block, rid in zip(row_blocks, row_rids):
-                        clk += 1
-                        prev = table_get(block)
-                        if prev is None:
-                            i = clk
-                            while i <= cap:
-                                tree[i] += 1
-                                i += i & (-i)
-                            active += 1
-                            cold[rid] = cold.get(rid, 0) + 1
-                        else:
-                            t_prev = prev[0]
-                            a = clk - 1
-                            b = t_prev
-                            d = 0
-                            while a != b:
-                                if a > b:
-                                    d += tree[a]
-                                    a -= a & (-a)
-                                else:
-                                    d -= tree[b]
-                                    b -= b & (-b)
-                            r, s = t_prev, clk
-                            while r != s and r <= cap and s <= cap:
-                                if r < s:
-                                    tree[r] -= 1
-                                    r += r & (-r)
-                                else:
-                                    tree[s] += 1
-                                    s += s & (-s)
-                            if r != s:  # pragma: no cover - defensive
-                                while r <= cap:
-                                    tree[r] -= 1
-                                    r += r & (-r)
-                                while s <= cap:
-                                    tree[s] += 1
-                                    s += s & (-s)
-                            if t_prev > top_clock:
-                                carry = cur_sid
-                            else:
-                                p2 = _bisect(stack_clocks, t_prev)
-                                carry = stack_sids[p2 - 1] if p2 else (
-                                    stack_sids[0] if stack_sids else -1)
-                            key = (rid, prev[2], carry)
-                            bins = raw_get(key)
-                            if bins is None:
-                                bins = {}
-                                raw[key] = bins
-                            if d < 256:
-                                bn = d
-                            else:
-                                hb = d.bit_length() - 1
-                                bn = 256 + (hb - 8) * 4 + ((d >> (hb - 2)) & 3)
-                            bins[bn] = bins.get(bn, 0) + 1
-                        table[block] = (clk, rid, cur_sid)
-                    run_row = row_blocks
-                    pos = row_end
-                if run_len:
-                    _apply_run(run_row, row_rids, run_len, k, cur_sid,
-                               tree, cap, table, raw)
-                    obs_runs.inc()
-                    clk += run_len * k
-            else:
-                for rid, addr in zip(rids, addrs):
-                    clk += 1
-                    block = addr >> shift
-                    prev = table_get(block)
-                    if prev is None:
-                        i = clk
-                        while i <= cap:
-                            tree[i] += 1
-                            i += i & (-i)
-                        active += 1
-                        cold[rid] = cold.get(rid, 0) + 1
-                    else:
-                        t_prev = prev[0]
-                        a = clk - 1
-                        b = t_prev
-                        d = 0
-                        while a != b:
-                            if a > b:
-                                d += tree[a]
-                                a -= a & (-a)
-                            else:
-                                d -= tree[b]
-                                b -= b & (-b)
-                        r, s = t_prev, clk
-                        while r != s and r <= cap and s <= cap:
-                            if r < s:
-                                tree[r] -= 1
-                                r += r & (-r)
-                            else:
-                                tree[s] += 1
-                                s += s & (-s)
-                        if r != s:  # pragma: no cover - defensive
-                            while r <= cap:
-                                tree[r] -= 1
-                                r += r & (-r)
-                            while s <= cap:
-                                tree[s] += 1
-                                s += s & (-s)
-                        if t_prev > top_clock:
-                            carry = cur_sid
-                        else:
-                            p2 = _bisect(stack_clocks, t_prev)
-                            carry = stack_sids[p2 - 1] if p2 else (
-                                stack_sids[0] if stack_sids else -1)
-                        key = (rid, prev[2], carry)
-                        bins = raw_get(key)
-                        if bins is None:
-                            bins = {}
-                            raw[key] = bins
-                        if d < 256:
-                            bn = d
-                        else:
-                            hb = d.bit_length() - 1
-                            bn = 256 + (hb - 8) * 4 + ((d >> (hb - 2)) & 3)
-                        bins[bn] = bins.get(bn, 0) + 1
-                    table[block] = (clk, rid, cur_sid)
-            eng._active = active
-        state.clock = end
-
-    return access_batch

@@ -77,19 +77,28 @@ class ContextReuseAnalyzer(ReuseAnalyzer):
     those push calling-context frames); pass
     ``{r.sid for r in program.routines.values()}`` or use
     :func:`for_program`.
+
+    ``engine`` is ``"fenwick"`` or ``"treap"``: every access, batched or
+    not, goes through the context-aware :meth:`access`.  The numpy
+    engine's buffered window keys patterns without a context, so
+    ``"numpy"`` is rejected.
     """
 
     def __init__(self, routine_sids: Iterable[int],
                  granularities: Optional[Dict[str, int]] = None,
                  engine: str = "fenwick") -> None:
+        if engine == "numpy":
+            raise ValueError("engine='numpy' resolves distances in a "
+                             "buffered window that records no calling "
+                             "context; use 'fenwick' or 'treap'")
         super().__init__(granularities, engine=engine, table="flat")
         self.cct = CallingContextTree()
         self._routine_sids: Set[int] = set(routine_sids)
         self._ctx_stack: List[int] = [0]
-        # The specialized closure from the base class bypasses contexts;
-        # force the generic (context-aware) path.
-        if hasattr(self, "access") and "access" in self.__dict__:
-            del self.__dict__["access"]
+        # The base class's specialized per-access closure bypasses
+        # contexts; drop it so the context-aware method below runs (the
+        # inherited access_batch calls it per element).
+        self.__dict__.pop("access", None)
 
     # -- event handler -----------------------------------------------------
 

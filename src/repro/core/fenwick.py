@@ -110,6 +110,7 @@ class FenwickEngine:
         self._cap = new_cap
 
     def ensure(self, needed: int) -> None:
-        """Public in-place growth hook used by the analyzer fast path."""
+        """Grow in place to hold time ``needed`` (shared with the numpy
+        engine's protocol)."""
         if needed > self._cap:
             self._grow(needed)

@@ -22,10 +22,11 @@ addresses are produced:
   does.
 
 ``period`` is the number of accesses per loop iteration: chunks always hold
-a whole number of iterations, so row-aware handlers (the analyzer's
-specialized Fenwick path) can exploit the iteration structure.  Handlers
-without ``access_batch`` get a per-access fallback loop, so any event
-consumer works unmodified and sees the identical event stream.
+a whole number of iterations, so row-aware handlers (the numpy engine's
+buffered window, which compresses repeated rows) can exploit the
+iteration structure.  Handlers without ``access_batch`` get a per-access
+fallback loop, so any event consumer works unmodified and sees the
+identical event stream.
 
 Loops that contain a nested loop or a call keep the scalar walk, statement
 by statement (their innermost loops are batched in turn).  The two paths

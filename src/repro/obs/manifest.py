@@ -31,7 +31,13 @@ class RunManifest:
     fingerprint: str = ""
     params: Dict[str, Any] = field(default_factory=dict)
     config: str = ""
-    engine: str = "fenwick"
+    #: the engine the run asked for
+    engine: str = "numpy"
+    #: the engine whose code resolved the distances: "numpy" for a
+    #: batched fenwick or a sharded run, the rerun's engine after a
+    #: fallback, None for a cache hit (and in manifests written before
+    #: the field existed)
+    engine_ran: Optional[str] = None
     #: time shards the analysis ran across (1 = sequential)
     shards: int = 1
     executor: str = "batch"
@@ -46,8 +52,8 @@ class RunManifest:
     #: metrics delta for this run (see repro.obs.metrics.delta); empty
     #: while observability is disabled
     metrics: Dict[str, Any] = field(default_factory=dict)
-    #: {"from", "to", "error"} when the session degraded to the
-    #: sequential fenwick path mid-run; None for a clean run
+    #: {"from", "to", "error"} when the session degraded to a rerun on
+    #: another path mid-run ("to" names its engine); None for a clean run
     fallback: Optional[Dict[str, str]] = None
     created: float = field(default_factory=time.time)
     version: int = MANIFEST_VERSION
@@ -63,6 +69,7 @@ class RunManifest:
             "params": dict(self.params),
             "config": self.config,
             "engine": self.engine,
+            "engine_ran": self.engine_ran,
             "shards": self.shards,
             "executor": self.executor,
             "miss_model": self.miss_model,
@@ -93,6 +100,7 @@ class RunManifest:
             params=dict(data.get("params", {})),
             config=data.get("config", ""),
             engine=data.get("engine", "?"),
+            engine_ran=data.get("engine_ran"),
             shards=data.get("shards", 1),
             executor=data.get("executor", "?"),
             miss_model=data.get("miss_model", "?"),
@@ -116,10 +124,13 @@ class RunManifest:
 
     def render(self) -> str:
         """Human-readable profile: phases, events, counters, timers."""
+        engine = self.engine
+        if self.engine_ran is not None and self.engine_ran != engine:
+            engine += f" (ran {self.engine_ran})"
         lines = [
             f"run manifest: {self.program}"
             + (f"  [{self.fingerprint[:12]}]" if self.fingerprint else ""),
-            f"  engine {self.engine} / {self.executor} executor, "
+            f"  engine {engine} / {self.executor} executor, "
             f"miss model {self.miss_model}"
             + (", simulator on" if self.simulate else ""),
         ]
@@ -140,7 +151,7 @@ class RunManifest:
             lines.append("  cache: not attached")
         if self.fallback:
             lines.append(f"  FALLBACK: {self.fallback.get('from', '?')} "
-                         f"-> {self.fallback.get('to', 'fenwick')} "
+                         f"-> {self.fallback.get('to', '?')} "
                          f"({self.fallback.get('error', '?')})")
         if self.phases:
             lines.append("")

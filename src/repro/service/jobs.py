@@ -81,7 +81,7 @@ class JobSpec:
 
     workload: str
     params: Dict[str, Any] = field(default_factory=dict)
-    engine: str = "fenwick"
+    engine: str = "numpy"
     shards: int = 1
     miss_model: str = "sa"
     #: spill the recording to a columnar trace store under the service
@@ -128,7 +128,7 @@ class JobSpec:
             raise SpecError(
                 f"unknown params for {workload}: {', '.join(bad)} "
                 f"(known: {', '.join(sorted(defaults))})")
-        engine = data.get("engine", "fenwick")
+        engine = data.get("engine", "numpy")
         if engine not in ("fenwick", "treap", "numpy", "static"):
             raise SpecError(f"unknown engine {engine!r}")
         try:

@@ -47,7 +47,7 @@ class AnalysisSession:
     def __init__(self, program: Program,
                  config: Optional[MachineConfig] = None,
                  miss_model: str = "sa",
-                 engine: str = "fenwick",
+                 engine: str = "numpy",
                  simulate: bool = False,
                  cache=None,
                  batch: bool = True,
@@ -111,20 +111,19 @@ class AnalysisSession:
                     "built with")
         elif self.closed_form:
             raise ValueError("closed_form=True requires engine='static'")
-        # engine="static" computes the pattern databases analytically and
-        # loads them into a fenwick-backed analyzer, which then serves
-        # queries exactly like a dynamic run's would
-        self.analyzer = ReuseAnalyzer(
-            self.config.granularities(),
-            engine="fenwick" if engine == "static" else engine)
+        #: the analyzer holding the results, built by run()
+        self.analyzer: Optional[ReuseAnalyzer] = None
+        #: the engine whose code resolved the distances ("numpy" for a
+        #: batched fenwick or a sharded run); None for a cache hit
+        self.engine_ran: Optional[str] = None
         self.sim: Optional[HierarchySim] = (
             HierarchySim(self.config) if simulate else None
         )
         self.stats: Optional[RunStats] = None
         self.from_cache = False
         self.manifest: Optional[RunManifest] = None
-        #: {"from", "to", "error"} when the session degraded to the
-        #: sequential fenwick path; None for a clean run
+        #: {"from", "to", "error"} when the session re-ran on another
+        #: path ("to": its engine); None for a clean run
         self.fallback: Optional[Dict[str, str]] = None
         #: resolved digest-named store directory when the run recorded
         #: into :attr:`trace_store` (trace-gc live-reference tracking)
@@ -143,13 +142,12 @@ class AnalysisSession:
         simulator, whose LRU state is not serialized), a previous identical
         run is restored from disk instead of re-executing the program.
 
-        The run degrades gracefully: if the accelerated paths — the numpy
-        engine or the sharded pipeline — fail for any reason, the session
-        falls back to the sequential fenwick engine (the reference
-        implementation every accelerated path is equivalence-tested
-        against), re-runs from scratch, and annotates :attr:`fallback`
-        and the manifest.  A slower answer, never a wrong one.  The plain
-        fenwick path has nothing to fall back to, so its failures raise.
+        The run degrades gracefully: if any other path fails for any
+        reason, the session re-runs from scratch (see :meth:`_degrade`)
+        and annotates :attr:`fallback` and the manifest.  A slower
+        answer, never a wrong one.  The scalar fenwick path
+        (``batch=False``) has nothing to fall back to, so its failures
+        raise.
 
         Every run leaves a :class:`~repro.obs.manifest.RunManifest` in
         :attr:`manifest` (phase wall times, event totals, cache outcome;
@@ -171,7 +169,7 @@ class AnalysisSession:
                     payload = self.cache.get(key)
                 phases["cache_lookup"] = time.perf_counter() - t0
             if payload is not None:
-                self.analyzer.load_state(payload["analyzer_state"])
+                self._hold(payload["analyzer_state"])
                 self.stats = payload["stats"]
                 self.from_cache = True
                 self._ran = True
@@ -187,9 +185,11 @@ class AnalysisSession:
                     elif self.shards > 1 or self.trace_store is not None:
                         self._run_sharded(params, phases, key)
                     else:
-                        self._run_sequential(params, phases, key)
+                        self._run_sequential(params, phases, key,
+                                             self.engine, self.batch)
                 except Exception as exc:
-                    if (self.engine == "fenwick" and self.shards == 1
+                    if (self.engine == "fenwick" and not self.batch
+                            and self.shards == 1
                             and self.trace_store is None):
                         raise
                     self._degrade(exc, params, phases, key)
@@ -197,20 +197,40 @@ class AnalysisSession:
         self._build_manifest(params, phases, obs_before)
         return self
 
+    def _hold(self, state: Dict) -> None:
+        """Load a finished state into a results-only analyzer (its
+        engine never runs; numpy's is the cheapest to build)."""
+        self.analyzer = ReuseAnalyzer(self.config.granularities(),
+                                      engine="numpy").load_state(state)
+
     def _run_sequential(self, params: Dict[str, int],
                         phases: Dict[str, float],
-                        key: Optional[str]) -> None:
+                        key: Optional[str], engine: str,
+                        batch: bool) -> None:
+        """Execute the program once into a fresh analyzer.
+
+        The numpy engine's buffered window is the one batched
+        implementation, so a ``BatchExecutor``-driven ``fenwick`` run
+        builds the numpy analyzer (byte-identical, and faster from a few
+        hundred accesses up).  Scalar runs and ``treap`` keep their
+        engine.
+        """
+        if batch and engine == "fenwick":
+            engine = "numpy"
+        self.analyzer = ReuseAnalyzer(self.config.granularities(),
+                                      engine=engine)
         handlers = [self.analyzer]
         if self.sim is not None:
             handlers.append(self.sim)
-        executor_cls = BatchExecutor if self.batch else Executor
+        executor_cls = BatchExecutor if batch else Executor
         executor = executor_cls(self.program, *handlers)
         t0 = time.perf_counter()
-        with _trace.span("execute",
-                         executor=executor_cls.__name__) as esp:
+        with _trace.span("execute", executor=executor_cls.__name__,
+                         engine=engine) as esp:
             self.stats = executor.run(**params)
             esp.set(accesses=self.stats.accesses)
         phases["execute"] = time.perf_counter() - t0
+        self.engine_ran = engine
         self._ran = True
         logger.info("%s executed: %d accesses",
                     self.program.name, self.stats.accesses)
@@ -241,7 +261,7 @@ class AnalysisSession:
         :attr:`stats` is synthesized to match what an executor would
         have counted.  Programs the iteration model cannot enumerate
         raise :class:`~repro.static.itermodel.StaticUnsupported`, which
-        the caller degrades to a dynamic fenwick run.
+        the caller degrades to a run on the default dynamic path.
         """
         from repro.static.profile import static_profile
         t0 = time.perf_counter()
@@ -257,8 +277,9 @@ class AnalysisSession:
                     self.program, self.config.granularities(),
                     params=params)
                 esp.set(accesses=self.stats.accesses)
-        self.analyzer.load_state(state)
+        self._hold(state)
         phases["static_estimate"] = time.perf_counter() - t0
+        self.engine_ran = "static"
         self._ran = True
         logger.info("%s estimated statically: %d accesses modelled",
                     self.program.name, self.stats.accesses)
@@ -318,15 +339,17 @@ class AnalysisSession:
 
     def _degrade(self, exc: BaseException, params: Dict[str, int],
                  phases: Dict[str, float], key: Optional[str]) -> None:
-        """Fall back to the sequential fenwick reference path.
+        """Re-run a failed path from scratch on another one.
 
-        Called when an accelerated path (numpy engine, sharded pipeline)
-        failed mid-run.  Rebuilds the analyzer (and simulator — any
-        partially-fed state from the failed attempt would skew results)
-        on the fenwick engine and re-runs sequentially; the merged state
-        stays byte-identical, so writing it through under the original
-        cache key is safe.  The failure is recorded in :attr:`fallback`,
-        the run manifest, and the ``resil.fallbacks`` counter.
+        A failed dynamic run (the numpy window, the shards, treap)
+        re-runs on the scalar ``Executor`` with the per-access fenwick
+        engine, the one dynamic path sharing no code with the window or
+        the shards; a failed static estimate re-runs on the default
+        dynamic path.  The rerun gets a fresh analyzer (and simulator —
+        partially-fed state would skew results); its state is
+        byte-identical, so writing it through under the original cache
+        key is safe.  The failure is recorded in :attr:`fallback`, the
+        run manifest, and the ``resil.fallbacks`` counter.
         """
         failure = WorkerFailure.from_exception(exc)
         came_from = self.engine
@@ -334,20 +357,23 @@ class AnalysisSession:
             came_from += f"+shards={self.shards}"
         if self.trace_store is not None:
             came_from += "+spill"
+        if self.engine == "static":
+            engine, batch = "numpy", self.batch
+        else:
+            engine, batch = "fenwick", False
         logger.warning("%s: %s path failed (%s); falling back to the "
-                       "sequential fenwick engine", self.program.name,
-                       came_from, failure.summary)
+                       "%s %s engine", self.program.name, came_from,
+                       failure.summary, "batched" if batch else "scalar",
+                       engine)
         _obs.counter("resil.fallbacks").inc()
-        self.fallback = {"from": came_from, "to": "fenwick",
+        self.fallback = {"from": came_from, "to": engine,
                          "error": failure.summary}
-        self.analyzer = ReuseAnalyzer(self.config.granularities(),
-                                      engine="fenwick")
         if self.sim is not None:
             self.sim = HierarchySim(self.config)
         self.stats = None
         t0 = time.perf_counter()
         with _trace.span("session.fallback", source=came_from):
-            self._run_sequential(params, phases, key)
+            self._run_sequential(params, phases, key, engine, batch)
         phases["fallback"] = time.perf_counter() - t0
 
     def _run_sharded(self, params: Dict[str, int],
@@ -414,8 +440,10 @@ class AnalysisSession:
         t0 = time.perf_counter()
         with _trace.span("shard.merge", shards=len(results)):
             state = merge_shard_results(results, grans, trace.accesses)
-        self.analyzer.load_state(state)
+        self._hold(state)
         phases["shard_merge"] = time.perf_counter() - t0
+        # every shard runs the numpy window (repro.core.shard)
+        self.engine_ran = "numpy"
         self._ran = True
         logger.info("%s analyzed across %d shards: %d accesses",
                     self.program.name, len(results), self.stats.accesses)
@@ -439,6 +467,7 @@ class AnalysisSession:
             params=dict(params),
             config=repr(self.config),
             engine=self.engine,
+            engine_ran=self.engine_ran,
             shards=self.shards,
             executor="batch" if self.batch else "scalar",
             miss_model=self.miss_model,

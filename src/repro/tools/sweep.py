@@ -71,7 +71,7 @@ class SweepTask:
     mode: str = "analyze"
     config: Optional[MachineConfig] = None
     miss_model: str = "sa"
-    engine: str = "fenwick"
+    engine: str = "numpy"
     #: run-time program parameters forwarded to run()/measure()
     params: Dict[str, int] = field(default_factory=dict)
     #: extra keyword arguments for measure() (name, fused_routines, ...)
@@ -119,7 +119,7 @@ class SweepOutcome:
     key: Any
     mode: str
     #: reuse engine the task selected (analyze mode)
-    engine: str = "fenwick"
+    engine: str = "numpy"
     #: time shards the analysis ran across (1 = sequential)
     shards: int = 1
     #: predicted (analyze) or simulated (measure) misses per level

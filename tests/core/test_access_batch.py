@@ -1,10 +1,10 @@
 """Equivalence of ``access_batch`` against the scalar ``access`` path.
 
 The batched pipeline's contract is exact: for any chunking of any access
-stream — flat or row-periodic, with or without the specialized
-Fenwick/flat closure — the resulting pattern databases, cold counts,
-footprints, and clock must be byte-identical to feeding the same stream
-one access at a time.
+stream — flat or row-periodic, through the numpy engine's buffered window
+or the generic per-element loop — the resulting pattern databases, cold
+counts, footprints, and clock must be byte-identical to feeding the same
+stream one access at a time.
 """
 
 import random
@@ -115,9 +115,9 @@ def _feed_batched(analyzer, events, split=False):
 @pytest.mark.parametrize("grans", [GRANS_ONE, GRANS_TWO],
                          ids=["1gran", "2grans"])
 @pytest.mark.parametrize("engine,table", [
-    ("fenwick", "flat"),          # specialized batch closure
-    ("fenwick", "hierarchical"),  # generic batch fallback
-    ("treap", "flat"),            # generic batch fallback
+    ("fenwick", "flat"),          # generic batch loop, inlined access
+    ("fenwick", "hierarchical"),  # generic batch loop
+    ("treap", "flat"),            # generic batch loop
     ("numpy", "flat"),            # buffered array engine
     ("numpy", "hierarchical"),    # buffered array engine, 3-level table
 ], ids=["fenwick-flat", "fenwick-hier", "treap-flat", "numpy-flat",
@@ -187,64 +187,68 @@ def test_numpy_chunk_boundaries_are_invisible(chunk):
     assert analyzer.dump_state() == expected
 
 
-def test_specialized_closure_installed_only_for_fenwick_flat():
-    spec = ReuseAnalyzer(dict(GRANS_TWO))
-    assert "access_batch" in spec.__dict__
-    for kwargs in ({"engine": "treap"}, {"table": "hierarchical"}):
-        generic = ReuseAnalyzer(dict(GRANS_TWO), **kwargs)
-        assert "access_batch" not in generic.__dict__
+#: The two batched implementations behind ``access_batch``: the generic
+#: per-element loop (the default analyzer, fenwick) and the numpy
+#: engine's buffered window, which uses the period hint for run
+#: compression.  Each case below runs on both.
+BATCH_ENGINES = ("fenwick", "numpy")
 
 
 def test_period_zero_disables_row_mode():
     # Same stream once with the row hint, once without: identical results.
     events = _random_trace(7, periodic=True)
-    hinted = ReuseAnalyzer(dict(GRANS_TWO))
-    unhinted = ReuseAnalyzer(dict(GRANS_TWO))
-    _feed_batched(hinted, events)
-    _feed_batched(unhinted, [
-        (kind, *payload[:-1], 0) if kind == "chunk" else (kind, *payload)
-        for kind, *payload in events
-    ])
-    assert hinted.dump_state() == unhinted.dump_state()
+    for engine in BATCH_ENGINES:
+        hinted = ReuseAnalyzer(dict(GRANS_TWO), engine=engine)
+        unhinted = ReuseAnalyzer(dict(GRANS_TWO), engine=engine)
+        _feed_batched(hinted, events)
+        _feed_batched(unhinted, [
+            (kind, *payload[:-1], 0) if kind == "chunk" else (kind, *payload)
+            for kind, *payload in events
+        ])
+        assert hinted.dump_state() == unhinted.dump_state(), engine
 
 
 def test_reuse_predating_batch():
-    # t_prev earlier than every scope entry on the stack: the bisect
-    # fallback path inside the batch closure.
-    analyzer = ReuseAnalyzer(dict(GRANS_ONE))
-    scalar = ReuseAnalyzer(dict(GRANS_ONE))
+    # t_prev earlier than every scope entry on the stack: the carry
+    # search falls back to the outermost scope.
     addr = 0x1000
-    for an in (analyzer, scalar):
-        an.access(0, addr, False)        # touch before any scope exists
-        an.enter_scope(1)
-        an.enter_scope(2)
-    analyzer.access_batch([0, 0], [addr, addr + 8], [False, False], 0)
-    scalar.access(0, addr, False)
-    scalar.access(0, addr + 8, False)
-    assert analyzer.dump_state() == scalar.dump_state()
+    for engine in BATCH_ENGINES:
+        analyzer = ReuseAnalyzer(dict(GRANS_ONE), engine=engine)
+        scalar = ReuseAnalyzer(dict(GRANS_ONE))
+        for an in (analyzer, scalar):
+            an.access(0, addr, False)        # touch before any scope exists
+            an.enter_scope(1)
+            an.enter_scope(2)
+        analyzer.access_batch([0, 0], [addr, addr + 8], [False, False], 0)
+        scalar.access(0, addr, False)
+        scalar.access(0, addr + 8, False)
+        assert analyzer.dump_state() == scalar.dump_state(), engine
 
 
 def test_empty_batch_is_noop():
-    analyzer = ReuseAnalyzer(dict(GRANS_TWO))
-    analyzer.access_batch([], [], [], 4)
-    assert analyzer.clock == 0
-    assert analyzer.dump_state()["grans"][0]["raw"] == {}
+    for engine in BATCH_ENGINES:
+        analyzer = ReuseAnalyzer(dict(GRANS_TWO), engine=engine)
+        analyzer.access_batch([], [], [], 4)
+        assert analyzer.clock == 0
+        assert analyzer.dump_state()["grans"][0]["raw"] == {}
 
 
 def test_long_run_multiplication_exact():
-    # One row repeated many times: bins must accumulate run_len exactly
-    # and the footprint/clock must advance as if walked per access.
+    # One row repeated many times: bins must accumulate the run length
+    # exactly and the footprint/clock must advance as if walked per
+    # access (the numpy window compresses the run into two rows).
     k, reps = 3, 50
     addrs_row = [0x2000, 0x2008, 0x2040]   # two lines, duplicate block
     rids_row = [1, 2, 3]
-    batched = ReuseAnalyzer(dict(GRANS_TWO))
-    scalar = ReuseAnalyzer(dict(GRANS_TWO))
-    for an in (batched, scalar):
-        an.enter_scope(5)
-    batched.access_batch(rids_row * reps, addrs_row * reps,
-                         [False] * (k * reps), k)
-    for _ in range(reps):
-        for rid, addr in zip(rids_row, addrs_row):
-            scalar.access(rid, addr, False)
-    assert batched.dump_state() == scalar.dump_state()
-    assert batched.clock == k * reps
+    for engine in BATCH_ENGINES:
+        batched = ReuseAnalyzer(dict(GRANS_TWO), engine=engine)
+        scalar = ReuseAnalyzer(dict(GRANS_TWO))
+        for an in (batched, scalar):
+            an.enter_scope(5)
+        batched.access_batch(rids_row * reps, addrs_row * reps,
+                             [False] * (k * reps), k)
+        for _ in range(reps):
+            for rid, addr in zip(rids_row, addrs_row):
+                scalar.access(rid, addr, False)
+        assert batched.dump_state() == scalar.dump_state(), engine
+        assert batched.clock == k * reps

@@ -6,7 +6,7 @@ from repro.core import ReuseAnalyzer
 from repro.core.context import CallingContextTree, for_program
 from repro.lang import (
     MemoryLayout, Var, call, load, loop, program, routine, run_program,
-    stmt,
+    run_program_batched, stmt,
 )
 
 
@@ -47,12 +47,17 @@ class TestCallingContextTree:
 
 
 class TestContextAnalyzer:
+    """Context-keyed analysis driven by the scalar executor; the subclass
+    below drives the same cases through ``BatchExecutor``."""
+
+    run = staticmethod(run_program)
+
     def test_collapse_matches_plain_analyzer(self):
         prog = _two_caller_prog()
         plain = ReuseAnalyzer({"line": 64})
         run_program(prog, plain)
         ctx_an = for_program(_two_caller_prog(), {"line": 64})
-        run_program(_two_caller_prog(), ctx_an)
+        self.run(_two_caller_prog(), ctx_an)
         collapsed = ctx_an.collapsed_db("line")
         assert collapsed.raw == plain.db("line").raw
         assert collapsed.cold == plain.db("line").cold
@@ -60,7 +65,7 @@ class TestContextAnalyzer:
     def test_distinct_contexts_recorded(self):
         prog = _two_caller_prog()
         analyzer = for_program(prog, {"line": 64})
-        run_program(prog, analyzer)
+        self.run(prog, analyzer)
         # find the pattern(s) for the kernel's load and check they split
         # across (at least) the two caller contexts
         contexts = set()
@@ -73,7 +78,7 @@ class TestContextAnalyzer:
     def test_contexts_of_counts(self):
         prog = _two_caller_prog()
         analyzer = for_program(prog, {"line": 64})
-        run_program(prog, analyzer)
+        self.run(prog, analyzer)
         # pick the heaviest collapsed pattern and split it by context
         collapsed = analyzer.collapsed_db("line")
         key = max(collapsed.raw, key=lambda k: sum(collapsed.raw[k].values()))
@@ -85,6 +90,24 @@ class TestContextAnalyzer:
         """Contexts are interned: size ~ distinct call paths, not calls."""
         prog = _two_caller_prog()
         analyzer = for_program(prog, {"line": 64})
-        run_program(prog, analyzer)
+        self.run(prog, analyzer)
         # main, caller1, caller2, kernel-under-1, kernel-under-2 (+root)
         assert len(analyzer.cct) <= 8
+
+
+class TestContextAnalyzerBatched(TestContextAnalyzer):
+    """Every batched loop must reach the context-aware ``access``."""
+
+    run = staticmethod(run_program_batched)
+
+    def test_batched_keys_carry_context(self):
+        prog = _two_caller_prog()
+        analyzer = for_program(prog, {"line": 64})
+        self.run(prog, analyzer)
+        assert analyzer.db("line").raw
+        assert all(len(key) == 4 for key in analyzer.db("line").raw)
+
+
+def test_numpy_engine_rejected():
+    with pytest.raises(ValueError, match="calling context"):
+        for_program(_two_caller_prog(), {"line": 64}, engine="numpy")

@@ -165,7 +165,7 @@ class TestSessionIntegration:
         ref = pickle.dumps(first.analyzer.dump_state())
         # drop the merged entry; the three shard partials remain
         merged_key = cache.key_for(first.program, {}, first.config,
-                                   "sa", "fenwick")
+                                   "sa", first.engine)
         os.unlink(cache._path(merged_key))
         hits_before = cache.hits
         again = AnalysisSession(build(), shards=3, cache=cache)

@@ -2,9 +2,13 @@
 
 import json
 
-from repro.apps.kernels import fig1_interchange
+import pytest
+
+from repro.apps.kernels import fig1_interchange, stream_triad
 from repro.apps.spcg import build_cg
 from repro.obs.manifest import RunManifest
+from repro.testing import faults
+from repro.testing.faults import FaultSpec
 from repro.tools import AnalysisCache, AnalysisSession, program_fingerprint
 
 
@@ -17,7 +21,8 @@ class TestSessionManifest:
         assert m.program == session.program.name
         assert m.fingerprint == program_fingerprint(session.program)
         assert m.executor == "batch"
-        assert m.engine == "fenwick"
+        assert m.engine == "numpy"
+        assert m.engine_ran == "numpy"
         assert not m.cache_attached and not m.from_cache
         assert m.events["accesses"] == session.stats.accesses
         assert m.events["clock"] == session.analyzer.clock
@@ -65,6 +70,59 @@ class TestSessionManifest:
         assert "predict" not in session.manifest.phases
         session.totals()
         assert session.manifest.phases["predict"] >= 0
+
+
+class TestEngineRan:
+    """The manifest records the engine whose code resolved the distances
+    next to the requested one."""
+
+    @pytest.mark.parametrize("kwargs,ran", [
+        ({}, "numpy"),
+        ({"engine": "fenwick"}, "numpy"),
+        ({"engine": "fenwick", "batch": False}, "fenwick"),
+        ({"engine": "numpy", "batch": False}, "numpy"),
+        ({"engine": "treap"}, "treap"),
+        ({"engine": "static"}, "static"),
+        ({"shards": 2, "shard_jobs": 1}, "numpy"),
+    ], ids=["default", "fenwick-batched", "fenwick-scalar", "numpy-scalar",
+            "treap", "static", "sharded"])
+    def test_records_what_ran(self, kwargs, ran):
+        session = AnalysisSession(stream_triad(64, 2), **kwargs).run()
+        m = session.manifest
+        assert m.engine == kwargs.get("engine", "numpy")
+        assert m.engine_ran == ran
+        assert RunManifest.from_dict(m.to_dict()).engine_ran == ran
+        shown = m.render().splitlines()[1]
+        if ran == m.engine:
+            assert "(ran" not in shown
+        else:
+            assert f"engine {m.engine} (ran {ran})" in shown
+
+    def test_degraded_numpy_run_records_the_rerun(self):
+        faults.install(FaultSpec(point="session.run", action="raise",
+                                 exc="RuntimeError", times=1))
+        try:
+            session = AnalysisSession(stream_triad(64, 2)).run()
+        finally:
+            faults.clear()
+        assert session.fallback["to"] == "fenwick"
+        assert session.manifest.engine_ran == "fenwick"
+        assert "engine numpy (ran fenwick)" in session.manifest.render()
+
+    def test_cache_hit_records_no_engine(self, tmp_path):
+        cache = AnalysisCache(str(tmp_path))
+        AnalysisSession(stream_triad(64, 2), cache=cache).run()
+        hit = AnalysisSession(stream_triad(64, 2), cache=cache).run()
+        assert hit.from_cache
+        assert hit.manifest.engine_ran is None
+        assert "(ran" not in hit.manifest.render()
+
+    def test_old_manifest_without_field_loads(self):
+        data = RunManifest(program="p", engine="fenwick").to_dict()
+        del data["engine_ran"]
+        m = RunManifest.from_dict(data)
+        assert m.engine == "fenwick" and m.engine_ran is None
+        assert "engine fenwick / batch executor" in m.render()
 
 
 class TestSerialization:

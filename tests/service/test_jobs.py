@@ -22,7 +22,8 @@ class TestJobSpec:
 
     def test_defaults(self):
         spec = JobSpec.from_dict({"workload": "fig1"})
-        assert spec.engine == "fenwick"
+        assert spec.engine == "numpy"
+        assert JobSpec(workload="fig1").engine == "numpy"
         assert spec.shards == 1
         assert spec.artifacts == ("patterns", "manifest")
         assert not spec.use_trace_store

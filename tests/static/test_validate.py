@@ -121,3 +121,25 @@ class TestReportShape:
         text = report.render()
         assert "triad(n=64, steps=2): PASS" in text
         assert all(isinstance(b, BandReport) for b in report.bands)
+
+    def test_dynamic_clock_includes_deferred_flush(self, monkeypatch):
+        """The numpy engine resolves a small trace in one flush, run by
+        ``dump_state()`` after the executor returns; the dynamic time
+        must include it."""
+        import re
+        import time
+
+        from repro.core.npengine import NumpyBatchState
+
+        delay = 0.2
+        flush = NumpyBatchState.flush
+
+        def slow_flush(self):
+            if self._n:
+                time.sleep(delay)
+            flush(self)
+
+        monkeypatch.setattr(NumpyBatchState, "flush", slow_flush)
+        report = validate_workload("triad", {"n": 64, "steps": 2})
+        assert report.dynamic_s >= delay
+        assert re.search(r" \d+\.\dx\]", report.render())

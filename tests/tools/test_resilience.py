@@ -198,7 +198,7 @@ class TestSweepCheckpoint:
         assert SweepCheckpoint.unit_digest(_task(5), "task", 0) != base
         assert SweepCheckpoint.unit_digest(_task(4), "shard", 0) != base
         assert SweepCheckpoint.unit_digest(_task(4), "task", 1) != base
-        assert (SweepCheckpoint.unit_digest(_task(4, engine="numpy"),
+        assert (SweepCheckpoint.unit_digest(_task(4, engine="fenwick"),
                                             "task", 0) != base)
         assert SweepCheckpoint.unit_digest(_task(4), "task", 0) == base
 

@@ -12,6 +12,7 @@ import pickle
 import pytest
 
 from repro.apps.sweep3d import SweepParams, build_original
+from repro.obs import trace
 from repro.testing import faults
 from repro.testing.faults import FaultSpec
 from repro.tools import AnalysisCache, AnalysisSession, SweepTask, run_sweep
@@ -246,8 +247,14 @@ class TestEngineFallback:
         assert degraded.totals() == clean.totals()
         manifest = degraded.manifest.to_dict()
         assert manifest["fallback"]["from"] == "numpy"
+        assert manifest["engine_ran"] == "fenwick"
         assert "FALLBACK" in degraded.manifest.render()
         assert obs_on.snapshot()["counters"]["resil.fallbacks"] == 1
+        # the rerun is the one path sharing no code with the numpy
+        # window: the scalar executor driving the fenwick engine
+        rerun = [sp for sp in trace.tracer().spans if sp.name == "execute"]
+        assert rerun[-1].attrs["executor"] == "Executor"
+        assert rerun[-1].attrs["engine"] == "fenwick"
 
     def test_sharded_failure_falls_back_sequentially(self):
         params = SweepParams(n=4, mm=3, nm=2, noct=1)
@@ -258,7 +265,8 @@ class TestEngineFallback:
         degraded = AnalysisSession(build_original(params), shards=3)
         degraded.run()
         assert degraded.fallback is not None
-        assert degraded.fallback["from"] == "fenwick+shards=3"
+        assert degraded.fallback["from"] == "numpy+shards=3"
+        assert degraded.fallback["to"] == "fenwick"
         assert (pickle.dumps(degraded.analyzer.dump_state())
                 == pickle.dumps(clean.analyzer.dump_state()))
 
@@ -267,7 +275,8 @@ class TestEngineFallback:
                                  exc="RuntimeError", times=1))
         with pytest.raises(RuntimeError):
             AnalysisSession(build_original(
-                SweepParams(n=4, mm=3, nm=2, noct=1))).run()
+                SweepParams(n=4, mm=3, nm=2, noct=1)),
+                engine="fenwick", batch=False).run()
 
     def test_manifest_fallback_round_trips(self):
         from repro.obs.manifest import RunManifest
