@@ -10,9 +10,9 @@ quantifies the repo's answer to that cost:
   result is checked against),
 * **numpy**: `BatchExecutor` feeding the buffered array engine
   (`engine="numpy"`), the one batched implementation: it resolves whole
-  flush windows with vectorised run compression, blocked count-smaller
-  distance queries, and bulk Fenwick updates (sessions send batched
-  `fenwick` runs through it too),
+  flush windows with vectorised run compression, bit-parallel
+  count-smaller distance queries, and bulk Fenwick updates (sessions
+  send batched `fenwick` runs through it too),
 * **parallel**: the batched pipeline fanned across a mesh sweep by
   `run_sweep` worker processes (always >= 2 workers, so the parallel
   machinery itself is exercised even on small hosts; the per-job rate in
@@ -55,6 +55,12 @@ quantifies the repo's answer to that cost:
   per-evaluation cost (`closedform_us_per_eval`) is microseconds and
   independent of the iteration count *and* of the enumeration's
   symbolic-term count.
+
+* **count-smaller**: the numpy flush's distance kernel on its own
+  (`_count_smaller_left`), on a seeded random permutation of one full
+  flush window (2**17 elements, every position queried):
+  `count_smaller_ms` is the median of >= 5 calls.  Recorded, not gated;
+  the smoke form checks a 4,097-element input against brute force.
 
 A further pipeline, **numpy+obs**, re-runs the numpy path with the
 observability subsystem enabled (metrics registry + trace spans), to
@@ -104,6 +110,7 @@ import pickle
 import statistics
 import time
 
+import numpy as np
 import pytest
 
 from repro.apps.sweep3d import SweepParams, build_original
@@ -377,6 +384,44 @@ def _run_closedform_leg(triad_n, repeats):
     }
 
 
+#: the count-smaller kernel leg: one full numpy flush window of ranks
+COUNT_SMALLER_N = 1 << 17
+SMOKE_COUNT_SMALLER_N = 4097
+
+
+def _run_count_smaller_leg(smoke, repeats):
+    """Time the numpy flush's count-smaller kernel in isolation.
+
+    Every position of a seeded random permutation is queried, as the
+    intra-window pass queries nearly every access.  The smoke form
+    checks the result against brute force instead of relying on timing.
+    """
+    from repro.core.npengine import _count_smaller_left
+
+    n = SMOKE_COUNT_SMALLER_N if smoke else COUNT_SMALLER_N
+    ranks = np.random.default_rng(17).permutation(n).astype(np.int64)
+    queries = np.arange(n, dtype=np.int64)
+    _count_smaller_left(ranks, queries)  # warm
+    times = []
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(max(repeats, 5)):
+            t0 = time.perf_counter()
+            got = _count_smaller_left(ranks, queries)
+            times.append(time.perf_counter() - t0)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    leg = {"count_smaller_n": n,
+           "count_smaller_ms": statistics.median(times) * 1e3}
+    if smoke:
+        leg["count_smaller_exact"] = got.tolist() == [
+            int((ranks[:i] < ranks[i]).sum()) for i in range(n)]
+    return leg
+
+
 def _run_sharded(params, jobs):
     """One full sharded pipeline (record -> split -> workers -> merge)."""
     from repro.core.shard import analyze_sharded
@@ -493,6 +538,7 @@ def _experiment(smoke=False):
     triad_n = SMOKE_STATIC_TRIAD_N if smoke else STATIC_TRIAD_N
     static_leg = _run_static_leg(params, triad_n, repeats)
     closedform_leg = _run_closedform_leg(triad_n, repeats)
+    count_smaller_leg = _run_count_smaller_leg(smoke, repeats)
 
     return {
         "accesses": accesses,
@@ -537,6 +583,7 @@ def _experiment(smoke=False):
         "obs_overhead_is_tripwire": True,
         **static_leg,
         **closedform_leg,
+        **count_smaller_leg,
         "smoke": smoke,
     }
 
@@ -615,6 +662,8 @@ def test_ablation_batch_throughput(benchmark, record, request):
         f"({r['closedform_enum_us']:.0f} us) at n={r['static_triad_n']}; "
         f"byte-identical: {r['closedform_identical']}, "
         f"fallbacks: {r['closedform_fallbacks']}",
+        f"count-smaller kernel: {r['count_smaller_ms']:.1f} ms per call "
+        f"(median) on a random permutation of {r['count_smaller_n']}",
         f"obs overhead: {r['obs_overhead_pct']:+.2f}% "
         f"({r['obs_events_counted']} events metered; tripwire only — "
         "the gate is chunk-level metering, see module docstring)",
@@ -643,6 +692,7 @@ def test_ablation_batch_throughput(benchmark, record, request):
     assert r["obs_events_counted"] > 0
 
     if smoke:
+        assert r["count_smaller_exact"]
         return  # miniature mesh: timing thresholds are meaningless
 
     with open(os.path.join(REPO_ROOT, "BENCH_throughput.json"), "w") as fh:

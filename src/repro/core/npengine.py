@@ -23,9 +23,10 @@ the whole buffer with array operations:
    an access ``j`` in the window is its block's first occurrence there
    exactly when ``pc(j) < pc(i)``, and every ``j <= pc(i)`` counts
    automatically.  The count-smaller query is answered for all reuses at
-   once by two-level blocked counting (:func:`_count_smaller_left`): a
-   chunk x bucket prefix table for the far part, and two triangular
-   compares within a position chunk and within a rank bucket.
+   once by :func:`_count_smaller_left`: a chunk x bucket prefix table for
+   the far part, and two bitset passes (a prefix sum of one-hot words
+   along each row, then popcounts below a threshold) within a position
+   chunk and within a rank bucket.
 4. **Cross-buffer reuses via bulk Fenwick prefix sums.**  Only each
    block's *first* buffer occurrence can reach back before the buffer;
    those walk the ndarray-backed Fenwick tree in a vectorised log-loop,
@@ -45,6 +46,7 @@ result query (`db`, `dump_state`, ...) triggers a flush first.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -163,94 +165,126 @@ class NumpyFenwickEngine:
             idx = idx[idx <= cap]
 
 
-#: Block width for the two-level count-smaller scheme: positions are cut
-#: into chunks of this many indices and ranks into buckets of this many
-#: values.  The two triangular passes cost O(n * width) contiguous bool
-#: ops, the prefix table O((n / width)**2).  On one full flush (a random
-#: permutation of 2**17, 2-CPU x86-64 host) the table takes ~25 ms, each
-#: triangle pass ~17 ms and the rest ~15 ms of a ~75 ms call.
-_CSL_SHIFT = 6
-_CSL_W = 1 << _CSL_SHIFT
+#: Row widths the count-smaller kernel picks from, as shifts: 64 to 512
+#: elements per row, one to eight uint64 words per bitset.  A call takes
+#: the smallest width ``w`` with ``w**3 >= 64 * n``, which balances the
+#: ``(n / w)**2`` chunk x bucket table against the two ``n * w / 64``-word
+#: bitset passes.  On a random permutation of 2**17 (w = 256) a call
+#: takes ~19 ms on one pinned core of a 2-CPU x86-64 host.
+_CSL_MIN_SHIFT = 6
+_CSL_MAX_SHIFT = 9
 
-_TRI = np.tril(np.ones((_CSL_W, _CSL_W), dtype=bool), -1)
+
+def _lowmask_table(shift: int) -> np.ndarray:
+    """``table[t]``: the words of a ``2**shift``-bit set holding ``0..t-1``."""
+    lo = (np.arange((1 << shift) + 1)[:, None]
+          - 64 * np.arange(1 << (shift - 6))[None, :])
+    table = np.left_shift(np.uint64(1),
+                          np.clip(lo, 0, 63).astype(np.uint64)) - np.uint64(1)
+    table[lo >= 64] = ~np.uint64(0)
+    return table
+
+
+_CSL_LOWMASK = {s: _lowmask_table(s)
+                for s in range(_CSL_MIN_SHIFT, _CSL_MAX_SHIFT + 1)}
+
+
+def _row_order(rows: np.ndarray, nrows: int) -> np.ndarray:
+    """Indices of ``rows`` grouped by row id, scan order kept within a row.
+
+    One stable argsort; numpy radix-sorts 16-bit keys, several times
+    faster than a comparison sort of int64 ids, so the ids are narrowed
+    whenever all ``nrows`` of them fit in uint16.
+    """
+    if nrows <= 1 << 16:
+        rows = rows.astype(np.uint16)
+    return np.argsort(rows, kind="stable")
 
 
 def _count_smaller_left(ranks: np.ndarray, query_pos: np.ndarray) -> np.ndarray:
     """``#{j < i : ranks[j] < ranks[i]}`` for each ``i`` in ``query_pos``.
 
     ``ranks`` must be a permutation of ``range(n)`` (ties pre-broken by
-    position).  Two-level blocked counting: cut positions into chunks and
-    ranks into buckets of :data:`_CSL_W` each, then split the dominance
-    count ``j < i and r_j < r_i`` into three disjoint parts:
+    position).  Positions are cut into chunks and ranks into buckets of
+    ``w`` each (``w`` derived from ``n``, see :data:`_CSL_MIN_SHIFT`), and
+    the dominance count ``j < i and r_j < r_i`` splits into three
+    disjoint parts:
 
-    * *earlier chunk, earlier bucket* — answered for every query by one
-      gather from a 2D cumulative chunk x bucket histogram;
-    * *same chunk* — a triangular compare of each chunk's rank row
-      against itself (position order is slot order);
-    * *same bucket, earlier chunk* — a triangular compare of each
-      bucket's position-chunk row in rank order (slot order is rank
-      order, so ``slot' < slot`` is exactly ``r_j < r_i``).
+    * **T** — earlier chunk, lower bucket: one gather from a chunk x
+      bucket prefix table;
+    * **E** — same chunk, earlier position, lower bucket;
+    * **B** — same bucket, earlier position, smaller rank.
 
-    Everything is contiguous arithmetic — no per-query binary search —
-    so it runs several times faster than a merge tree on the ~n queries
-    a flush issues.
+    E and B are answered with bitsets.  Every element gets a *local
+    value*, its occurrence index in its row: chunk rows are scanned in
+    rank order, bucket rows in position order.  Setting bit ``local`` in
+    each slot of a row (chunk rows in position order, bucket rows in rank
+    order) and prefix-summing along the row gives every slot the set of
+    local values before it; values are distinct within a row, so the sum
+    never carries.  E is then the popcount of that set below the number
+    of the chunk's elements in lower buckets (the row-wise prefix of the
+    table's histogram), and B its popcount below the element's own local
+    value.  Each bitset pass is ``n * w / 64`` word operations, so the
+    rows can be wide and the table small.
     """
     n = ranks.size
     nq = query_pos.size
     if n <= 1 or nq == 0:
         return np.zeros(nq, dtype=np.int64)
-    w = _CSL_W
+    s = _CSL_MIN_SHIFT
+    while s < _CSL_MAX_SHIFT and 1 << (3 * s) < 64 * n:
+        s += 1
+    w = 1 << s
+    nw = w >> 6
     nch = -(-n // w)
-    npad = nch * w
-    sentinel = np.int64(1) << 40
+    # Counts (and the table) are bounded by n.
+    cdt = np.int32 if n < 1 << 31 else np.int64
+    pos = np.arange(n, dtype=np.int64)
+    # Every chunk and bucket but the last holds exactly w elements, so the
+    # k-th element of a row-grouped order has local value k mod w.
+    local = pos & (w - 1)
+    word = local >> 6
+    bit = np.left_shift(np.uint64(1), (local & 63).astype(np.uint64))
+    bucket = ranks >> s
+    ipos = np.empty(n, dtype=np.int64)
+    ipos[ranks] = pos
 
-    chunk_all = np.arange(n, dtype=np.int64) >> _CSL_SHIFT
-    bucket_all = ranks >> _CSL_SHIFT
+    # T: P[c, b] counts chunk c's elements in buckets below b, and S[c, b]
+    # sums P over the chunks before c.  S is accumulated row by row: a
+    # column-wise cumsum on the C-ordered table is several times slower.
+    cell = (pos >> s) * nch + bucket
+    H = np.bincount(cell, minlength=nch * nch).astype(cdt).reshape(nch, nch)
+    P = np.cumsum(H, axis=1, dtype=cdt)
+    P -= H
+    S = np.zeros_like(P)
+    for c in range(1, nch):
+        np.add(S[c - 1], P[c - 1], out=S[c])
+    out = S.ravel()[cell]
 
-    # Part 1: chunk x bucket histogram, prefix-summed so S[p, b] counts
-    # elements with chunk < p and bucket < b.  Built row-contiguously:
-    # positions are chunk-ordered, so each band of w chunks is one slice,
-    # histogrammed by bincount and prefix-summed along its rows (a small
-    # transient per band); one in-place add per row then sums across
-    # chunks.  A column-wise cumsum on the C-ordered table is several
-    # times slower.  int32 table: counts are bounded by n.
-    S = np.zeros((nch + 1, nch + 1), dtype=np.int32)
-    for c0 in range(0, nch, w):
-        c1 = min(c0 + w, nch)
-        band = slice(c0 * w, c1 * w)
-        G = np.bincount((chunk_all[band] - c0) * nch + bucket_all[band],
-                        minlength=(c1 - c0) * nch)
-        np.cumsum(G.reshape(c1 - c0, nch), axis=1, dtype=np.int32,
-                  out=S[c0 + 1:c1 + 1, 1:])
-    for p in range(2, nch + 1):
-        S[p] += S[p - 1]
+    def below(slot: np.ndarray, thr: np.ndarray) -> np.ndarray:
+        """Per slot: how many local values set earlier in its row are
+        below ``thr``.  ``slot[k]`` is where the k-th row-grouped element
+        sits (``thr`` is indexed by slot)."""
+        bits = np.zeros((nch * w, nw), dtype=np.uint64)
+        bits.ravel()[slot * nw + word] = bit
+        rows = bits.reshape(nch, w, nw)
+        np.cumsum(rows, axis=1, out=rows)
+        x = bits[:n]
+        x &= np.take(_CSL_LOWMASK[s], thr, axis=0)
+        counts = np.bitwise_count(x)
+        total = counts[:, 0].astype(np.uint16)
+        for k in range(1, nw):
+            total += counts[:, k]
+        return total
 
-    # Part 2: same chunk, j < i positionally.  Sentinel-padded slots sit
-    # after every real element of the last chunk, so the triangular mask
-    # already excludes them.
-    r_pad = np.full(npad, sentinel, dtype=np.int64)
-    r_pad[:n] = ranks
-    R3 = r_pad.reshape(nch, w)
-    cmp1 = R3[:, :, None] > R3[:, None, :]
-    np.logical_and(cmp1, _TRI, out=cmp1)
-    w1 = cmp1.sum(axis=2, dtype=np.int32).ravel()
-
-    # Part 3: same bucket (slot order = rank order), strictly earlier
-    # chunk.  Sentinel positions map to an impossible chunk, never
-    # strictly below a real query's chunk.
-    ipos = np.full(npad, sentinel, dtype=np.int64)
-    ipos[ranks] = np.arange(n, dtype=np.int64)
-    C3 = (ipos >> _CSL_SHIFT).reshape(nch, w)
-    cmp2 = C3[:, :, None] > C3[:, None, :]
-    np.logical_and(cmp2, _TRI, out=cmp2)
-    w2 = cmp2.sum(axis=2, dtype=np.int32).ravel()
-
-    q = query_pos
-    rq = ranks[q]
-    out = S[chunk_all[q], bucket_all[q]].astype(np.int64)
-    out += w1[q]
-    out += w2[rq]
-    return out
+    # E: chunk rows by position, local values in rank order.
+    out += below(ipos[_row_order(ipos >> s, nch)], P.ravel()[cell])
+    # B: bucket rows by rank, local values in position order.
+    slot = ranks[_row_order(bucket, nch)]
+    own = np.empty(n, dtype=np.int64)
+    own[slot] = local
+    out += below(slot, own)[ranks]
+    return out[query_pos].astype(np.int64)
 
 
 class _AffineRows:
@@ -287,6 +321,9 @@ class NumpyBatchState:
         self._obs_flushes = _obs.counter("analyzer.np_flushes")
         self._obs_flushed = _obs.counter("analyzer.np_flushed_events")
         self._obs_kept = _obs.counter("analyzer.np_kept_events")
+        self._obs_flush_latency = _obs.timer("analyzer.np_flush_latency")
+        self._obs_csl_latency = _obs.timer(
+            "analyzer.np_count_smaller_latency")
         self._reset()
 
     def _reset(self) -> None:
@@ -455,11 +492,20 @@ class NumpyBatchState:
 
     # -- the flush pipeline ------------------------------------------------
 
+    def _count_smaller(self, ranks: np.ndarray,
+                       query_pos: np.ndarray) -> np.ndarray:
+        """:func:`_count_smaller_left`, timed per call."""
+        t0 = time.perf_counter()
+        out = _count_smaller_left(ranks, query_pos)
+        self._obs_csl_latency.observe(time.perf_counter() - t0)
+        return out
+
     def flush(self) -> None:
         self._close_open()
         n = self._n
         if not n:
             return
+        t_flush = time.perf_counter()
         analyzer = self.analyzer
         self._obs_flushes.inc()
         self._obs_flushed.inc(n)
@@ -674,7 +720,7 @@ class NumpyBatchState:
                 posrank = np.cumsum(present) - 1
                 ranks = np.where(neg, negcum - 1,
                                  total_neg + posrank[np.maximum(pc, 0)])
-                d_intra = _count_smaller_left(ranks, qi) - pc[qi] - 1
+                d_intra = self._count_smaller(ranks, qi) - pc[qi] - 1
                 pcq = pc[qi]
                 w_i = w_c[qi] if w_c is not None else None
                 parts.append((Rc[qi], sid_c[pcq],
@@ -701,7 +747,7 @@ class NumpyBatchState:
                 found_of = found_u[of]
                 qpos = np.flatnonzero(found_of)
                 corr = np.zeros(nu, dtype=np.int64)
-                corr[of[qpos]] = _count_smaller_left(ranks_u, qpos)
+                corr[of[qpos]] = self._count_smaller(ranks_u, qpos)
                 d_cross = eng.active_blocks - pre_prefix + corr[q_found]
                 parts.append((Rc[fp], prev_sid_u[q_found],
                               carries(kept_idx[fp], tpre),
@@ -788,3 +834,4 @@ class NumpyBatchState:
                     tset(b, entry)
 
         self._reset()
+        self._obs_flush_latency.observe(time.perf_counter() - t_flush)

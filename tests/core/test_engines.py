@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fenwick import FenwickEngine
-from repro.core.npengine import NumpyFenwickEngine, _count_smaller_left
+from repro.core.npengine import (
+    NumpyFenwickEngine, _count_smaller_left, _row_order,
+)
 from repro.core.treap import TreapEngine
 
 from tests.helpers import NaiveReuseDistance
@@ -173,14 +175,50 @@ class TestTreapStructure:
 
 
 class TestCountSmallerLeft:
-    """The numpy flush's blocked count-smaller kernel against brute force."""
+    """The numpy flush's bit-parallel count-smaller kernel against brute
+    force (up to a few thousand elements) and an independent pure-Python
+    Fenwick oracle (above).  Row widths switch at n = 4096/4097 (64 ->
+    128), 32768/32769 (-> 256) and 262144/262145 (-> 512)."""
 
     @staticmethod
     def _brute(ranks, queries):
         return np.array([int((ranks[:i] < ranks[i]).sum()) for i in queries],
                         dtype=np.int64)
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 129, 1000, 4097])
+    @staticmethod
+    def _fenwick(ranks, queries):
+        n = len(ranks)
+        tree = [0] * (n + 1)
+        smaller = []
+        for r in ranks.tolist():
+            count, i = 0, r
+            while i > 0:
+                count += tree[i]
+                i -= i & -i
+            smaller.append(count)
+            i = r + 1
+            while i <= n:
+                tree[i] += 1
+                i += i & -i
+        return [smaller[i] for i in queries.tolist()]
+
+    @staticmethod
+    def _permutation(kind, n, rng):
+        ranks = np.arange(n, dtype=np.int64)
+        if kind == "random":
+            return rng.permutation(n).astype(np.int64)
+        if kind == "reversed":
+            return ranks[::-1].copy()
+        if kind == "block-reversed":
+            # ascending runs of 100, the runs in descending order
+            starts = range((n - 1) // 100 * 100, -1, -100)
+            return np.concatenate([ranks[s:s + 100] for s in starts])
+        assert kind == "identity"
+        return ranks
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 129, 255, 256, 257,
+                                   511, 512, 513, 1000, 1025, 4095, 4096,
+                                   4097])
     @pytest.mark.parametrize("queries", ["empty", "all", "half"])
     def test_matches_brute_force(self, n, queries):
         rng = np.random.default_rng(n)
@@ -194,3 +232,42 @@ class TestCountSmallerLeft:
         got = _count_smaller_left(ranks, qpos)
         assert got.dtype == np.int64
         assert got.tolist() == self._brute(ranks, qpos).tolist()
+
+    @pytest.mark.parametrize("n", [2, 64, 257, 1025, 4097])
+    @pytest.mark.parametrize("kind", ["identity", "reversed",
+                                      "block-reversed"])
+    def test_structured_permutations_brute_force(self, kind, n):
+        ranks = self._permutation(kind, n, None)
+        qpos = np.arange(n, dtype=np.int64)
+        got = _count_smaller_left(ranks, qpos)
+        assert got.tolist() == self._brute(ranks, qpos).tolist()
+
+    @pytest.mark.parametrize("n", [16385, 32768, 32769, 70001])
+    @pytest.mark.parametrize("kind", ["random", "identity", "reversed",
+                                      "block-reversed"])
+    def test_matches_fenwick_oracle(self, kind, n):
+        rng = np.random.default_rng(n)
+        ranks = self._permutation(kind, n, rng)
+        qpos = np.sort(rng.choice(n, size=n // 3, replace=False))
+        assert _count_smaller_left(ranks, qpos).tolist() == \
+            self._fenwick(ranks, qpos)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n", [262145, 1 << 20])
+    def test_stress_matches_fenwick_oracle(self, n):
+        rng = np.random.default_rng(n)
+        ranks = rng.permutation(n).astype(np.int64)
+        qpos = np.arange(n, dtype=np.int64)
+        assert _count_smaller_left(ranks, qpos).tolist() == \
+            self._fenwick(ranks, qpos)
+
+    @pytest.mark.parametrize("nrows", [(1 << 15) + 3, 1 << 16,
+                                       (1 << 16) + 1, 100_000])
+    def test_row_order_keeps_wide_row_ids(self, nrows):
+        """Row ids at or above 2**15 must not wrap in the narrowed radix
+        keys, and ids past uint16 must take the wide path."""
+        rng = np.random.default_rng(nrows)
+        rows = rng.integers(nrows - 300, nrows, size=5000)
+        rows[::7] = rng.integers(0, 300, size=rows[::7].size)
+        assert _row_order(rows, nrows).tolist() == \
+            np.argsort(rows, kind="stable").tolist()

@@ -1,11 +1,17 @@
 """Run manifests: session integration, JSON roundtrip, rendering."""
 
 import json
+import time
 
 import pytest
 
 from repro.apps.kernels import fig1_interchange, stream_triad
 from repro.apps.spcg import build_cg
+from repro.core import ReuseAnalyzer
+from repro.core.npengine import NumpyBatchState
+from repro.lang import BatchExecutor
+from repro.model import MachineConfig
+from repro.obs import metrics as obs_metrics
 from repro.obs.manifest import RunManifest
 from repro.testing import faults
 from repro.testing.faults import FaultSpec
@@ -123,6 +129,56 @@ class TestEngineRan:
         m = RunManifest.from_dict(data)
         assert m.engine == "fenwick" and m.engine_ran is None
         assert "engine fenwick / batch executor" in m.render()
+
+
+class TestNumpyFlush:
+    """The numpy engine buffers accesses; its last window is resolved
+    inside ``execute``, and every flush and kernel call is timed."""
+
+    def test_execute_phase_includes_last_flush(self, monkeypatch, tmp_path):
+        delay = 0.2
+        flush = NumpyBatchState.flush
+
+        def slow_flush(self):
+            if self._n:
+                time.sleep(delay)
+            flush(self)
+
+        monkeypatch.setattr(NumpyBatchState, "flush", slow_flush)
+        session = AnalysisSession(fig1_interchange(8, 8),
+                                  cache=AnalysisCache(str(tmp_path))).run()
+        session.totals()
+        phases = session.manifest.phases
+        assert phases["execute"] >= delay
+        assert phases["cache_store"] < delay
+        assert phases["predict"] < delay
+
+    def test_manifest_carries_flush_metrics(self, obs_on):
+        session = AnalysisSession(fig1_interchange(8, 8)).run()
+        metrics = session.manifest.metrics
+        flushes = metrics["counters"]["analyzer.np_flushes"]
+        assert flushes >= 1
+        assert metrics["counters"]["analyzer.np_flushed_events"] == \
+            session.stats.accesses
+        timers = metrics["timers"]
+        assert timers["analyzer.np_flush_latency"]["count"] == flushes
+        assert timers["analyzer.np_count_smaller_latency"]["count"] >= 1
+
+    def test_timers_count_every_flush(self, obs_on):
+        before = obs_metrics.snapshot()
+        analyzer = ReuseAnalyzer(
+            MachineConfig.scaled_itanium2().granularities(), engine="numpy")
+        analyzer._np_state.flush_threshold = 97   # several flushes
+        BatchExecutor(fig1_interchange(16, 16), analyzer).run()
+        analyzer.dump_state()
+        d = obs_metrics.delta(before, obs_metrics.snapshot())
+        flushes = d["counters"]["analyzer.np_flushes"]
+        flush_t = d["timers"]["analyzer.np_flush_latency"]
+        kernel_t = d["timers"]["analyzer.np_count_smaller_latency"]
+        assert flushes > 1
+        assert flush_t["count"] == flushes
+        assert kernel_t["count"] >= 1
+        assert kernel_t["total_s"] <= flush_t["total_s"]
 
 
 class TestSerialization:
