@@ -16,12 +16,7 @@ Public API highlights
   transformation.
 """
 
-from repro import obs
-from repro.core import ReuseAnalyzer
-from repro.model import MachineConfig, Prediction, predict
-from repro.sim import HierarchySim, TimingModel
-from repro.static import FragmentationAnalysis, StaticAnalysis
-from repro.tools import AnalysisSession, analyze
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -30,3 +25,12 @@ __all__ = [
     "MachineConfig", "Prediction", "ReuseAnalyzer", "StaticAnalysis",
     "TimingModel", "analyze", "obs", "predict", "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "": ("obs",),
+    "core": ("ReuseAnalyzer",),
+    "model": ("MachineConfig", "Prediction", "predict"),
+    "sim": ("HierarchySim", "TimingModel"),
+    "static": ("FragmentationAnalysis", "StaticAnalysis"),
+    "tools": ("AnalysisSession", "analyze"),
+})

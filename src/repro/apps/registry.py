@@ -15,9 +15,10 @@ analyze the wrong problem.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
-from repro.lang.ast import Program
+if TYPE_CHECKING:  # pragma: no cover - loads with the first build
+    from repro.lang.ast import Program
 
 #: workload name -> one-line description (the ``repro list`` view).
 WORKLOADS: Dict[str, str] = {

@@ -71,13 +71,11 @@ import sys
 from typing import Callable, Dict, Optional
 
 from repro import obs
-from repro.apps.gtc import GTCParams, VARIANTS as GTC_VARIANTS, build_gtc
-from repro.apps.sweep3d import (
-    SweepParams, VARIANTS as SWEEP_VARIANTS, build_original, build_variant,
-)
 from repro.apps.registry import WORKLOADS, build_workload
 from repro.obs.manifest import RunManifest
-from repro.tools import AnalysisCache, AnalysisSession, SweepTask, run_sweep
+
+# Each command imports what it runs inside its handler, so `repro
+# --help` and `repro list` load neither the engines nor the sweep tier.
 
 
 def _size_overrides(name: str, args) -> Dict[str, int]:
@@ -99,6 +97,9 @@ def _build(name: str, args) -> "Program":
 
 
 def cmd_list(_args) -> int:
+    from repro.apps.gtc import VARIANTS as GTC_VARIANTS
+    from repro.apps.sweep3d import VARIANTS as SWEEP_VARIANTS
+
     print("workloads (analyze):")
     for name, desc in WORKLOADS.items():
         print(f"  {name:<10} {desc}")
@@ -110,6 +111,9 @@ def cmd_list(_args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from repro.tools.cache import AnalysisCache
+    from repro.tools.session import AnalysisSession
+
     if args.profile or args.trace_out or args.manifest_out:
         obs.set_enabled(True)
     if args.closed_form and args.engine != "static":
@@ -195,7 +199,10 @@ def cmd_stats(args) -> int:
 def cmd_sweep(args) -> int:
     import os
 
+    from repro.apps.gtc import GTCParams, build_gtc
+    from repro.apps.sweep3d import SweepParams, build_original
     from repro.tools.resilience import RetryPolicy
+    from repro.tools.sweep import SweepTask, run_sweep
 
     if args.manifest_out:
         obs.set_enabled(True)
@@ -355,6 +362,8 @@ def cmd_trace(args) -> int:
 def cmd_cache(args) -> int:
     if args.cache_command != "gc":
         raise SystemExit("usage: repro cache gc --max-gb N [--cache-dir D]")
+    from repro.tools.cache import AnalysisCache
+
     cache_dir = args.cache_dir
     if cache_dir is None and args.state_dir:
         # the service keeps its shared cache inside the state dir
@@ -457,6 +466,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    from repro.apps.gtc import GTCParams, VARIANTS as GTC_VARIANTS, build_gtc
+    from repro.apps.sweep3d import (
+        SweepParams, VARIANTS as SWEEP_VARIANTS, build_variant,
+    )
+    from repro.tools.sweep import SweepTask, run_sweep
+
     tasks = []
     if args.app == "sweep3d":
         params = SweepParams(n=args.mesh)

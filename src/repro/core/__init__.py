@@ -5,26 +5,7 @@ a ``(destination reference, source scope, carrying scope)`` pattern and
 histograms its reuse distances.
 """
 
-from repro.core.analyzer import GranularityState, ReuseAnalyzer
-from repro.core.blocktable import FlatBlockTable, HierarchicalBlockTable
-from repro.core.context import (
-    CallingContextTree, ContextReuseAnalyzer, for_program,
-)
-from repro.core.fenwick import FenwickEngine
-from repro.core.histogram import (
-    EXACT_LIMIT, SUBBINS, Histogram, bin_mid, bin_of, bin_range, from_raw,
-)
-from repro.core.patterns import COLD, PatternDB, PatternKey, ReusePattern
-from repro.core.scopestack import ScopeStack
-from repro.core.shard import (
-    ShardResult, analyze_sharded, analyze_trace_sharded,
-    merge_shard_results, record_trace, split_trace,
-)
-from repro.core.tracestore import (
-    StoredShardSlice, StoredTrace, TraceStore, TraceStoreWriter,
-    load_trace, record_spilled,
-)
-from repro.core.treap import TreapEngine
+from repro._lazy import lazy_exports
 
 __all__ = [
     "COLD", "CallingContextTree", "ContextReuseAnalyzer", "EXACT_LIMIT",
@@ -37,3 +18,19 @@ __all__ = [
     "bin_range", "for_program", "from_raw", "load_trace",
     "merge_shard_results", "record_spilled", "record_trace", "split_trace",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "analyzer": ("GranularityState", "ReuseAnalyzer"),
+    "blocktable": ("FlatBlockTable", "HierarchicalBlockTable"),
+    "context": ("CallingContextTree", "ContextReuseAnalyzer", "for_program"),
+    "fenwick": ("FenwickEngine",),
+    "histogram": ("EXACT_LIMIT", "SUBBINS", "Histogram", "bin_mid", "bin_of",
+                  "bin_range", "from_raw"),
+    "patterns": ("COLD", "PatternDB", "PatternKey", "ReusePattern"),
+    "scopestack": ("ScopeStack",),
+    "shard": ("ShardResult", "analyze_sharded", "analyze_trace_sharded",
+              "merge_shard_results", "record_trace", "split_trace"),
+    "tracestore": ("StoredShardSlice", "StoredTrace", "TraceStore",
+                   "TraceStoreWriter", "load_trace", "record_spilled"),
+    "treap": ("TreapEngine",),
+})

@@ -1,16 +1,6 @@
 """Cache-miss prediction models over reuse-distance histograms."""
 
-from repro.model.config import MachineConfig, MemoryLevel
-from repro.model.missmodel import (
-    expected_misses, fa_misses, miss_probability_at, sa_miss_probability,
-    sa_misses,
-)
-from repro.model.predictor import (
-    LevelPrediction, Prediction, predict, predict_from_db,
-)
-from repro.model.scaling import (
-    BASIS, QUANTILES, PatternScaling, ScalingModel, SeriesModel, fit_series,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BASIS", "LevelPrediction", "MachineConfig", "MemoryLevel",
@@ -19,3 +9,13 @@ __all__ = [
     "miss_probability_at", "predict", "predict_from_db",
     "sa_miss_probability", "sa_misses",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "config": ("MachineConfig", "MemoryLevel"),
+    "missmodel": ("expected_misses", "fa_misses", "miss_probability_at",
+                  "sa_miss_probability", "sa_misses"),
+    "predictor": ("LevelPrediction", "Prediction", "predict",
+                  "predict_from_db"),
+    "scaling": ("BASIS", "QUANTILES", "PatternScaling", "ScalingModel",
+                "SeriesModel", "fit_series"),
+})

@@ -21,7 +21,6 @@ import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.core.histogram import Histogram
 from repro.core.patterns import COLD, PatternDB, PatternKey, ReusePattern
@@ -64,6 +63,10 @@ class SeriesModel:
 
 def fit_series(sizes: Sequence[float], values: Sequence[float]) -> SeriesModel:
     """Fit a non-negative linear combination of BASIS to (sizes, values)."""
+    # scipy serves only this fit; importing it here keeps it (half a
+    # second of imports) out of every process that fits nothing
+    from scipy.optimize import nnls
+
     design = np.array([[fn(s) for _name, fn in BASIS] for s in sizes])
     target = np.asarray(values, dtype=float)
     # Column scaling keeps nnls well-conditioned across wildly different

@@ -70,6 +70,7 @@ from repro.service.quota import (
 from repro.service.supervise import (
     SupervisionPolicy, Supervisor, reap_orphans,
 )
+from repro.service.worker import preload
 from repro.tools.atomicio import atomic_write_text
 
 logger = logging.getLogger("repro.service.server")
@@ -82,6 +83,13 @@ _REASONS = {200: "OK", 201: "Created", 202: "Accepted",
 
 #: name of the discovery file written into the state dir on startup
 SERVICE_FILE = "service.json"
+
+#: the scheduler's idle tick: with nothing waking it, the loop still
+#: supervises, refreshes gauges and launches backed-off jobs this often
+SCHEDULE_TICK_S = 0.25
+#: re-check delay for a child whose sentinel fired before it could be
+#: waited on
+REAP_RETRY_S = 0.002
 
 
 @dataclass
@@ -183,6 +191,8 @@ class AnalysisService:
         self._draining = False
         self._stopped = False
         self._procs: Dict[str, multiprocessing.Process] = {}
+        #: jobs whose worker's sentinel fired and that are not yet reaped
+        self._exited: set = set()
         self._cancel_requested: set = set()
         #: live connection handlers, closed/awaited by stop() — a
         #: kept-alive connection may otherwise sit parked on its idle
@@ -204,6 +214,8 @@ class AnalysisService:
         # didn't export REPRO_OBS; restored on stop()
         self._prev_obs = _obs.is_enabled()
         _obs.set_enabled(True)
+        # forked jobs inherit these instead of importing them per job
+        preload()
         requeued = self.store.recover()
         if self.store.resumed_ids:
             _obs.counter("svc.resumed").inc(len(self.store.resumed_ids))
@@ -274,6 +286,7 @@ class AnalysisService:
             logger.info("job %s interrupted by shutdown (will resume)",
                         job_id)
         self._procs.clear()
+        self._exited.clear()
         if self._prev_obs is not None:
             _obs.set_enabled(self._prev_obs)
 
@@ -288,7 +301,8 @@ class AnalysisService:
         loop = asyncio.get_event_loop()
         while True:
             try:
-                await asyncio.wait_for(self._wake.wait(), timeout=0.25)
+                await asyncio.wait_for(self._wake.wait(),
+                                       timeout=SCHEDULE_TICK_S)
             except asyncio.TimeoutError:
                 pass
             self._wake.clear()
@@ -335,23 +349,33 @@ class AnalysisService:
             _obs.counter("svc.started").inc()
             # wake the scheduler the instant the child exits
             loop.add_reader(proc.sentinel, self._on_child_exit,
-                            loop, proc.sentinel)
+                            loop, proc.sentinel, job_id)
             logger.info("job %s started (tenant %s, pid %d)",
                         job_id, job.tenant, proc.pid)
 
     def _on_child_exit(self, loop: asyncio.AbstractEventLoop,
-                       sentinel: int) -> None:
+                       sentinel: int, job_id: str) -> None:
         try:
             loop.remove_reader(sentinel)
         except (OSError, ValueError):  # pragma: no cover - already gone
             pass
+        self._exited.add(job_id)
         self._wake.set()
 
     def _reap(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Fold exited job processes back into the journal."""
+        """Fold exited job processes back into the journal.
+
+        A child closes its sentinel a moment before the kernel lets the
+        parent wait on it, so a fired sentinel can still read as alive.
+        Such a child is looked at again a few ms later, not at the next
+        idle tick, and nothing here blocks the loop.
+        """
         for job_id, proc in list(self._procs.items()):
             if proc.is_alive():
+                if job_id in self._exited:
+                    loop.call_later(REAP_RETRY_S, self._wake.set)
                 continue
+            self._exited.discard(job_id)
             proc.join()
             try:
                 loop.remove_reader(proc.sentinel)

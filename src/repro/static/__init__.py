@@ -1,27 +1,6 @@
 """Static analysis of access patterns: formulas, related refs, fragmentation."""
 
-from repro.static.formulas import (
-    StrideInfo, SymFormula, address_formula, first_location, formula_of_reg,
-    stride_of,
-)
-from repro.static.fragmentation import (
-    FragmentationAnalysis, FragmentationInfo, analyze_group,
-)
-from repro.static.itermodel import (
-    MAX_POINTS, ItemClass, IterModel, RefVec, StaticUnsupported,
-    enumerate_program,
-)
-from repro.static.lower import lower_program, lower_routine
-from repro.static.profile import StaticProfiler, static_profile
-from repro.static.related import RelatedGroup, StaticAnalysis
-from repro.static.usedef import (
-    address_slice_of_ref, backward_slice, feeding_loads, loop_vars_reaching,
-    params_reaching,
-)
-from repro.static.validate import (
-    VALIDATION_MATRIX, BandReport, ValidationReport, compare_states,
-    run_matrix, validate_program, validate_workload,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BandReport", "FragmentationAnalysis", "FragmentationInfo", "ItemClass",
@@ -34,3 +13,20 @@ __all__ = [
     "lower_program", "lower_routine", "params_reaching", "run_matrix",
     "static_profile", "stride_of", "validate_program", "validate_workload",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "formulas": ("StrideInfo", "SymFormula", "address_formula",
+                 "first_location", "formula_of_reg", "stride_of"),
+    "fragmentation": ("FragmentationAnalysis", "FragmentationInfo",
+                      "analyze_group"),
+    "itermodel": ("MAX_POINTS", "ItemClass", "IterModel", "RefVec",
+                  "StaticUnsupported", "enumerate_program"),
+    "lower": ("lower_program", "lower_routine"),
+    "profile": ("StaticProfiler", "static_profile"),
+    "related": ("RelatedGroup", "StaticAnalysis"),
+    "usedef": ("address_slice_of_ref", "backward_slice", "feeding_loads",
+               "loop_vars_reaching", "params_reaching"),
+    "validate": ("VALIDATION_MATRIX", "BandReport", "ValidationReport",
+                 "compare_states", "run_matrix", "validate_program",
+                 "validate_workload"),
+})

@@ -1,26 +1,6 @@
 """User-facing toolkit: sessions, reports, flat database, recommendations."""
 
-from repro.tools.cache import AnalysisCache, program_fingerprint
-from repro.tools.carried import CarriedMisses
-from repro.tools.diff import SessionDiff, diff_sessions
-from repro.tools.htmlreport import render_html, write_html
-from repro.tools.misscurve import miss_curve, render_curve, working_set_knees
-from repro.tools.flatdb import FlatDatabase, PatternRow
-from repro.tools.recommend import (
-    FRAGMENTATION, FUSION, INTERCHANGE, IRREGULAR, Recommendation,
-    STRIP_MINE_FUSION, TIME_LOOP, classify_pattern, recommend,
-)
-from repro.tools.report import (
-    dest_breakdown, fragmentation_misses, irregular_misses, irregular_total,
-    render_fragmentation, render_table2,
-)
-from repro.tools.scopetree import ROOT, ScopeTree
-from repro.tools.session import AnalysisSession, analyze
-from repro.tools.sweep import (
-    SweepOutcome, SweepTask, build_sweep_manifest, default_jobs, run_sweep,
-)
-from repro.tools.viewer import Viewer
-from repro.tools.xmlout import export as export_xml
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AnalysisCache", "AnalysisSession", "CarriedMisses", "FRAGMENTATION",
@@ -34,3 +14,23 @@ __all__ = [
     "fragmentation_misses", "irregular_misses", "irregular_total",
     "recommend", "render_fragmentation", "render_table2",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "cache": ("AnalysisCache", "program_fingerprint"),
+    "carried": ("CarriedMisses",),
+    "diff": ("SessionDiff", "diff_sessions"),
+    "htmlreport": ("render_html", "write_html"),
+    "misscurve": ("miss_curve", "render_curve", "working_set_knees"),
+    "flatdb": ("FlatDatabase", "PatternRow"),
+    "recommend": ("FRAGMENTATION", "FUSION", "INTERCHANGE", "IRREGULAR",
+                  "Recommendation", "STRIP_MINE_FUSION", "TIME_LOOP",
+                  "classify_pattern", "recommend"),
+    "report": ("dest_breakdown", "fragmentation_misses", "irregular_misses",
+               "irregular_total", "render_fragmentation", "render_table2"),
+    "scopetree": ("ROOT", "ScopeTree"),
+    "session": ("AnalysisSession", "analyze"),
+    "sweep": ("SweepOutcome", "SweepTask", "build_sweep_manifest",
+              "default_jobs", "run_sweep"),
+    "viewer": ("Viewer",),
+    "xmlout": ("export as export_xml",),
+})
