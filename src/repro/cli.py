@@ -639,8 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="run the analysis job server")
     serve.add_argument("--state-dir", required=True, metavar="DIR",
-                       help="durable service state: job journal, job "
-                            "dirs, shared cache, trace stores")
+                       help="durable service state: job dirs (spec "
+                            "and record per job), shared cache, trace "
+                            "stores")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="listen port (0 = pick a free one; the "
@@ -660,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-tenant override, e.g. ci=4:64 "
                             "(repeatable)")
     serve.add_argument("--fsync", action="store_true",
-                       help="fsync the job journal on every append")
+                       help="fsync every job-record write")
     serve.add_argument("--keepalive-requests", type=int, default=100,
                        metavar="N",
                        help="requests served per connection before the "

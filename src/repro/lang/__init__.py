@@ -16,7 +16,6 @@ from repro.lang.builder import (
     assign, call, idx, load, loop, program, routine, stmt, store,
 )
 from repro.lang.events import EventHandler, Tee, TraceRecorder
-from repro.lang.trace import TraceWriter, record, replay
 from repro.lang.executor import Executor, RunStats, run_program
 from repro.lang.batch import (
     BatchExecutor, LoopBatchPlan, compile_loop, run_program_batched,
@@ -32,8 +31,8 @@ __all__ = [
     "Load", "Loop", "LoopBatchPlan", "Max", "MemoryLayout", "Min", "Mod",
     "Mul", "Program", "RefInfo", "Routine", "RunStats", "ScalarAssign",
     "ScopeInfo", "Stmt", "Sub", "SymbolTable", "Tee", "TraceRecorder",
-    "TraceWriter", "Var", "as_expr", "assign", "call",
-    "column_major_strides", "compile_loop", "idx", "load", "loop",
-    "program", "record", "replay", "routine", "row_major_strides",
-    "run_program", "run_program_batched", "stmt", "store",
+    "Var", "as_expr", "assign", "call", "column_major_strides",
+    "compile_loop", "idx", "load", "loop", "program", "routine",
+    "row_major_strides", "run_program", "run_program_batched", "stmt",
+    "store",
 ]

@@ -14,9 +14,9 @@ Layers
 ``jobs``
     Durable job records: :class:`~repro.service.jobs.JobSpec` (what to
     run), :class:`~repro.service.jobs.Job` (lifecycle state), and
-    :class:`~repro.service.jobs.JobStore` — an append-only JSONL journal
-    plus per-job directories, replayed on startup so a killed server
-    resumes its queue.
+    :class:`~repro.service.jobs.JobStore` — one directory per job
+    holding its spec and its lifecycle record, scanned on startup so a
+    killed server resumes its queue.
 ``quota``
     Multi-tenant admission control: per-tenant concurrent/queued caps
     and request-size limits; violations surface as HTTP 429 with a

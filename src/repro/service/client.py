@@ -64,7 +64,7 @@ class ServiceClient:
     restart, ECONNRESET mid-response) the client reconnects and retries
     exactly once — GETs here are reads (status/list/artifacts/health)
     and safe to repeat.  **POSTs are never retried**: a submit whose
-    response was lost may already be journaled server-side, and
+    response was lost may already be recorded server-side, and
     retrying would enqueue the job twice; callers that see a
     connection error on :meth:`submit` should list jobs to find out
     what happened rather than resubmit blindly.  Call :meth:`close`

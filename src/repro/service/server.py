@@ -24,9 +24,9 @@ API (all JSON unless noted)::
     GET  /v1/jobs/<id>/artifacts/<name> artifact bytes (octet-stream)
     POST /v1/jobs/<id>/cancel           cancel queued or running job
 
-Durability: every lifecycle transition is journaled through
-:class:`~repro.service.jobs.JobStore` *before* it is acted on, so a
-SIGKILL at any point leaves a replayable journal — on restart, queued
+Durability: every lifecycle transition rewrites the job's record
+through :class:`~repro.service.jobs.JobStore` *before* it is acted on,
+so a SIGKILL at any point leaves every record whole — on restart, queued
 jobs are still queued and mid-run jobs re-run (their content-addressed
 artifacts dedup against any the killed attempt already published).
 
@@ -44,8 +44,8 @@ overload sheds submissions with ``503`` + ``Retry-After`` (distinct
 from the per-tenant ``429``: 503 means *the server* is saturated, 429
 means *this tenant* is over its share), and SIGTERM drains gracefully:
 stop accepting, let running jobs finish up to ``drain_timeout_s``,
-journal the rest as queued.  ``healthz`` degrades to 503 while
-draining so load balancers stop routing here first.
+leave the rest on record for the next server.  ``healthz`` degrades to
+503 while draining so load balancers stop routing here first.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class ServiceConfig:
     max_request_bytes: int = 256 * 1024
     #: Retry-After hint (seconds) on 429 responses
     retry_after_s: float = 2.0
-    #: fsync journal appends and job-dir writes
+    #: fsync every job-record write
     fsync: bool = False
     #: requests served per connection before the server closes it
     #: (1 = the old one-request-per-connection behaviour)
@@ -209,7 +209,7 @@ class AnalysisService:
     # -- lifecycle ------------------------------------------------------
 
     async def start(self) -> None:
-        """Recover the journal, bind the listener, start scheduling."""
+        """Recover the job records, bind the listener, start scheduling."""
         # the service's own telemetry should exist even if the operator
         # didn't export REPRO_OBS; restored on stop()
         self._prev_obs = _obs.is_enabled()
@@ -243,10 +243,10 @@ class AnalysisService:
         reports degraded — but running jobs keep running (and clients
         keep polling over live connections) until they finish or the
         deadline passes.  Whatever is still running then is SIGTERMed;
-        those jobs get no terminal journal event, so the next start
+        their records still read ``running``, so the next start
         re-queues them (``resumed``) and their content-addressed
         artifacts dedup whatever this attempt already published.
-        Queued jobs simply stay journaled as queued.
+        Queued jobs simply stay recorded as queued.
         """
         if self._stopped:  # idempotent: drain tests stop() explicitly
             return
@@ -363,7 +363,7 @@ class AnalysisService:
         self._wake.set()
 
     def _reap(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Fold exited job processes back into the journal.
+        """Record the outcome of exited job processes.
 
         A child closes its sentinel a moment before the kernel lets the
         parent wait on it, so a fired sentinel can still read as alive.
@@ -666,7 +666,7 @@ class AnalysisService:
             self.store.mark_cancelled(job_id)
             _obs.counter("svc.cancelled").inc()
             return self._json(200, {"id": job_id, "state": "cancelled"})
-        # running: SIGTERM the child; the reaper journals the outcome
+        # running: SIGTERM the child; the reaper records the outcome
         self._cancel_requested.add(job_id)
         proc = self._procs.get(job_id)
         if proc is not None and proc.is_alive():

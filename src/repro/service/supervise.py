@@ -27,10 +27,10 @@ capped backoff, quarantined as ``failed_poison`` after
 
 The module also owns **orphan reaping**: workers record their identity
 (pid + kernel start time) in ``worker.json``; after a server crash the
-replacement server calls :func:`reap_orphans` on the jobs the journal
-says were mid-run, and any still-alive worker whose identity *matches*
-is killed before the job is re-launched — a recycled pid fails the
-start-time check and is left alone (``svc.orphans_reaped``).
+replacement server calls :func:`reap_orphans` on the jobs recorded as
+mid-run, and any still-alive worker whose identity *matches* is killed
+before the job is re-launched — a recycled pid fails the start-time
+check and is left alone (``svc.orphans_reaped``).
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ def read_worker_identity(job_dir: str) -> Optional[Dict[str, Any]]:
 def reap_orphans(store, job_ids, grace_s: float = 5.0) -> List[int]:
     """Kill verified orphan workers of ``job_ids``; returns pids reaped.
 
-    Called on server start for jobs the journal says were mid-run when
-    the previous server died: a SIGKILLed server cannot terminate its
+    Called on server start for jobs recorded as mid-run when the
+    previous server died: a SIGKILLed server cannot terminate its
     children, so their worker processes may still be running (and
     writing into the job dirs the re-run is about to reuse).  A worker
     is killed only when its recorded (pid, start-ticks) identity checks
@@ -249,7 +249,7 @@ class Supervisor:
     Owned by the server's scheduler loop: :meth:`check` runs once per
     tick over the live ``{job_id: Process}`` map, and the reaper calls
     :meth:`take_kill` when a process exits to learn whether the death
-    was supervised (and why).  The supervisor never touches the journal
+    was supervised (and why).  The supervisor never writes job records
     itself — state transitions stay the reaper's job, so every kill
     flows through the same requeue/poison bookkeeping as an
     unexplained worker crash.

@@ -37,7 +37,6 @@ import hashlib
 import logging
 import os
 import pickle
-import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -53,6 +52,7 @@ except ImportError:  # pragma: no cover - non-POSIX
 from repro.lang.ast import Call, Loop, Program, ScalarAssign, Stmt
 from repro.obs import metrics as _obs
 from repro.testing import faults as _faults
+from repro.tools.atomicio import atomic_write_bytes
 
 logger = logging.getLogger("repro.tools.cache")
 
@@ -295,23 +295,8 @@ class AnalysisCache:
         path = self._blob_path(digest)
         if os.path.exists(path):
             return path
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         with self._writer_lock():
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                       prefix=".tmp-", suffix=".bin")
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                    if self.fsync:
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                os.replace(tmp, path)
-            except Exception:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write_bytes(path, data, fsync=self.fsync)
         return path
 
     def get_blob(self, digest: str) -> Optional[bytes]:
@@ -417,29 +402,17 @@ class AnalysisCache:
         what lets every reader verify it without locking.
         """
         path = self._path(key)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         if self.shared:
             data = (_VERIFIED_MAGIC
                     + hashlib.sha256(data).hexdigest().encode("ascii")
                     + b"\n" + data)
         with self._writer_lock():
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                       prefix=".tmp-", suffix=".pkl")
             try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(data)
-                    if self.fsync:
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                os.replace(tmp, path)
+                atomic_write_bytes(path, data, fsync=self.fsync)
             except Exception as exc:
                 logger.warning("failed to write cache entry %s (%s: %s)",
                                key[:12], type(exc).__name__, exc)
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
                 raise
         return path
 

@@ -38,7 +38,6 @@ import os
 import pickle
 import random
 import signal
-import tempfile
 import threading
 import time
 import traceback as _traceback
@@ -48,6 +47,7 @@ from enum import Enum
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.obs import metrics as _obs
+from repro.tools.atomicio import atomic_write_bytes, atomic_write_text
 
 logger = logging.getLogger("repro.tools.resilience")
 
@@ -499,27 +499,12 @@ class SweepCheckpoint:
                 self.cache.put_blob(content, data)
             ref = "cache:" + content
         else:
-            os.makedirs(self.payload_dir, exist_ok=True)
             ref = content + ".pkl"
             final = os.path.join(self.payload_dir, ref)
             if os.path.exists(final):
                 _obs.counter("resil.checkpoint_dedup").inc()
             else:
-                fd, tmp = tempfile.mkstemp(dir=self.payload_dir,
-                                           prefix=".tmp-", suffix=".pkl")
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        fh.write(data)
-                        if self.fsync:
-                            fh.flush()
-                            os.fsync(fh.fileno())
-                    os.replace(tmp, final)
-                except Exception:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
+                atomic_write_bytes(final, data, fsync=self.fsync)
         line = json.dumps({"unit": digest, "spec": spec, "payload": ref})
         new = not os.path.exists(self.path)
         with open(self.path, "a", encoding="utf-8") as fh:
@@ -568,26 +553,12 @@ class SweepCheckpoint:
         """
         live = self.load()
         before = self._lines or 0
-        directory = os.path.dirname(os.path.abspath(self.path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-",
-                                   suffix=".jsonl")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps({"kind": "sweep-checkpoint",
-                                     "version": CHECKPOINT_VERSION}) + "\n")
-                for unit, ref in live.items():
-                    fh.write(json.dumps({"unit": unit, "payload": ref})
-                             + "\n")
-                if self.fsync:
-                    fh.flush()
-                    os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-        except Exception:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        lines = [json.dumps({"kind": "sweep-checkpoint",
+                             "version": CHECKPOINT_VERSION})]
+        lines += [json.dumps({"unit": unit, "payload": ref})
+                  for unit, ref in live.items()]
+        atomic_write_text(self.path, "\n".join(lines) + "\n",
+                          fsync=self.fsync)
         self._lines = len(live)
         self._live = dict(live)
         dropped = before - len(live)

@@ -1,6 +1,6 @@
 """Retention GC for job records and their artifact blobs.
 
-``repro jobs gc`` ages out *terminal* job records (journal events + job
+``repro jobs gc`` ages out *terminal* job records (their job
 directories); the digests those records were the last to reference come
 back "unpinned" so ``repro cache gc --state-dir`` can reclaim the
 actual blob bytes.  The two passes are deliberately separate commands —
@@ -24,29 +24,19 @@ def _digest(data):
 
 
 def _age_done_event(store, job_id, ts):
-    """Backdate a job's terminal journal event (tests can't wait a week)."""
-    path = store._journal_path
-    lines = []
+    """Backdate a job's recorded finish (tests can't wait a week)."""
+    path = store.record_path(job_id)
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            try:
-                ev = json.loads(line)
-            except ValueError:
-                lines.append(line)
-                continue
-            if ev.get("job") == job_id and ev.get("event") == "done":
-                ev["ts"] = ts
-                line = json.dumps(ev, sort_keys=True) + "\n"
-            lines.append(line)
+        record = json.load(fh)
+    record["finished"] = ts
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
+        json.dump(record, fh)
 
 
 def _finish_job(store, tenant, artifacts, finished=None):
     """Submit + complete one job; optionally backdate its completion.
 
-    Writes ``result.json`` the way a worker would, since that is where
-    ``recover()`` re-hydrates artifact pins from.
+    Writes ``result.json`` the way a worker would.
     """
     job = store.submit(tenant, TINY_SPEC)
     store.mark_started(job.id)
@@ -84,7 +74,7 @@ class TestJobsGC:
         assert os.path.exists(store.job_dir(recent.id))
         assert os.path.exists(store.job_dir(live.id))
 
-        # the journal rewrite is durable: a fresh replay agrees
+        # the removal is durable: a fresh recover agrees
         fresh = JobStore(str(tmp_path))
         fresh.recover()
         assert old.id not in fresh.jobs
@@ -130,8 +120,8 @@ class TestJobsGC:
         assert os.path.exists(store.job_dir(old.id))
 
     def test_finished_age_survives_restart(self, tmp_path):
-        """recover() restores ``finished`` from the journal event ts,
-        so a fresh process can age records it never saw complete."""
+        """recover() restores ``finished`` from the job record, so a
+        fresh process can age records it never saw complete."""
         store = JobStore(str(tmp_path))
         now = time.time()
         job = _finish_job(store, "a", [], finished=now - 10 * DAY)
