@@ -23,16 +23,15 @@ Commands
     submission with per-tenant quotas, a durable job store under
     ``--state-dir``, and content-addressed artifacts.  Stop with
     SIGINT/SIGTERM; a restart resumes the queue.
-``trace gc``
-    Bound a columnar trace-store directory: evict least-recently-used
-    stores until the directory fits ``--max-gb``, never touching stores
-    referenced by live service jobs (``--state-dir``).
-``jobs list`` / ``jobs gc``
-    Inspect a service job store, and expire terminal job records past a
-    retention window (``--keep-days``), unpinning their artifact blobs.
-``cache gc``
-    Bound the analysis cache; with ``--state-dir`` also reclaim
-    artifact blobs no job record pins.
+``jobs list``
+    Inspect a service job store: each record's state and its resume
+    and crash counters.
+``gc``
+    One garbage-collection pass (:mod:`repro.tools.gc`) over the
+    analysis cache, trace stores and service job records: expire
+    terminal jobs past ``--keep-days``, evict the coldest unpinned
+    cache entries and trace stores until they fit ``--max-gb``, and
+    remove the artifact blobs no surviving job pins.
 ``list``
     Show the available workloads and variants.
 
@@ -60,7 +59,7 @@ Examples
     python -m repro sweep sweep3d --mesh 6 8 10 --checkpoint sweep.ckpt
     python -m repro sweep sweep3d --mesh 6 8 10 --checkpoint sweep.ckpt --resume
     python -m repro serve --state-dir /tmp/repro-svc --workers 2
-    python -m repro trace gc --trace-dir /tmp/traces --max-gb 2
+    python -m repro gc --state-dir /tmp/repro-svc --keep-days 14 --max-gb 2
 """
 
 from __future__ import annotations
@@ -327,112 +326,54 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_trace(args) -> int:
-    if args.trace_command != "gc":
-        raise SystemExit("usage: repro trace gc --trace-dir D --max-gb N")
-    from repro.core.tracestore import gc_trace_dir
+def _state_dir(path: str) -> str:
+    """``path``, which must exist: a typo must not become a new store."""
+    if not os.path.isdir(path):
+        raise SystemExit(f"repro: no state dir {path!r}")
+    return path
 
-    protect = []
+
+def cmd_gc(args) -> int:
+    from repro.tools.gc import collect
+
     if args.state_dir:
-        from repro.service.jobs import live_trace_refs
-        protect = live_trace_refs(args.state_dir)
-    result = gc_trace_dir(args.trace_dir,
-                          max_bytes=int(args.max_gb * 1024 ** 3),
-                          protect=protect, dry_run=args.dry_run)
+        _state_dir(args.state_dir)
+    elif args.keep_days is not None:
+        raise SystemExit("repro gc: --keep-days needs --state-dir")
+    budget = None if args.max_gb is None else int(args.max_gb * 1024 ** 3)
+    result = collect(args.state_dir, args.cache_dir, args.trace_dir,
+                     max_bytes=budget, keep_days=args.keep_days,
+                     dry_run=args.dry_run)
     mib = 1024.0 ** 2
     tag = " (dry run)" if args.dry_run else ""
-    print(f"trace gc {args.trace_dir}{tag}:")
-    print(f"  before   {result.total_bytes_before / mib:10.1f} MiB "
-          f"({len(result.evicted) + len(result.kept) + len(result.protected)} "
-          "stores)")
-    print(f"  evicted  {result.freed_bytes / mib:10.1f} MiB "
-          f"({len(result.evicted)} stores)")
-    print(f"  after    {result.total_bytes_after / mib:10.1f} MiB "
-          f"({len(result.kept) + len(result.protected)} stores, "
-          f"{len(result.protected)} protected by live jobs)")
-    for path in result.evicted:
-        print(f"  - {path}")
-    over = result.total_bytes_after - int(args.max_gb * 1024 ** 3)
-    if over > 0 and result.protected:
-        print(f"  still {over / mib:.1f} MiB over budget: protected "
-              "stores are never evicted", file=sys.stderr)
-    return 0
-
-
-def cmd_cache(args) -> int:
-    if args.cache_command != "gc":
-        raise SystemExit("usage: repro cache gc --max-gb N [--cache-dir D]")
-    from repro.tools.cache import AnalysisCache
-
-    cache_dir = args.cache_dir
-    if cache_dir is None and args.state_dir:
-        # the service keeps its shared cache inside the state dir
-        cache_dir = os.path.join(args.state_dir, "cache")
-    # shared mode so the eviction pass serializes with any live writers
-    cache = AnalysisCache(cache_dir, shared=True)
-    result = cache.gc_entries(int(args.max_gb * 1024 ** 3),
-                              dry_run=args.dry_run)
-    mib = 1024.0 ** 2
-    tag = " (dry run)" if args.dry_run else ""
-    print(f"cache gc {cache.root}{tag}:")
-    print(f"  before   {result.total_bytes_before / mib:10.1f} MiB "
-          f"({len(result.evicted) + len(result.kept)} entries)")
-    print(f"  evicted  {result.freed_bytes / mib:10.1f} MiB "
-          f"({len(result.evicted)} entries)")
-    print(f"  after    {result.total_bytes_after / mib:10.1f} MiB "
-          f"({len(result.kept)} entries)")
-    for key in result.evicted:
-        print(f"  - {key}")
-    if args.state_dir:
-        # with a state dir we know which blobs job records still pin,
-        # so unpinned artifact blobs can be reclaimed too
-        from repro.service.jobs import JobStore
-        store = JobStore(args.state_dir)
-        store.recover()
-        blobs = cache.gc_blobs(store.pinned_blob_digests(),
-                               dry_run=args.dry_run)
-        print(f"blob gc {cache.root}{tag}:")
-        print(f"  removed  {blobs.freed_bytes / mib:10.1f} MiB "
-              f"({len(blobs.evicted)} blobs)")
-        print(f"  pinned   {(blobs.total_bytes_after) / mib:10.1f} MiB "
-              f"({len(blobs.kept)} blobs, referenced by job records)")
-        for digest in blobs.evicted:
-            print(f"  - {digest}")
+    print(f"gc{tag}: removed {len(result.removed)} item(s), "
+          f"{result.freed_bytes / mib:.1f} MiB")
+    for kind, path, _size in result.removed:
+        print(f"  - {kind:<5} {path}")
+    print(f"  cache entries + trace stores: "
+          f"{result.budgeted_before / mib:.1f} -> "
+          f"{result.budgeted_after / mib:.1f} MiB")
+    if budget is not None and result.budgeted_after > budget:
+        print(f"  still {(result.budgeted_after - budget) / mib:.1f} MiB "
+              "over budget: pinned entries and stores are never evicted",
+              file=sys.stderr)
     return 0
 
 
 def cmd_jobs(args) -> int:
     from repro.service.jobs import JobStore
 
-    store = JobStore(args.state_dir)
+    store = JobStore(_state_dir(args.state_dir))
     store.recover()
-    if args.jobs_command == "list":
-        fmt = "{:<14} {:<10} {:<14} {:<10} {:>7} {:>7}"
-        print(fmt.format("JOB", "TENANT", "STATE", "WORKLOAD",
-                         "RESUMED", "CRASHES"))
-        for job in sorted(store.jobs.values(),
-                          key=lambda j: (j.created, j.id)):
-            print(fmt.format(job.id, job.tenant, job.state,
-                             job.spec.workload, job.resumed,
-                             job.crashes))
-            if job.error:
-                print(f"    error: {job.error}")
-        return 0
-    if args.jobs_command == "gc":
-        result = store.gc(args.keep_days, dry_run=args.dry_run)
-        mib = 1024.0 ** 2
-        tag = " (dry run)" if args.dry_run else ""
-        print(f"jobs gc {args.state_dir}{tag}:")
-        print(f"  removed  {len(result.removed)} terminal job(s) "
-              f"older than {args.keep_days:g} day(s) "
-              f"({result.freed_bytes / mib:.1f} MiB of job dirs)")
-        print(f"  kept     {result.kept} job record(s)")
-        print(f"  unpinned {len(result.unpinned)} artifact blob(s) — "
-              "run 'repro cache gc --state-dir' to reclaim them")
-        for job_id in result.removed:
-            print(f"  - {job_id}")
-        return 0
-    raise SystemExit("usage: repro jobs {list,gc} --state-dir S")
+    fmt = "{:<14} {:<10} {:<14} {:<10} {:>7} {:>7}"
+    print(fmt.format("JOB", "TENANT", "STATE", "WORKLOAD", "RESUMED",
+                     "CRASHES"))
+    for job in sorted(store.jobs.values(), key=lambda j: (j.created, j.id)):
+        print(fmt.format(job.id, job.tenant, job.state, job.spec.workload,
+                         job.resumed, job.crashes))
+        if job.error:
+            print(f"    error: {job.error}")
+    return 0
 
 
 def cmd_validate(args) -> int:
@@ -707,20 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "up to S seconds before interrupting them "
                             "(0 = interrupt immediately)")
 
-    trace = sub.add_parser("trace", help="trace-store maintenance")
-    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
-    gc = trace_sub.add_parser("gc", help="evict cold stores (LRU) until "
-                                         "the dir fits a size budget")
-    gc.add_argument("--trace-dir", required=True, metavar="DIR",
-                    help="columnar trace-store directory to bound")
-    gc.add_argument("--max-gb", type=float, required=True, metavar="N",
-                    help="size budget in GiB")
-    gc.add_argument("--state-dir", metavar="DIR",
-                    help="service state dir whose live jobs' stores "
-                         "must be kept")
-    gc.add_argument("--dry-run", action="store_true",
-                    help="rank and report without deleting")
-
     val = sub.add_parser("validate", help="cross-validate the static "
                                           "engine against a dynamic run")
     val.add_argument("workload", nargs="?", choices=sorted(WORKLOADS),
@@ -740,38 +667,32 @@ def build_parser() -> argparse.ArgumentParser:
                      help="largest accepted per-band relative error on "
                           "bands holding >=2%% of the mass")
 
-    cache = sub.add_parser("cache", help="analysis-cache maintenance")
-    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    cgc = cache_sub.add_parser("gc", help="evict coldest entries until "
-                                          "the cache fits a size budget")
-    cgc.add_argument("--max-gb", type=float, required=True, metavar="N",
-                     help="size budget in GiB")
-    cgc.add_argument("--cache-dir", metavar="DIR",
-                     help="cache directory (default: <state-dir>/cache "
-                          "when --state-dir is given, else "
-                          "$REPRO_CACHE_DIR or ~/.cache/repro)")
-    cgc.add_argument("--state-dir", metavar="DIR",
-                     help="service state dir: also remove artifact "
-                          "blobs no job record pins (run 'repro jobs "
-                          "gc' first to expire old records)")
-    cgc.add_argument("--dry-run", action="store_true",
-                     help="rank and report without deleting")
-
-    jobs = sub.add_parser("jobs", help="service job-store maintenance")
+    jobs = sub.add_parser("jobs", help="service job-store inspection")
     jobs_sub = jobs.add_subparsers(dest="jobs_command", required=True)
     jlist = jobs_sub.add_parser("list", help="list job records (state, "
                                              "resume/crash counters)")
     jlist.add_argument("--state-dir", required=True, metavar="DIR")
-    jgc = jobs_sub.add_parser("gc", help="delete terminal job records "
-                                         "past a retention window and "
-                                         "unpin their artifact blobs")
-    jgc.add_argument("--state-dir", required=True, metavar="DIR")
-    jgc.add_argument("--keep-days", type=float, required=True,
-                     metavar="N",
-                     help="keep terminal jobs finished within the last "
-                          "N days (live jobs are never touched)")
-    jgc.add_argument("--dry-run", action="store_true",
-                     help="report without deleting")
+
+    gc = sub.add_parser("gc", help="one GC pass over the analysis cache, "
+                                   "trace stores and service job records")
+    gc.add_argument("--state-dir", metavar="DIR",
+                    help="service state dir: covers its cache/, traces/ "
+                         "and jobs/; job records pin their artifact "
+                         "blobs, live jobs their trace stores")
+    gc.add_argument("--cache-dir", metavar="DIR",
+                    help="analysis cache (default: <state-dir>/cache; "
+                         "with no dir at all, $REPRO_CACHE_DIR or "
+                         "~/.cache/repro)")
+    gc.add_argument("--trace-dir", metavar="DIR",
+                    help="trace-store dir (default: <state-dir>/traces)")
+    gc.add_argument("--max-gb", type=float, metavar="N",
+                    help="evict the coldest unpinned cache entries and "
+                         "trace stores until they fit N GiB")
+    gc.add_argument("--keep-days", type=float, metavar="K",
+                    help="expire terminal jobs finished more than K days "
+                         "ago (live jobs are never touched)")
+    gc.add_argument("--dry-run", action="store_true",
+                    help="report without deleting")
 
     return parser
 
@@ -782,8 +703,7 @@ def main(argv: Optional[list] = None) -> int:
     handlers: Dict[str, Callable] = {
         "list": cmd_list, "analyze": cmd_analyze, "measure": cmd_measure,
         "sweep": cmd_sweep, "stats": cmd_stats, "serve": cmd_serve,
-        "trace": cmd_trace, "cache": cmd_cache, "validate": cmd_validate,
-        "jobs": cmd_jobs,
+        "validate": cmd_validate, "jobs": cmd_jobs, "gc": cmd_gc,
     }
     return handlers[args.command](args)
 

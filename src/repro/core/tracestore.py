@@ -57,7 +57,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field, replace as _dc_replace
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -684,7 +684,8 @@ def record_spilled(program, trace_dir: str, batch: bool = True,
     ``<trace_dir>/<digest[:16]>``.  Identical content renames onto an
     existing store of the same digest — the new copy is discarded and
     the existing one reused, so repeated sweeps over the same point keep
-    exactly one store on disk.
+    exactly one store on disk.  A reuse re-stamps the store's files, so
+    the time pin of ``repro gc`` covers it like a fresh recording.
     """
     from repro.core.shard import record_trace
     os.makedirs(trace_dir, exist_ok=True)
@@ -699,131 +700,13 @@ def record_spilled(program, trace_dir: str, batch: bool = True,
     try:
         os.rename(tmp, final)
     except OSError:
+        shutil.rmtree(tmp, ignore_errors=True)
         if not os.path.isdir(final):  # pragma: no cover - perms/races
-            shutil.rmtree(tmp, ignore_errors=True)
             raise
         # same digest already recorded (earlier run or concurrent
-        # racer): keep the existing store, drop the duplicate
-        shutil.rmtree(tmp, ignore_errors=True)
+        # racer): keep the existing store, drop the duplicate, and
+        # re-stamp the store so a GC pass's time pin covers the reuse
+        for name in os.listdir(final):
+            os.utime(os.path.join(final, name))
         logger.info("trace store %s already recorded; reusing", final)
     return _dc_replace(stored, path=final), stats
-
-
-# ---------------------------------------------------------------------------
-# Eviction
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StoreUsage:
-    """One store under a trace dir: where, how big, when last read."""
-
-    path: str
-    digest: str
-    bytes: int
-    #: most recent access (max atime across the store's files); falls
-    #: back to mtime on filesystems mounted ``noatime``
-    atime: float
-
-
-@dataclass
-class TraceGCResult:
-    """What one :func:`gc_trace_dir` pass did (JSON-friendly)."""
-
-    evicted: List[str]
-    kept: List[str]
-    protected: List[str]
-    freed_bytes: int
-    total_bytes_before: int
-    total_bytes_after: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"evicted": list(self.evicted), "kept": list(self.kept),
-                "protected": list(self.protected),
-                "freed_bytes": self.freed_bytes,
-                "total_bytes_before": self.total_bytes_before,
-                "total_bytes_after": self.total_bytes_after}
-
-
-def scan_trace_dir(trace_dir: str) -> List[StoreUsage]:
-    """Enumerate the finalized stores under ``trace_dir``.
-
-    Only digest-named directories with an intact ``meta.json`` count;
-    in-flight ``.rec-*`` recordings and foreign files are ignored (the
-    cache's ``sweep_stale`` analogue for abandoned recordings is the
-    recorder's own cleanup).
-    """
-    stores: List[StoreUsage] = []
-    try:
-        entries = sorted(os.listdir(trace_dir))
-    except FileNotFoundError:
-        return stores
-    for name in entries:
-        path = os.path.join(trace_dir, name)
-        if name.startswith(".") or not os.path.isdir(path):
-            continue
-        try:
-            handle = load_trace(path)
-        except (OSError, ValueError, KeyError):
-            continue
-        size = 0
-        atime = 0.0
-        for fname in os.listdir(path):
-            try:
-                st = os.stat(os.path.join(path, fname))
-            except OSError:  # pragma: no cover - concurrent eviction
-                continue
-            size += st.st_size
-            # meta.json is read by every scan (load_trace above), so its
-            # atime reflects gc activity, not replay activity; recency
-            # comes from the column files a replay actually touches.
-            if fname != "meta.json":
-                atime = max(atime, st.st_atime, st.st_mtime)
-        stores.append(StoreUsage(path=path, digest=handle.digest,
-                                 bytes=size, atime=atime))
-    return stores
-
-
-def gc_trace_dir(trace_dir: str, max_bytes: int,
-                 protect: Iterable[str] = (),
-                 dry_run: bool = False) -> TraceGCResult:
-    """Evict least-recently-used stores until the dir fits ``max_bytes``.
-
-    Stores are ranked by their access time (coldest first) and removed
-    until the directory's total drops to ``max_bytes`` or below.
-    Paths in ``protect`` — stores referenced by live service jobs or an
-    in-flight sweep — are never evicted, even if the directory stays
-    over budget as a result; bounding disk must not yank a recording
-    out from under a running analysis.  ``dry_run`` ranks and reports
-    without deleting.
-    """
-    protected_real = {os.path.realpath(p) for p in protect}
-    stores = scan_trace_dir(trace_dir)
-    total = sum(s.bytes for s in stores)
-    result = TraceGCResult(evicted=[], kept=[], protected=[],
-                           freed_bytes=0, total_bytes_before=total,
-                           total_bytes_after=total)
-    excess = total - int(max_bytes)
-    for store in sorted(stores, key=lambda s: (s.atime, s.path)):
-        live = os.path.realpath(store.path) in protected_real
-        if live:
-            result.protected.append(store.path)
-        if excess <= 0 or live:
-            if not live:
-                result.kept.append(store.path)
-            continue
-        if not dry_run:
-            shutil.rmtree(store.path, ignore_errors=True)
-        result.evicted.append(store.path)
-        result.freed_bytes += store.bytes
-        excess -= store.bytes
-    result.total_bytes_after = (result.total_bytes_before
-                                - result.freed_bytes)
-    if result.evicted:
-        _obs.counter("trace.gc_evicted").inc(len(result.evicted))
-        _obs.counter("trace.gc_freed_bytes").inc(result.freed_bytes)
-        logger.info("trace gc %s: evicted %d store(s), freed %d bytes "
-                    "(%d -> %d)%s", trace_dir, len(result.evicted),
-                    result.freed_bytes, result.total_bytes_before,
-                    result.total_bytes_after,
-                    " [dry run]" if dry_run else "")
-    return result

@@ -45,7 +45,7 @@ Metrics live under the ``svc.*`` namespace (see
 :mod:`repro.obs.metrics`).
 """
 
-from repro.service.jobs import Job, JobSpec, JobStore, JobsGCResult
+from repro.service.jobs import Job, JobSpec, JobStore
 from repro.service.quota import (
     AdmissionController, OverloadPolicy, QuotaDecision, TenantQuota,
 )
@@ -63,7 +63,6 @@ __all__ = [
     "Job",
     "JobSpec",
     "JobStore",
-    "JobsGCResult",
     "OverloadPolicy",
     "QuotaDecision",
     "QuotaExceeded",

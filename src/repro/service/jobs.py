@@ -33,11 +33,10 @@ from __future__ import annotations
 import json
 import logging
 import os
-import shutil
 import time
 import uuid
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.tools.atomicio import atomic_write_text
 
@@ -204,17 +203,6 @@ def new_job_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
-@dataclass(frozen=True)
-class JobsGCResult:
-    """Outcome of a :meth:`JobStore.gc` retention pass."""
-
-    removed: List[str]        # terminal job ids deleted (or would-be)
-    kept: int                 # job records remaining
-    unpinned: List[str]       # blob digests no remaining record pins
-    freed_bytes: int          # job-dir bytes reclaimed (excludes blobs)
-    dry_run: bool = False
-
-
 class JobStore:
     """Durable store of every job the service has seen.
 
@@ -237,7 +225,6 @@ class JobStore:
         self.jobs: Dict[str, Job] = {}
         #: jobs re-queued by the last recover() call
         self.resumed_ids: List[str] = []
-        os.makedirs(os.path.join(state_dir, "jobs"), exist_ok=True)
 
     # -- paths ----------------------------------------------------------
 
@@ -322,15 +309,18 @@ class JobStore:
         disk with the job's next transition.  Requeued jobs and
         :attr:`resumed_ids` are ordered by ``(created, id)``.  A dir
         without a readable spec and record (a submit cut short, a
-        foreign dir) is skipped with a warning.
+        foreign dir) is skipped with a warning.  A state dir without
+        ``jobs/`` reads as an empty store: the store creates nothing
+        until the first :meth:`submit` writes a job dir.
         """
         loaded: List[Job] = []
-        with os.scandir(os.path.join(self.state_dir, "jobs")) as entries:
-            for entry in entries:
-                if entry.is_dir():
-                    job = self._load(entry.name)
-                    if job is not None:
-                        loaded.append(job)
+        jobs_dir = os.path.join(self.state_dir, "jobs")
+        names = os.listdir(jobs_dir) if os.path.isdir(jobs_dir) else []
+        for name in names:
+            if os.path.isdir(os.path.join(jobs_dir, name)):
+                job = self._load(name)
+                if job is not None:
+                    loaded.append(job)
         loaded.sort(key=lambda j: (j.created, j.id))
         self.jobs.clear()
         self.resumed_ids = []
@@ -358,68 +348,6 @@ class JobStore:
                            "skipping", job_id, exc)
             return None
 
-    # -- retention ------------------------------------------------------
-
-    def pinned_blob_digests(self) -> Set[str]:
-        """Artifact blob digests referenced by any job still on record.
-
-        ``repro cache gc --state-dir`` treats these as pinned: a blob a
-        job record can still serve must survive blob GC.  Callers want a
-        recovered store — run :meth:`recover` first.
-        """
-        return {a.get("digest") for job in self.jobs.values()
-                for a in job.artifacts if a.get("digest")}
-
-    def gc(self, keep_days: float, now: Optional[float] = None,
-           dry_run: bool = False) -> "JobsGCResult":
-        """Drop terminal jobs finished more than ``keep_days`` ago.
-
-        Removes their job directories and reports the artifact blob
-        digests those records were the last to reference — unpinned,
-        ready for ``repro cache gc`` to reclaim.  Live (queued/running)
-        jobs are never touched.  ``dry_run`` computes the same report
-        without deleting anything.  A store holding no jobs recovers
-        first.
-        """
-        if not self.jobs:
-            self.recover()
-        now = time.time() if now is None else now
-        cutoff = now - keep_days * 86400.0
-        doomed = [job for job in self.jobs.values()
-                  if job.terminal
-                  and (job.finished or job.created) <= cutoff]
-        doomed_ids = {job.id for job in doomed}
-        kept_digests = {a.get("digest")
-                        for job in self.jobs.values()
-                        if job.id not in doomed_ids
-                        for a in job.artifacts if a.get("digest")}
-        unpinned = sorted({a.get("digest") for job in doomed
-                           for a in job.artifacts
-                           if a.get("digest")} - kept_digests)
-        freed = 0
-        for job in doomed:
-            job_dir = self.job_dir(job.id)
-            for root, _dirs, files in os.walk(job_dir):
-                for name in files:
-                    try:
-                        freed += os.path.getsize(os.path.join(root, name))
-                    except OSError:
-                        pass
-        result = JobsGCResult(
-            removed=sorted(doomed_ids),
-            kept=sum(1 for j in self.jobs.values()
-                     if j.id not in doomed_ids),
-            unpinned=unpinned, freed_bytes=freed, dry_run=dry_run)
-        if dry_run or not doomed:
-            return result
-        for job_id in doomed_ids:
-            self.jobs.pop(job_id, None)
-            shutil.rmtree(self.job_dir(job_id), ignore_errors=True)
-        logger.info("jobs gc: removed %d terminal job(s) older than "
-                    "%.1f day(s), unpinned %d blob digest(s)",
-                    len(doomed_ids), keep_days, len(unpinned))
-        return result
-
     # -- queries --------------------------------------------------------
 
     def read_status(self, job_id: str) -> Dict[str, Any]:
@@ -438,25 +366,3 @@ class JobStore:
         return sum(1 for j in self.jobs.values()
                    if j.tenant == tenant and j.state == "running")
 
-
-def live_trace_refs(state_dir: str) -> List[str]:
-    """Trace-store paths referenced by non-terminal jobs in ``state_dir``.
-
-    ``repro trace gc`` protects these from eviction: a queued or running
-    job may still replay its spilled store.  Reads the job records and
-    each live job's ``status.json`` (where the worker records the
-    resolved store path); a missing or unreadable state dir yields [].
-    """
-    refs: List[str] = []
-    try:
-        store = JobStore(state_dir)
-    except OSError:
-        return refs
-    store.recover()
-    for job in store.jobs.values():
-        if job.terminal:
-            continue
-        path = store.read_status(job.id).get("trace_path")
-        if path:
-            refs.append(path)
-    return refs

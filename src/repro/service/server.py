@@ -419,11 +419,12 @@ class AnalysisService:
 
     def _crashed(self, job_id: str, proc, kill) -> None:
         """Route a worker death through the requeue/poison machinery."""
-        from repro.tools.resilience import WorkerFailure
+        from repro.tools.resilience import FailureKind, WorkerFailure
         job = self.store.jobs[job_id]
         failure = WorkerFailure.from_exit(
             proc.exitcode, kill.detail if kill is not None else "")
-        if job.crashes + 1 >= self.supervisor.policy.poison_threshold:
+        retry = self.supervisor.retry
+        if not retry.should_retry(FailureKind.POISON, job.crashes):
             self.store.mark_poisoned(
                 job_id, f"{failure.summary}; quarantined after "
                         f"{job.crashes + 1} worker-killing crash(es)")
@@ -432,8 +433,7 @@ class AnalysisService:
             logger.warning("job %s poisoned: %s", job_id, job.error)
         else:
             self.store.mark_requeued(job_id, failure.summary)
-            job.not_before = time.time() + \
-                self.supervisor.requeue_backoff(job.crashes)
+            job.not_before = time.time() + retry.backoff(job.crashes - 1)
             _obs.counter("svc.requeued").inc()
             logger.warning("job %s crashed (%s); requeued "
                            "(crash %d/%d, next attempt in %.1fs)",

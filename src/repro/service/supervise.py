@@ -211,9 +211,8 @@ class SupervisionPolicy:
     ``walltime_s``, ``max_rss_mb`` and ``heartbeat_timeout_s`` are each
     disabled at 0.  ``poison_threshold`` is the number of worker-killing
     crashes (supervised kills included) after which a job stops being
-    requeued and is quarantined as ``failed_poison``; requeue delays
-    follow the PR 5 retry discipline — exponential from
-    ``requeue_backoff_s``, capped at ``requeue_backoff_max_s``.
+    requeued and is quarantined as ``failed_poison``
+    (:attr:`Supervisor.retry` turns it into the retry budget).
     """
 
     walltime_s: float = 0.0
@@ -221,8 +220,6 @@ class SupervisionPolicy:
     heartbeat_timeout_s: float = 30.0
     kill_grace_s: float = 5.0
     poison_threshold: int = 3
-    requeue_backoff_s: float = 0.5
-    requeue_backoff_max_s: float = 30.0
 
     def __post_init__(self) -> None:
         if self.poison_threshold < 1:
@@ -258,6 +255,13 @@ class Supervisor:
     def __init__(self, store, policy: SupervisionPolicy) -> None:
         self.store = store
         self.policy = policy
+        #: requeue-or-poison rule for worker deaths, the one a sweep
+        #: applies to a unit that killed its worker: a job requeues
+        #: while ``should_retry(POISON, crashes)`` holds, and waits
+        #: ``backoff(k - 1)`` after its k-th crash (0.5 s doubling to 30)
+        self.retry = RetryPolicy(retries=policy.poison_threshold - 1,
+                                 base_delay=0.5, max_delay=30.0,
+                                 jitter=0.0)
         self._kills: Dict[str, KillRecord] = {}
         #: last observed heartbeat ts per running job (svc.heartbeats)
         self._seen_hb: Dict[str, float] = {}
@@ -347,11 +351,3 @@ class Supervisor:
         """Pop the kill record for a reaped job (None = unsupervised)."""
         self._seen_hb.pop(job_id, None)
         return self._kills.pop(job_id, None)
-
-    def requeue_backoff(self, crashes: int) -> float:
-        """Delay before a job's next attempt after ``crashes`` crashes."""
-        policy = RetryPolicy(retries=max(1, crashes),
-                             base_delay=self.policy.requeue_backoff_s,
-                             max_delay=self.policy.requeue_backoff_max_s,
-                             jitter=0.0)
-        return policy.backoff(max(0, crashes - 1))

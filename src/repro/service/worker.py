@@ -20,8 +20,8 @@ The server launches :func:`job_process_main` in its own
 
 Progress is visible throughout via atomic rewrites of ``status.json``
 (``phase`` walks build → analyze → predict → artifacts; ``trace_path``
-appears once a spilled recording resolves, for ``repro trace gc``
-live-reference protection).  A daemon heartbeat thread
+appears once a spilled recording resolves, and ``repro gc`` pins the
+store it names).  A daemon heartbeat thread
 (:class:`StatusReporter`) re-stamps the same file every ``heartbeat_s``
 with a fresh timestamp and the worker's current RSS — the liveness and
 memory signal the scheduler-side supervisor
@@ -223,11 +223,9 @@ def run_job(job_dir: str, cache_dir: str,
         for kind in spec.artifacts:
             data = _artifact_bytes(session, kind)
             digest = hashlib.sha256(data).hexdigest()
-            if cache.has_blob(digest):
+            if cache.put_blob(digest, data):
                 deduped += 1
                 _obs.counter("svc.artifacts_deduped").inc()
-            else:
-                cache.put_blob(digest, data)
             _obs.counter("svc.artifacts_published").inc()
             artifacts.append({"name": kind,
                               "file": ARTIFACT_KINDS[kind],

@@ -37,12 +37,8 @@ import hashlib
 import logging
 import os
 import pickle
-import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import (
-    Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple,
-)
+from typing import Any, Dict, Iterable, Iterator, Optional
 
 try:  # POSIX advisory locks for the shared writer path
     import fcntl
@@ -122,25 +118,6 @@ def program_fingerprint(program: Program) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class CacheGCResult:
-    """What one :meth:`AnalysisCache.gc_entries` pass did."""
-
-    #: cache keys removed (coldest first)
-    evicted: List[str]
-    #: cache keys left in place
-    kept: List[str]
-    freed_bytes: int
-    total_bytes_before: int
-    total_bytes_after: int
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"evicted": list(self.evicted), "kept": list(self.kept),
-                "freed_bytes": self.freed_bytes,
-                "total_bytes_before": self.total_bytes_before,
-                "total_bytes_after": self.total_bytes_after}
-
-
 class AnalysisCache:
     """Content-addressed store for serialized analysis results.
 
@@ -192,7 +169,7 @@ class AnalysisCache:
     # -- shared-mode writer lock ----------------------------------------
 
     @contextmanager
-    def _writer_lock(self) -> Iterator[None]:
+    def writer_lock(self) -> Iterator[None]:
         """Serialize writers in shared mode; free in exclusive mode.
 
         An advisory ``flock`` on ``<root>/.writer.lock``: cheap,
@@ -286,18 +263,24 @@ class AnalysisCache:
     def has_blob(self, digest: str) -> bool:
         return os.path.exists(self._blob_path(digest))
 
-    def put_blob(self, digest: str, data: bytes) -> str:
-        """Store raw bytes under their sha256 digest (idempotent).
+    def put_blob(self, digest: str, data: bytes) -> bool:
+        """Store raw bytes under their sha256 digest; True on a dedup hit.
 
-        Used by checkpoint journals to dedup payloads: identical bytes
-        land at one address however many journal lines reference them.
+        Identical bytes land at one address however many checkpoint
+        lines or job records reference them.  A hit is not rewritten,
+        but its mtime is refreshed: reusing a blob counts as writing it
+        for the time pin of :func:`repro.tools.gc.collect`.  Both run
+        under the writer lock, which the GC pass holds while it decides
+        and deletes, so a blob is never refreshed and deleted at once.
         """
         path = self._blob_path(digest)
-        if os.path.exists(path):
-            return path
-        with self._writer_lock():
-            atomic_write_bytes(path, data, fsync=self.fsync)
-        return path
+        with self.writer_lock():
+            try:
+                os.utime(path)
+                return True
+            except FileNotFoundError:
+                atomic_write_bytes(path, data, fsync=self.fsync)
+                return False
 
     def get_blob(self, digest: str) -> Optional[bytes]:
         """Return the blob's bytes, or None when missing or damaged.
@@ -407,7 +390,7 @@ class AnalysisCache:
             data = (_VERIFIED_MAGIC
                     + hashlib.sha256(data).hexdigest().encode("ascii")
                     + b"\n" + data)
-        with self._writer_lock():
+        with self.writer_lock():
             try:
                 atomic_write_bytes(path, data, fsync=self.fsync)
             except Exception as exc:
@@ -415,183 +398,6 @@ class AnalysisCache:
                                key[:12], type(exc).__name__, exc)
                 raise
         return path
-
-    def sweep_stale(self, max_age_s: float = 3600.0) -> int:
-        """Remove abandoned ``.tmp-*`` files; returns the number removed.
-
-        A writer killed between ``mkstemp`` and ``os.replace`` leaves a
-        temp file behind.  They are invisible to lookups, but a long-
-        lived cache directory accumulates them; sweeping anything older
-        than ``max_age_s`` is safe because a *live* writer renames its
-        temp file within seconds of creating it.
-        """
-        removed = 0
-        cutoff = time.time() - max_age_s
-        for dirpath, dirnames, filenames in os.walk(self.root):
-            if self.QUARANTINE_DIR in dirnames:
-                dirnames.remove(self.QUARANTINE_DIR)
-            for fname in filenames:
-                if not fname.startswith(".tmp-"):
-                    continue
-                path = os.path.join(dirpath, fname)
-                try:
-                    if os.path.getmtime(path) <= cutoff:
-                        os.unlink(path)
-                        removed += 1
-                except OSError:  # pragma: no cover - writer raced us
-                    pass
-        if removed:
-            logger.info("swept %d stale temp file(s) under %s",
-                        removed, self.root)
-        return removed
-
-    def _scan_entries(self) -> List[tuple]:
-        """(atime, key, path, bytes) for every analysis entry on disk.
-
-        Covers only the keyed ``<key[:2]>/<key>.pkl`` entries —
-        quarantined files, the blob store (which has its own GC via
-        checkpoint journals), and in-flight temp files are not entries.
-        """
-        entries: List[tuple] = []
-        try:
-            subdirs = os.listdir(self.root)
-        except OSError:
-            return entries
-        for sub in subdirs:
-            if len(sub) != 2:
-                continue
-            subpath = os.path.join(self.root, sub)
-            if not os.path.isdir(subpath):
-                continue
-            for fname in os.listdir(subpath):
-                if not fname.endswith(".pkl") or fname.startswith(".tmp-"):
-                    continue
-                path = os.path.join(subpath, fname)
-                try:
-                    st = os.stat(path)
-                except OSError:  # pragma: no cover - raced a writer
-                    continue
-                entries.append((st.st_atime, fname[:-len(".pkl")],
-                                path, st.st_size))
-        return entries
-
-    def gc_entries(self, max_bytes: int,
-                   dry_run: bool = False) -> CacheGCResult:
-        """Evict coldest entries until they fit ``max_bytes``.
-
-        Entries are ranked by access time, coldest first (on relatime
-        mounts the ordering is approximate but still favours untouched
-        entries), and unlinked until the total drops to ``max_bytes``
-        or below.  Every entry is recomputable,
-        so eviction can never lose data — a future lookup just misses
-        and recomputes.
-
-        Safe against live writers: the pass runs under the shared-mode
-        writer flock (a no-op for exclusive caches, whose single owner
-        is the caller), and lock-free readers treat a file vanishing
-        mid-read as a plain miss.  ``dry_run`` ranks and reports
-        without deleting and without taking the lock.
-        """
-        entries = self._scan_entries()
-        total = sum(e[3] for e in entries)
-        result = CacheGCResult(evicted=[], kept=[], freed_bytes=0,
-                               total_bytes_before=total,
-                               total_bytes_after=total)
-        excess = total - int(max_bytes)
-        ranked = sorted(entries)
-        lock = self._writer_lock() if not dry_run else None
-        try:
-            if lock is not None:
-                lock.__enter__()
-            for _atime, key, path, size in ranked:
-                if excess <= 0:
-                    result.kept.append(key)
-                    continue
-                if not dry_run:
-                    try:
-                        os.unlink(path)
-                    except FileNotFoundError:  # pragma: no cover - raced
-                        continue
-                result.evicted.append(key)
-                result.freed_bytes += size
-                excess -= size
-        finally:
-            if lock is not None:
-                lock.__exit__(None, None, None)
-        result.total_bytes_after = total - result.freed_bytes
-        if result.evicted and not dry_run:
-            self._obs_evictions.inc(len(result.evicted))
-            logger.info("cache gc %s: evicted %d entr%s, freed %d bytes "
-                        "(%d -> %d)", self.root, len(result.evicted),
-                        "y" if len(result.evicted) == 1 else "ies",
-                        result.freed_bytes, result.total_bytes_before,
-                        result.total_bytes_after)
-        return result
-
-    def gc_blobs(self, pinned: Set[str],
-                 dry_run: bool = False) -> CacheGCResult:
-        """Delete blobs whose digest is not in ``pinned``.
-
-        Blobs are content-addressed artifacts published by service jobs;
-        unlike cache entries they are *not* recomputable on a miss, so
-        they are never evicted by :meth:`gc_entries` and only this pass
-        — driven by ``repro cache gc --state-dir``, whose pin set is
-        every digest still referenced by a job record (see
-        :meth:`repro.service.jobs.JobStore.pinned_blob_digests`) —
-        removes them.  Note sweep checkpoints can also journal
-        ``cache:`` payload references; run blob GC only against state
-        dirs whose checkpoints are complete or discarded.
-
-        Runs under the shared-mode writer flock so a concurrent
-        ``put_blob`` of a just-unpinned digest is ordered, not torn.
-        ``dry_run`` reports without deleting or locking.
-        """
-        blobs_dir = os.path.join(self.root, "blobs")
-        found: List[Tuple[str, str, int]] = []
-        if os.path.isdir(blobs_dir):
-            for sub in sorted(os.listdir(blobs_dir)):
-                subpath = os.path.join(blobs_dir, sub)
-                if not os.path.isdir(subpath):
-                    continue
-                for fname in sorted(os.listdir(subpath)):
-                    if (not fname.endswith(".bin")
-                            or fname.startswith(".tmp-")):
-                        continue
-                    path = os.path.join(subpath, fname)
-                    try:
-                        size = os.path.getsize(path)
-                    except OSError:  # pragma: no cover - raced
-                        continue
-                    found.append((fname[:-len(".bin")], path, size))
-        total = sum(size for _d, _p, size in found)
-        result = CacheGCResult(evicted=[], kept=[], freed_bytes=0,
-                               total_bytes_before=total,
-                               total_bytes_after=total)
-        lock = self._writer_lock() if not dry_run else None
-        try:
-            if lock is not None:
-                lock.__enter__()
-            for digest, path, size in found:
-                if digest in pinned:
-                    result.kept.append(digest)
-                    continue
-                if not dry_run:
-                    try:
-                        os.unlink(path)
-                    except FileNotFoundError:  # pragma: no cover
-                        continue
-                result.evicted.append(digest)
-                result.freed_bytes += size
-        finally:
-            if lock is not None:
-                lock.__exit__(None, None, None)
-        result.total_bytes_after = total - result.freed_bytes
-        if result.evicted and not dry_run:
-            self._obs_evictions.inc(len(result.evicted))
-            logger.info("blob gc %s: removed %d unpinned blob(s), "
-                        "freed %d bytes", self.root,
-                        len(result.evicted), result.freed_bytes)
-        return result
 
     def __contains__(self, key: str) -> bool:
         return os.path.exists(self._path(key))

@@ -493,10 +493,8 @@ class SweepCheckpoint:
         data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         content = hashlib.sha256(data).hexdigest()
         if self.cache is not None:
-            if self.cache.has_blob(content):
+            if self.cache.put_blob(content, data):
                 _obs.counter("resil.checkpoint_dedup").inc()
-            else:
-                self.cache.put_blob(content, data)
             ref = "cache:" + content
         else:
             ref = content + ".pkl"

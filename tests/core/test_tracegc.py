@@ -1,133 +1,94 @@
-"""Trace-store eviction: LRU by access time, live stores protected."""
+"""Trace stores in the one GC pass (:func:`repro.tools.gc.collect`).
 
+A store counts against the pass's budget at its size on disk, the
+coldest stores go first, and a store that a live service job replays is
+pinned.  Ranking against cache entries, junk dirs and the counters are
+in tests/tools/test_gc.py.
+"""
+
+import json
 import os
-import time
 
-import pytest
-
-from repro.core.tracestore import (
-    gc_trace_dir, load_trace, record_spilled, scan_trace_dir,
+from repro.cli import main
+from repro.service.jobs import JobSpec
+from repro.tools.atomicio import atomic_write_text
+from repro.tools.gc import collect
+from tests.helpers import (
+    LONG_AGO, removed_paths, service_state, spilled_store, tree_bytes,
 )
-from tests.helpers import two_array_kernel
 
 
-def _make_store(trace_dir, n, atime):
-    """Record one store and pin its (a|m)time for deterministic LRU."""
-    stored, _ = record_spilled(two_array_kernel(n, n), str(trace_dir))
-    for name in os.listdir(stored.path):
-        os.utime(os.path.join(stored.path, name), (atime, atime))
-    return stored
+def _replaying(store, path):
+    """A started job whose ``status.json`` names the store it replays."""
+    job = store.submit("t", JobSpec.from_dict(
+        {"workload": "fig1", "use_trace_store": True}))
+    store.mark_started(job.id)
+    atomic_write_text(store.status_path(job.id), json.dumps(
+        {"phase": "analyze", "trace_path": path}))
+    return job
 
 
 class TestScan:
     def test_scan_lists_stores_with_sizes(self, tmp_path):
-        old = _make_store(tmp_path, 8, atime=1_000_000.0)
-        new = _make_store(tmp_path, 12, atime=2_000_000.0)
-        usages = {u.path: u for u in scan_trace_dir(str(tmp_path))}
-        assert set(usages) == {old.path, new.path}
-        assert all(u.bytes > 0 for u in usages.values())
-        assert usages[old.path].atime < usages[new.path].atime
-
-    def test_scan_ignores_junk_dirs(self, tmp_path):
-        _make_store(tmp_path, 8, atime=1_000_000.0)
-        junk = tmp_path / "not-a-store"
-        junk.mkdir()
-        (junk / "noise.bin").write_bytes(b"xxxx")
-        (tmp_path / ".hidden").mkdir()
-        assert len(scan_trace_dir(str(tmp_path))) == 1
-
-    def test_scan_missing_dir(self, tmp_path):
-        assert scan_trace_dir(str(tmp_path / "absent")) == []
+        old = spilled_store(tmp_path, 8, LONG_AGO)
+        new = spilled_store(tmp_path, 12, LONG_AGO + 100)
+        sizes = [tree_bytes(old), tree_bytes(new)]
+        result = collect(trace_dir=str(tmp_path), max_bytes=0)
+        # coldest first, each at its size on disk
+        assert result.removed == [("store", old, sizes[0]),
+                                  ("store", new, sizes[1])]
+        assert all(size > 0 for size in sizes)
+        assert result.budgeted_before == sum(sizes)
+        assert result.budgeted_after == 0
 
 
 class TestGC:
-    def test_evicts_coldest_first(self, tmp_path):
-        cold = _make_store(tmp_path, 8, atime=1_000_000.0)
-        warm = _make_store(tmp_path, 10, atime=2_000_000.0)
-        hot = _make_store(tmp_path, 12, atime=3_000_000.0)
-        total = sum(u.bytes for u in scan_trace_dir(str(tmp_path)))
-        coldest_size = next(u.bytes for u in scan_trace_dir(str(tmp_path))
-                            if u.path == cold.path)
-        result = gc_trace_dir(str(tmp_path),
-                              max_bytes=total - coldest_size)
-        assert result.evicted == [cold.path]
-        assert not os.path.exists(cold.path)
-        assert os.path.exists(warm.path)
-        # survivors still load
-        assert load_trace(hot.path).accesses > 0
-
     def test_under_budget_evicts_nothing(self, tmp_path):
-        _make_store(tmp_path, 8, atime=1_000_000.0)
-        total = sum(u.bytes for u in scan_trace_dir(str(tmp_path)))
-        result = gc_trace_dir(str(tmp_path), max_bytes=total)
-        assert result.evicted == []
+        store = spilled_store(tmp_path, 8, LONG_AGO)
+        total = tree_bytes(store)
+        result = collect(trace_dir=str(tmp_path), max_bytes=total)
+        assert result.removed == []
         assert result.freed_bytes == 0
-        assert result.total_bytes_after == total
+        assert result.budgeted_after == total
+        assert os.path.exists(store)
 
     def test_protected_stores_survive_even_over_budget(self, tmp_path):
-        cold = _make_store(tmp_path, 8, atime=1_000_000.0)
-        hot = _make_store(tmp_path, 12, atime=2_000_000.0)
-        result = gc_trace_dir(str(tmp_path), max_bytes=0,
-                              protect=[cold.path])
-        assert cold.path in result.protected
-        assert os.path.exists(cold.path)
-        assert hot.path in result.evicted
-        assert not os.path.exists(hot.path)
-        assert result.total_bytes_after > 0  # cold stayed
+        state, store, _cache = service_state(tmp_path)
+        traces = os.path.join(state, "traces")
+        cold = spilled_store(traces, 8, LONG_AGO)
+        hot = spilled_store(traces, 12, LONG_AGO + 100)
+        _replaying(store, cold)
+        result = collect(state, max_bytes=0)
+        assert removed_paths(result, "store") == [hot]
+        assert not os.path.exists(hot)
+        assert os.path.exists(cold)
+        assert result.budgeted_after == tree_bytes(cold) > 0  # cold stayed
 
     def test_dry_run_deletes_nothing(self, tmp_path):
-        cold = _make_store(tmp_path, 8, atime=1_000_000.0)
-        result = gc_trace_dir(str(tmp_path), max_bytes=0, dry_run=True)
-        assert result.evicted == [cold.path]
-        assert os.path.exists(cold.path)
-
-    def test_result_to_dict_roundtrips_json(self, tmp_path):
-        import json
-        _make_store(tmp_path, 8, atime=1_000_000.0)
-        result = gc_trace_dir(str(tmp_path), max_bytes=0)
-        assert json.loads(json.dumps(result.to_dict())) \
-            == result.to_dict()
-
-    def test_counters(self, tmp_path, obs_on):
-        _make_store(tmp_path, 8, atime=1_000_000.0)
-        gc_trace_dir(str(tmp_path), max_bytes=0)
-        counters = obs_on.snapshot()["counters"]
-        assert counters["trace.gc_evicted"] == 1
-        assert counters["trace.gc_freed_bytes"] > 0
+        cold = spilled_store(tmp_path, 8, LONG_AGO)
+        result = collect(trace_dir=str(tmp_path), max_bytes=0, dry_run=True)
+        assert result.removed == [("store", cold, tree_bytes(cold))]
+        assert os.path.exists(cold)
 
 
 class TestCLI:
     def test_trace_gc_command(self, tmp_path, capsys):
-        from repro.cli import main
-        cold = _make_store(tmp_path, 8, atime=1_000_000.0)
-        _make_store(tmp_path, 12, atime=2_000_000.0)
-        rc = main(["trace", "gc", "--trace-dir", str(tmp_path),
-                   "--max-gb", "0"])
-        assert rc == 0
+        cold = spilled_store(tmp_path, 8, LONG_AGO)
+        hot = spilled_store(tmp_path, 12, LONG_AGO + 100)
+        assert main(["gc", "--trace-dir", str(tmp_path),
+                     "--max-gb", "0"]) == 0
         out = capsys.readouterr().out
-        assert "evicted" in out
-        assert not os.path.exists(cold.path)
+        assert "removed 2 item(s)" in out
+        assert out.index(f"- store {cold}") < out.index(f"- store {hot}")
+        assert not os.path.exists(cold)
 
     def test_trace_gc_protects_live_service_jobs(self, tmp_path, capsys):
-        from repro.cli import main
-        from repro.service.jobs import JobSpec, JobStore
-        from repro.tools.atomicio import atomic_write_text
-        import json as _json
-
         trace_dir = tmp_path / "traces"
-        trace_dir.mkdir()
-        live = _make_store(trace_dir, 8, atime=1_000_000.0)
-        dead = _make_store(trace_dir, 12, atime=2_000_000.0)
-        state_dir = tmp_path / "svc"
-        store = JobStore(str(state_dir))
-        job = store.submit("t", JobSpec.from_dict(
-            {"workload": "fig1", "use_trace_store": True}))
-        store.mark_started(job.id)
-        atomic_write_text(store.status_path(job.id), _json.dumps(
-            {"phase": "analyze", "trace_path": live.path}))
-
-        rc = main(["trace", "gc", "--trace-dir", str(trace_dir),
-                   "--max-gb", "0", "--state-dir", str(state_dir)])
-        assert rc == 0
-        assert os.path.exists(live.path)
-        assert not os.path.exists(dead.path)
+        live = spilled_store(trace_dir, 8, LONG_AGO)
+        dead = spilled_store(trace_dir, 12, LONG_AGO + 100)
+        state, store, _cache = service_state(tmp_path)
+        _replaying(store, live)
+        assert main(["gc", "--state-dir", state, "--trace-dir",
+                     str(trace_dir), "--max-gb", "0"]) == 0
+        assert os.path.exists(live)
+        assert not os.path.exists(dead)

@@ -1,4 +1,5 @@
-"""Shared test utilities: naive reference implementations and tiny kernels.
+"""Shared test utilities: naive reference implementations, tiny kernels,
+and seeded on-disk state for the GC tests.
 
 The naive oracles here are deliberately simple (O(n^2) scans, explicit LRU
 stacks) so their correctness is obvious; the real implementations are tested
@@ -7,11 +8,19 @@ against them.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.tracestore import record_spilled
 from repro.lang import (
     MemoryLayout, Program, Var, load, loop, program, routine, stmt, store,
 )
+from repro.service.jobs import JobSpec, JobStore
+from repro.tools.atomicio import atomic_write_text
+from repro.tools.cache import AnalysisCache
 
 
 class NaiveReuseDistance:
@@ -131,3 +140,85 @@ def record_ops(ops) -> "StoredTrace":
     for op in ops:
         handlers[op[0]](*op[1:])
     return rec.finish()
+
+
+# ---------------------------------------------------------------------------
+# Seeded state for the GC pass (repro.tools.gc).  Files a test creates are
+# fresh, and the pass pins fresh files by time, so candidates are backdated.
+# ---------------------------------------------------------------------------
+
+DAY = 86400.0
+#: far enough back that no time pin covers it
+LONG_AGO = time.time() - 30 * DAY
+TINY_SPEC = JobSpec(workload="fig1", params={"n": 24, "m": 24})
+
+
+def backdate(path: str, ts: float) -> None:
+    """Set atime and mtime of a file, or of every file under a dir."""
+    paths = ([os.path.join(root, name)
+              for root, _dirs, files in os.walk(path) for name in files]
+             if os.path.isdir(path) else [path])
+    for p in paths:
+        os.utime(p, (ts, ts))
+
+
+def spilled_store(trace_dir, n: int, ts: float) -> str:
+    """Record a trace store under ``trace_dir``, last used at ``ts``."""
+    stored, _ = record_spilled(two_array_kernel(n, n), str(trace_dir))
+    backdate(stored.path, ts)
+    return stored.path
+
+
+def cache_entries(cache: AnalysisCache, n: int,
+                  payload_bytes: int = 4096) -> List[str]:
+    """n entries, oldest first, each 100 s apart and all past the pin."""
+    keys = []
+    for i in range(n):
+        key = f"{i:02x}" + "0" * 62
+        cache.put(key, {"pad": b"x" * payload_bytes, "i": i})
+        backdate(cache._path(key), LONG_AGO + 100 * i)
+        keys.append(key)
+    return keys
+
+
+def tree_bytes(path: str) -> int:
+    return sum(os.path.getsize(os.path.join(root, name))
+               for root, _dirs, files in os.walk(path) for name in files)
+
+
+def blob_artifact(cache: AnalysisCache, data: bytes,
+                  ts: float = LONG_AGO) -> dict:
+    """Publish ``data`` as a blob written at ``ts``; its artifact entry."""
+    digest = hashlib.sha256(data).hexdigest()
+    cache.put_blob(digest, data)
+    backdate(cache._blob_path(digest), ts)
+    return {"name": "patterns", "file": "patterns.pkl", "digest": digest,
+            "bytes": len(data)}
+
+
+def finish_job(jobs: JobStore, artifacts: List[dict],
+               finished: Optional[float] = None):
+    """Submit and complete one job, optionally backdating its finish."""
+    job = jobs.submit("a", TINY_SPEC)
+    jobs.mark_started(job.id)
+    jobs.mark_done(job.id, {"L1": 1}, artifacts)
+    if finished is not None:
+        job.finished = finished
+        with open(jobs.record_path(job.id), encoding="utf-8") as fh:
+            record = json.load(fh)
+        record["finished"] = finished
+        atomic_write_text(jobs.record_path(job.id), json.dumps(record))
+    return job
+
+
+def removed_paths(result, kind: str) -> List[str]:
+    """The paths of one kind a GC pass removed, in pass order."""
+    return [path for k, path, _size in result.removed if k == kind]
+
+
+def service_state(tmp_path) -> Tuple[str, JobStore, AnalysisCache]:
+    """A service state dir with its job store and shared cache."""
+    state = str(tmp_path / "svc")
+    os.makedirs(state)
+    return (state, JobStore(state),
+            AnalysisCache(os.path.join(state, "cache"), shared=True))

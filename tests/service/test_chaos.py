@@ -7,8 +7,8 @@ SIGSTOP, a server asked to drain mid-load, a queue pushed past its
 watermark, an orphan left by a crashed server.  The assertions are the
 robustness contract: supervised kills route through requeue/poison
 exactly like unexplained crashes, survivors produce artifacts
-byte-identical to an undisturbed run, and the journal replays the truth
-after every insult.
+byte-identical to an undisturbed run, and the job records read back the
+truth after every insult.
 
 The quick scenarios (walltime reap, poison quarantine, overload
 shedding, graceful drain) run in tier-1; the heavier ones (RSS
@@ -182,7 +182,7 @@ class TestPoisonQuarantine:
                 client.wait(job_id, timeout=60)
         clean_faults.clear()
 
-        # the journal replays the quarantine: the job must NOT re-run
+        # the job record keeps the quarantine: the job must NOT re-run
         store = JobStore(state_dir)
         assert store.recover() == []
         assert store.jobs[job_id].state == "failed_poison"
@@ -330,11 +330,11 @@ class TestOverloadShedding:
 
 
 class TestGracefulDrain:
-    def test_drain_finishes_running_journal_keeps_queued(
+    def test_drain_finishes_running_record_keeps_queued(
             self, tmp_path, scoped_metrics, clean_faults):
         """During drain the server answers polls but sheds submits and
         degrades healthz; the running job finishes inside the drain
-        window and queued jobs survive in the journal for the next
+        window and queued jobs survive in their records for the next
         server."""
         clean_faults.install(FaultSpec(
             point="session.run", action="stall", delay=2.0,
@@ -370,7 +370,7 @@ class TestGracefulDrain:
             stop.result(timeout=60)
 
             # the running job finished inside the window; the queued
-            # one was never started and stays journaled as queued
+            # one was never started and stays recorded as queued
             assert svc.service.store.jobs[running["id"]].state == "done"
             assert svc.service.store.jobs[queued["id"]].state == "queued"
         clean_faults.clear()
@@ -405,7 +405,7 @@ def _orphan_worker_main(job_dir):
 class TestOrphanReaping:
     def test_restarted_server_reaps_orphan_then_reruns_job(
             self, tmp_path, scoped_metrics):
-        """A journal that says "running" plus a live worker identity is
+        """A record that says "running" plus a live worker identity is
         the crashed-server signature: the replacement server must kill
         the orphan before re-launching, and end with exactly one copy
         of each artifact."""

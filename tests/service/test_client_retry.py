@@ -3,7 +3,7 @@
 The client's contract (see its docstring): a GET that dies on a broken
 socket is reconnected and retried exactly once — GETs are reads and
 safe to repeat; a POST is **never** retried, because a submit whose
-response was lost may already be journaled server-side and a blind
+response was lost may already be recorded server-side and a blind
 resubmit would enqueue the job twice.  A real ``AnalysisService`` can't
 exercise this deterministically, so these tests run the client against
 a raw-socket server scripted to serve, truncate, or reset on cue —
@@ -140,7 +140,7 @@ class TestGetRetry:
 class TestPostNeverRetries:
     def test_submit_not_resent_after_truncated_response(self):
         """The lost-response submit: the server got (and may have
-        journaled) the job, so the client must surface the error after
+        recorded) the job, so the client must surface the error after
         ONE delivery, never silently double-submit."""
         with ScriptedServer(["partial", "ok"]) as server:
             with _client(server) as client:

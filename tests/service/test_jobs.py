@@ -10,7 +10,7 @@ import time
 import pytest
 
 from repro.service.jobs import (
-    ARTIFACT_KINDS, JobSpec, JobStore, SpecError, live_trace_refs,
+    ARTIFACT_KINDS, JobSpec, JobStore, SpecError,
 )
 
 
@@ -280,7 +280,7 @@ class TestJobStore:
         assert set(ids) | set(written) <= set(fresh.jobs)
         assert all(job.state == "done" for job in fresh.jobs.values())
 
-    def test_recover_missing_journal(self, tmp_path):
+    def test_recover_missing_jobs_dir(self, tmp_path):
         store = JobStore(str(tmp_path))
         assert store.recover() == []
 
@@ -408,8 +408,18 @@ class TestRecordRoundTrip:
 
 
 class TestLiveTraceRefs:
+    """The trace stores live jobs replay are pinned by the GC pass."""
+
     def test_collects_only_live_jobs(self, tmp_path):
-        store = JobStore(str(tmp_path))
+        from repro.tools.atomicio import atomic_write_text
+        from repro.tools.gc import collect
+        from tests.helpers import LONG_AGO, removed_paths, spilled_store
+
+        state = str(tmp_path)
+        traces = os.path.join(state, "traces")
+        live_path = spilled_store(traces, 8, LONG_AGO)
+        dead_path = spilled_store(traces, 12, LONG_AGO)
+        store = JobStore(state)
         spec = JobSpec.from_dict({"workload": "fig1",
                                   "use_trace_store": True})
         live = store.submit("t", spec)
@@ -417,13 +427,11 @@ class TestLiveTraceRefs:
         store.mark_started(live.id)
         store.mark_started(dead.id)
         store.mark_done(dead.id, {}, [])
-        from repro.tools.atomicio import atomic_write_text
         atomic_write_text(store.status_path(live.id), json.dumps(
-            {"phase": "analyze", "trace_path": "/traces/abc123"}))
+            {"phase": "analyze", "trace_path": live_path}))
         atomic_write_text(store.status_path(dead.id), json.dumps(
-            {"phase": "artifacts", "trace_path": "/traces/dead99"}))
+            {"phase": "artifacts", "trace_path": dead_path}))
 
-        assert live_trace_refs(str(tmp_path)) == ["/traces/abc123"]
-
-    def test_missing_state_dir(self, tmp_path):
-        assert live_trace_refs(str(tmp_path / "absent")) == []
+        result = collect(state, max_bytes=0)
+        assert removed_paths(result, "store") == [dead_path]
+        assert os.path.exists(live_path)

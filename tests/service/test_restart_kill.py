@@ -3,7 +3,7 @@
 Unlike the in-process restart tests, this one runs ``repro serve`` as a
 real subprocess and SIGKILLs the whole process group mid-job — no
 graceful teardown, no atexit, nothing.  The restarted server must
-replay the journal, re-run the interrupted job, and publish artifacts
+read back the job records, re-run the interrupted job, and publish artifacts
 that deduplicate content-addressed against any the killed attempt
 already wrote.
 """
@@ -80,7 +80,7 @@ def test_sigkill_mid_job_then_restart_resumes(tmp_path):
         os.killpg(server.pid, signal.SIGKILL)
         server.wait(timeout=30)
 
-    # the journal survived the kill intact and replays the job as queued
+    # the job record survived the kill intact and reads back as queued
     store = JobStore(state_dir)
     requeued = store.recover()
     assert [j.id for j in requeued] == [job_id]

@@ -274,7 +274,7 @@ class TestRestartResume:
             _wait_state(client, interrupted, "running")
             queued = client.submit(dict(TINY))["id"]
             # graceful stop on exit: SIGTERMs the running worker and
-            # journals no terminal event for either job
+            # records no terminal state for either job
         clean_faults.clear()
 
         with ServiceThread(ServiceConfig(state_dir=state_dir,

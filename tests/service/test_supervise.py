@@ -196,14 +196,10 @@ class TestKillDecisions:
 
     def test_requeue_backoff_grows_and_caps(self, tmp_path):
         store = JobStore(str(tmp_path))
-        sup = Supervisor(store, SupervisionPolicy(
-            requeue_backoff_s=0.5, requeue_backoff_max_s=4.0))
-        delays = [sup.requeue_backoff(n) for n in (1, 2, 3, 4, 10)]
-        assert delays[0] == pytest.approx(0.5)
-        assert delays[1] == pytest.approx(1.0)
-        assert delays[2] == pytest.approx(2.0)
-        assert delays[-1] == pytest.approx(4.0)  # capped
-        assert all(a <= b for a, b in zip(delays, delays[1:]))
+        retry = Supervisor(store, SupervisionPolicy()).retry
+        # the delay after a job's k-th crash is backoff(k - 1)
+        delays = [retry.backoff(k - 1) for k in range(1, 10)]
+        assert delays == pytest.approx([0.5, 1, 2, 4, 8, 16, 30, 30, 30])
 
 
 def _orphan_main(job_dir):

@@ -182,22 +182,6 @@ class TestQuarantine:
         cache.put(key, {"durable": [1, 2]})
         assert cache.get(key) == {"durable": [1, 2]}
 
-    def test_sweep_stale_removes_only_old_temp_files(self, tmp_path):
-        cache = AnalysisCache(str(tmp_path))
-        key = "ab" + "0" * 62
-        cache.put(key, 1)
-        old = os.path.join(str(tmp_path), "ab", ".tmp-dead")
-        fresh = os.path.join(str(tmp_path), "ab", ".tmp-live")
-        for p in (old, fresh):
-            with open(p, "wb") as fh:
-                fh.write(b"partial")
-        past = 10_000.0
-        os.utime(old, (past, past))
-        assert cache.sweep_stale(max_age_s=3600.0) == 1
-        assert not os.path.exists(old)
-        assert os.path.exists(fresh)  # a live writer's temp survives
-        assert cache.get(key) == 1  # real entries untouched
-
 
 class TestSessionIntegration:
     def test_second_session_restored_from_cache(self, tmp_path):

@@ -1,112 +1,62 @@
-"""Analysis-cache eviction: coldest-first GC under a size budget."""
+"""Analysis-cache entries in the one GC pass: evicted under a size budget.
+
+Coldest-first ranking, quarantined and temp files, and the writer lock
+are in tests/tools/test_gc.py.
+"""
 
 import os
-import time
-
-import pytest
 
 from repro.cli import main
 from repro.tools import AnalysisCache
-
-
-def _fill(cache, n, payload_bytes=4096):
-    """Create n entries with strictly increasing access times; returns
-    keys oldest-first."""
-    keys = []
-    for i in range(n):
-        key = f"{i:02x}" + "0" * 62
-        cache.put(key, {"pad": b"x" * payload_bytes, "i": i})
-        keys.append(key)
-    now = time.time()
-    for age, key in enumerate(reversed(keys)):
-        # pin atimes explicitly: relatime and fast successive puts would
-        # otherwise make the LRU ranking nondeterministic
-        os.utime(cache._path(key), (now - age * 100, now - age * 100))
-    return keys
+from repro.tools.gc import collect
+from tests.helpers import cache_entries, removed_paths
 
 
 class TestGcEntries:
-    def test_coldest_evicted_first(self, tmp_path):
-        cache = AnalysisCache(str(tmp_path))
-        keys = _fill(cache, 8)
-        entry = os.path.getsize(cache._path(keys[0]))
-        result = cache.gc_entries(entry * 4)
-        assert set(result.evicted) == set(keys[:4])
-        assert set(result.kept) == set(keys[4:])
-        for key in keys[:4]:
-            assert cache.get(key) is None
-        for key in keys[4:]:
-            assert cache.get(key) is not None
-
     def test_under_budget_is_noop(self, tmp_path):
         cache = AnalysisCache(str(tmp_path))
-        keys = _fill(cache, 3)
-        result = cache.gc_entries(1024 ** 3)
-        assert result.evicted == []
-        assert set(result.kept) == set(keys)
+        keys = cache_entries(cache, 3)
+        result = collect(cache_dir=str(tmp_path), max_bytes=1024 ** 3)
+        assert result.removed == []
         assert result.freed_bytes == 0
-        assert result.total_bytes_after == result.total_bytes_before
+        assert result.budgeted_after == result.budgeted_before > 0
+        assert all(cache.get(k) is not None for k in keys)
 
     def test_dry_run_deletes_nothing(self, tmp_path):
         cache = AnalysisCache(str(tmp_path))
-        keys = _fill(cache, 4)
-        result = cache.gc_entries(0, dry_run=True)
-        assert set(result.evicted) == set(keys)
+        keys = cache_entries(cache, 4)
+        result = collect(cache_dir=str(tmp_path), max_bytes=0, dry_run=True)
+        assert removed_paths(result, "entry") == [cache._path(k)
+                                                  for k in keys]
         for key in keys:
             assert os.path.exists(cache._path(key))
 
     def test_result_accounting(self, tmp_path):
         cache = AnalysisCache(str(tmp_path))
-        _fill(cache, 6)
-        before = sum(os.path.getsize(cache._path(f"{i:02x}" + "0" * 62))
-                     for i in range(6))
-        result = cache.gc_entries(before // 2)
-        assert result.total_bytes_before == before
-        assert result.total_bytes_after <= before // 2
-        assert result.freed_bytes == (result.total_bytes_before
-                                      - result.total_bytes_after)
-        data = result.to_dict()
-        assert data["freed_bytes"] == result.freed_bytes
-
-    def test_quarantine_and_tmp_files_untouched(self, tmp_path):
-        cache = AnalysisCache(str(tmp_path))
-        _fill(cache, 2)
-        qdir = os.path.join(str(tmp_path), "quarantine")
-        os.makedirs(qdir)
-        qfile = os.path.join(qdir, "bad.pkl")
-        open(qfile, "wb").write(b"x" * 1000)
-        result = cache.gc_entries(0)
-        assert len(result.evicted) == 2
-        assert os.path.exists(qfile)
-
-    def test_shared_mode_gc_respects_writer_lock(self, tmp_path):
-        """In shared mode the eviction pass runs under the writer flock,
-        so it serializes with concurrent writers instead of racing them."""
-        import fcntl
-        cache = AnalysisCache(str(tmp_path), shared=True)
-        _fill(cache, 2)
-        cache.gc_entries(0)
-        # the lock file exists and is free again after the pass
-        lock_path = os.path.join(str(tmp_path), ".writer.lock")
-        with open(lock_path, "w") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
-            fcntl.flock(fh, fcntl.LOCK_UN)
+        keys = cache_entries(cache, 6)
+        before = sum(os.path.getsize(cache._path(k)) for k in keys)
+        result = collect(cache_dir=str(tmp_path), max_bytes=before // 2)
+        assert result.budgeted_before == before
+        assert result.budgeted_after <= before // 2
+        assert result.freed_bytes == (result.budgeted_before
+                                      - result.budgeted_after)
 
 
 class TestCacheGcCli:
     def test_gc_reports_and_evicts(self, tmp_path, capsys):
         cache = AnalysisCache(str(tmp_path))
-        _fill(cache, 5)
-        assert main(["cache", "gc", "--max-gb", "0",
+        keys = cache_entries(cache, 5)
+        assert main(["gc", "--max-gb", "0",
                      "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "evicted" in out and "(5 entries)" in out
+        assert "removed 5 item(s)" in out
+        assert f"- entry {cache._path(keys[0])}" in out
         assert len(AnalysisCache(str(tmp_path))) == 0
 
     def test_gc_dry_run(self, tmp_path, capsys):
         cache = AnalysisCache(str(tmp_path))
-        keys = _fill(cache, 3)
-        assert main(["cache", "gc", "--max-gb", "0", "--dry-run",
+        keys = cache_entries(cache, 3)
+        assert main(["gc", "--max-gb", "0", "--dry-run",
                      "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "(dry run)" in out
