@@ -85,6 +85,8 @@ def _size_overrides(name: str, args) -> Dict[str, int]:
         overrides["mesh"] = args.mesh
     elif name == "gtc":
         overrides["micell"] = args.micell
+    elif name == "cg" and getattr(args, "grid", None) is not None:
+        overrides["grid"] = args.grid
     return overrides
 
 
@@ -477,6 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="Sweep3D cubic mesh extent")
     analyze.add_argument("--micell", type=int, default=6,
                          help="GTC particles per cell")
+    analyze.add_argument("--grid", type=int, default=None,
+                         help="CG grid extent (default: the registry's)")
     analyze.add_argument("--level", default="L2",
                          choices=("L2", "L3", "TLB"),
                          help="level for the detailed reports")

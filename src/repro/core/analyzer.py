@@ -20,6 +20,7 @@ granularity (reuse distance in distinct pages).
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -162,7 +163,10 @@ class ReuseAnalyzer:
         # and close any open scalar segment (inlined from
         # NumpyBatchState.on_scope_event: these run once per loop
         # entry/exit, a measurable share of the batched hot path).
-        def enter_scope(sid, _stack=stack, _state=state, _self=self):
+        # The closures live on the analyzer, so they reach it weakly: a
+        # dropped analyzer is then freed by reference counting.
+        def enter_scope(sid, _stack=stack, _state=state,
+                        _self=weakref.proxy(self)):
             if _state._open_addrs is not None:
                 _state._close_open()
             _state._cur_snap = -1
@@ -361,7 +365,10 @@ def _specialized_access(analyzer: "ReuseAnalyzer"):
         grans.append((
             g.block_bits, g.table.raw, eng, eng._tree, g.db.raw, g.db.cold,
         ))
-    state = analyzer  # clock lives on the analyzer (shared with scope events)
+    # The clock lives on the analyzer (shared with scope events).  The
+    # closure is stored on the analyzer, so it holds it weakly: a strong
+    # reference would make a cycle only the cyclic collector frees.
+    state = weakref.proxy(analyzer)
 
     def access(rid: int, addr: int, is_store: bool,
                _grans=tuple(grans), _bisect=bisect_left) -> None:

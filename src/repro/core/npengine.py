@@ -37,6 +37,11 @@ the whole buffer with array operations:
    vectorised pass, then accumulated per ``(rid, src, carry)`` pattern
    through a mixed-radix key and ``np.unique``.
 
+A segment table built from the static enumeration
+(:mod:`repro.static.segments`) can stand in for the buffer:
+:meth:`NumpyBatchState.feed` resolves it window by window through the
+same pipeline, materialising each window only when it flushes.
+
 The results are byte-identical to the fenwick and treap engines (the
 test suite cross-checks all three); only the evaluation order changes.
 Because accesses are buffered, the logical clock is advanced *eagerly* on
@@ -47,6 +52,7 @@ result query (`db`, `dump_state`, ...) triggers a flush first.
 from __future__ import annotations
 
 import time
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -300,15 +306,56 @@ class _AffineRows:
         self.rids = rids
 
 
+class WindowArrays:
+    """One window's input to the flush pipeline, materialised.
+
+    ``addrs``/``rids`` hold the window's accesses in time order, cut into
+    segments of ``seg_len`` accesses.  A segment's ``seg_per`` is its row
+    period (0: no row structure) and ``seg_snap`` its scope-stack
+    snapshot.  Snapshot ``r`` lists ``snap_depths[r]`` entries of
+    ``flat_sids``/``flat_clocks`` (scope ids and entry clocks, outermost
+    first, concatenated over snapshots); ``snap_top_sid`` and
+    ``snap_top_clock`` repeat each snapshot's innermost entry (-1 for an
+    empty stack).
+    """
+
+    __slots__ = ("addrs", "rids", "seg_len", "seg_per", "seg_snap",
+                 "snap_top_sid", "snap_top_clock", "snap_depths",
+                 "flat_clocks", "flat_sids")
+
+    def __init__(self, addrs, rids, seg_len, seg_per, seg_snap,
+                 snap_top_sid, snap_top_clock, snap_depths, flat_clocks,
+                 flat_sids) -> None:
+        self.addrs = addrs
+        self.rids = rids
+        self.seg_len = seg_len
+        self.seg_per = seg_per
+        self.seg_snap = seg_snap
+        self.snap_top_sid = snap_top_sid
+        self.snap_top_clock = snap_top_clock
+        self.snap_depths = snap_depths
+        self.flat_clocks = flat_clocks
+        self.flat_sids = flat_sids
+
+
 class NumpyBatchState:
-    """Cross-call access buffer plus the vectorised flush pipeline."""
+    """Cross-call access buffer plus the vectorised flush pipeline.
+
+    Two feeds reach the same pipeline: the executor's ``append_*`` calls,
+    buffered here chunk by chunk, and a prebuilt segment table handed to
+    :meth:`feed`.  :meth:`flush` materialises whichever is pending into
+    :class:`WindowArrays` and resolves it in :meth:`_resolve`.
+    """
 
     #: Scope-stack entries below this depth were inherited from before the
     #: analysis window (sharded analyses only; see repro.core.shard).
     _seed_live = 0
 
     def __init__(self, analyzer) -> None:
-        self.analyzer = analyzer
+        # The analyzer holds this state (and its bound methods); a weak
+        # back-reference keeps the pair free of cycles, so a dropped
+        # analyzer goes by reference counting.
+        self.analyzer = weakref.proxy(analyzer)
         self.stack = analyzer.stack
         self.flush_threshold = FLUSH_ACCESSES
         self._grans = []
@@ -332,10 +379,8 @@ class NumpyBatchState:
         self._seg_len: List[int] = []
         self._seg_per: List[int] = []
         self._seg_snap: List[int] = []
-        self._snap_sids: List[Tuple[int, ...]] = []
-        self._snap_clocks: List[Tuple[int, ...]] = []
-        # Flattened mirrors, grown as snapshots are created, so the flush
-        # can build its search arrays with one C-level np.array call.
+        # Snapshots, flattened as they are created, so the flush can build
+        # its search arrays with one C-level np.array call each.
         self._snap_depths: List[int] = []
         self._snap_top_sid: List[int] = []
         self._snap_top_clock: List[int] = []
@@ -346,6 +391,8 @@ class NumpyBatchState:
         self._open_addrs: Optional[list] = None
         self._open_snap = -1
         self._n = 0
+        #: a segment table's window awaiting its flush (see feed)
+        self._pending = None
 
     # -- buffering ---------------------------------------------------------
 
@@ -362,9 +409,7 @@ class NumpyBatchState:
             stack = self.stack
             sids = stack._sids
             clocks = stack._clocks
-            sid = len(self._snap_sids)
-            self._snap_sids.append(tuple(sids))
-            self._snap_clocks.append(tuple(clocks))
+            sid = len(self._snap_depths)
             self._snap_depths.append(len(sids))
             self._snap_top_sid.append(sids[-1] if sids else -1)
             self._snap_top_clock.append(clocks[-1] if clocks else -1)
@@ -506,20 +551,42 @@ class NumpyBatchState:
         if not n:
             return
         t_flush = time.perf_counter()
-        analyzer = self.analyzer
         self._obs_flushes.inc()
         self._obs_flushed.inc(n)
-        end = analyzer.clock
-        clock0 = end - n
-        nseg = len(self._seg_len)
-        seg_len = np.array(self._seg_len, dtype=np.int64)
-        seg_per = np.array(self._seg_per, dtype=np.int64)
-        seg_snap = np.array(self._seg_snap, dtype=np.int64)
+        window = self._pending
+        self._pending = None
+        self._resolve(self._materialise() if window is None
+                      else window(), self.analyzer.clock)
+        self._reset()
+        self._obs_flush_latency.observe(time.perf_counter() - t_flush)
 
-        # Materialise the address/rid stream straight into preallocated
-        # buffers: affine chunks go through one broadcast matrix and one
-        # fancy-index scatter per (row length, iteration count) group, so
-        # per-segment Python work is a single list append.
+    def feed(self, table) -> None:
+        """Resolve a prebuilt segment table window by window.
+
+        ``table`` (a :class:`repro.static.segments.SegmentTable`) already
+        holds the whole run's segments and scope snapshots; each window
+        goes through :meth:`flush` like a buffered one, cut at the same
+        threshold, and is materialised only when its flush runs.
+        """
+        self.flush()
+        for n, window in table.windows(self.flush_threshold):
+            self._obs_calls.inc()
+            self._obs_events.inc(n)
+            self._pending = window
+            self._n = n
+            self.analyzer.clock += n
+            self.flush()
+
+    def _materialise(self) -> WindowArrays:
+        """The buffered chunks as one window's arrays.
+
+        Affine chunks go through one broadcast matrix and one fancy-index
+        scatter per (row length, iteration count) group, so per-segment
+        Python work is a single list append.
+        """
+        n = self._n
+        seg_len = np.array(self._seg_len, dtype=np.int64)
+        nseg = seg_len.size
         seg_start = np.zeros(nseg + 1, dtype=np.int64)
         np.cumsum(seg_len, out=seg_start[1:])
         A = np.empty(n, dtype=np.int64)
@@ -549,35 +616,49 @@ class NumpyBatchState:
                                                         dtype=np.int64)
             A[cols] = mat
             R[cols] = np.tile(rid_mat, m)
+        return WindowArrays(
+            A, R, seg_len, np.array(self._seg_per, dtype=np.int64),
+            np.array(self._seg_snap, dtype=np.int64),
+            np.array(self._snap_top_sid, dtype=np.int64),
+            np.array(self._snap_top_clock, dtype=np.int64),
+            np.array(self._snap_depths, dtype=np.int64),
+            np.array(self._flat_clock_list, dtype=np.int64),
+            np.array(self._flat_sid_list, dtype=np.int64))
+
+    def _resolve(self, win: WindowArrays, end: int) -> None:
+        """Distances, carries and histograms of one materialised window
+        whose last access is at clock ``end``."""
+        A = win.addrs
+        R = win.rids
+        n = A.size
+        clock0 = end - n
+        seg_len = win.seg_len
+        seg_per = win.seg_per
+        seg_snap = win.seg_snap
+        nseg = seg_len.size
 
         # Per-segment attributes; per-position values are gathered through
         # ``pos_seg`` only where needed (query-sized, not buffer-sized).
         pos_seg = np.repeat(np.arange(nseg, dtype=np.int64), seg_len)
-        snap_sids = self._snap_sids
-        snap_clocks = self._snap_clocks
-        seg_top_sid = np.array(self._snap_top_sid,
-                               dtype=np.int64)[seg_snap]
-        seg_top_clock = np.array(self._snap_top_clock,
-                                 dtype=np.int64)[seg_snap]
+        seg_top_sid = win.snap_top_sid[seg_snap]
+        seg_top_clock = win.snap_top_clock[seg_snap]
         per_pos = seg_per[pos_seg]
         # Flattened stack snapshots for the batched carry search: entry
         # clocks of snapshot r live at flat[offs[r]:offs[r+1]], and the
         # key ``r * big + clock`` is globally sorted (clocks < big), so
         # one searchsorted answers every snapshot's bisect at once.
-        nsnap = len(snap_clocks)
-        depths = np.array(self._snap_depths, dtype=np.int64)
+        depths = win.snap_depths
+        nsnap = depths.size
         offs = np.zeros(nsnap + 1, dtype=np.int64)
         np.cumsum(depths, out=offs[1:])
-        flat_clocks = np.array(self._flat_clock_list, dtype=np.int64)
-        flat_sids = np.array(self._flat_sid_list, dtype=np.int64)
+        flat_clocks = win.flat_clocks
+        flat_sids = win.flat_sids
         big = end + 2
         if nsnap * big < (1 << 62):
             enc_stack = flat_clocks + np.repeat(
                 np.arange(nsnap, dtype=np.int64), depths) * big
         else:  # pragma: no cover - astronomically long runs
             enc_stack = None
-            clock_rows = [np.asarray(c, dtype=np.int64) for c in snap_clocks]
-            sid_rows = [np.asarray(s, dtype=np.int64) for s in snap_sids]
 
         def carries(orig_pos: np.ndarray, t_prev: np.ndarray) -> np.ndarray:
             """Carrying scope per reuse, by scope-entry-clock search.
@@ -603,15 +684,17 @@ class NumpyBatchState:
                 else:  # pragma: no cover - astronomically long runs
                     for r in np.unique(rows).tolist():
                         mrow = rows == r
-                        p2 = np.searchsorted(clock_rows[r],
+                        row = slice(offs[r], offs[r + 1])
+                        p2 = np.searchsorted(flat_clocks[row],
                                              t_prev[slow[mrow]], side="left")
-                        out[slow[mrow]] = sid_rows[r][np.maximum(p2, 1) - 1]
+                        out[slow[mrow]] = flat_sids[row][
+                            np.maximum(p2, 1) - 1]
             return out
 
         # Period-wise row selections are granularity-independent: compute
         # them once, reuse for every block size.
         psel = []
-        for k in sorted({int(p) for p in self._seg_per if p > 0}):
+        for k in np.unique(seg_per[seg_per > 0]).tolist():
             sel = np.flatnonzero(per_pos == k)
             if sel.size < 2 * k:
                 continue
@@ -832,6 +915,3 @@ class NumpyBatchState:
                 tset = table.set
                 for b, entry in zip(ub, entries):
                     tset(b, entry)
-
-        self._reset()
-        self._obs_flush_latency.observe(time.perf_counter() - t_flush)

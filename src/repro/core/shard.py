@@ -167,7 +167,8 @@ def record_trace(program, batch: bool = True, spill=None,
     try:
         stats = executor_cls(program, recorder).run(**params)
         trace = recorder.finish()
-    except Exception:
+    except BaseException:
+        # also on SystemExit (a cancelled job): close the column files
         writer.abort()
         raise
     return trace, stats

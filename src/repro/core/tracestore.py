@@ -693,20 +693,21 @@ def record_spilled(program, trace_dir: str, batch: bool = True,
     try:
         stored, stats = record_trace(program, batch=batch, spill=tmp,
                                      spill_mb=spill_mb, **params)
-    except Exception:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    final = os.path.join(trace_dir, stored.digest[:16])
-    try:
-        os.rename(tmp, final)
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        if not os.path.isdir(final):  # pragma: no cover - perms/races
-            raise
-        # same digest already recorded (earlier run or concurrent
-        # racer): keep the existing store, drop the duplicate, and
-        # re-stamp the store so a GC pass's time pin covers the reuse
-        for name in os.listdir(final):
-            os.utime(os.path.join(final, name))
-        logger.info("trace store %s already recorded; reusing", final)
+        final = os.path.join(trace_dir, stored.digest[:16])
+        try:
+            os.rename(tmp, final)
+        except OSError:
+            if not os.path.isdir(final):  # pragma: no cover - perms/races
+                raise
+            # same digest already recorded (earlier run or concurrent
+            # racer): keep the existing store, drop the duplicate, and
+            # re-stamp the store so a GC pass's time pin covers the reuse
+            for name in os.listdir(final):
+                os.utime(os.path.join(final, name))
+            logger.info("trace store %s already recorded; reusing", final)
+    finally:
+        # any exit that did not rename it (a failure, a cancelled job's
+        # SystemExit, a reused store) drops the temp dir
+        if os.path.isdir(tmp):
+            shutil.rmtree(tmp, ignore_errors=True)
     return _dc_replace(stored, path=final), stats

@@ -40,7 +40,13 @@ class RunManifest:
     engine_ran: Optional[str] = None
     #: time shards the analysis ran across (1 = sequential)
     shards: int = 1
+    #: the executor the run asked for ("batch" or "scalar")
     executor: str = "batch"
+    #: the walk that produced the accesses: "enumerated" (the static
+    #: enumeration fed the numpy window), "batch" or "scalar"; None for
+    #: a cache hit or a static run (and in manifests written before the
+    #: field existed)
+    executor_ran: Optional[str] = None
     miss_model: str = "sa"
     simulate: bool = False
     cache_attached: bool = False
@@ -72,6 +78,7 @@ class RunManifest:
             "engine_ran": self.engine_ran,
             "shards": self.shards,
             "executor": self.executor,
+            "executor_ran": self.executor_ran,
             "miss_model": self.miss_model,
             "simulate": self.simulate,
             "cache": {"attached": self.cache_attached,
@@ -103,6 +110,7 @@ class RunManifest:
             engine_ran=data.get("engine_ran"),
             shards=data.get("shards", 1),
             executor=data.get("executor", "?"),
+            executor_ran=data.get("executor_ran"),
             miss_model=data.get("miss_model", "?"),
             simulate=data.get("simulate", False),
             cache_attached=cache.get("attached", False),
@@ -134,6 +142,8 @@ class RunManifest:
             f"miss model {self.miss_model}"
             + (", simulator on" if self.simulate else ""),
         ]
+        if self.executor_ran is not None:
+            lines.append(f"  executor ran: {self.executor_ran}")
         if self.shards > 1:
             unresolved = self.metrics.get("counters", {}).get(
                 "shard.boundary_unresolved")

@@ -64,6 +64,7 @@ JOB_MODULES = (
     "repro.core.npengine", "repro.core.shard", "repro.core.tracestore",
     "repro.service.jobs", "repro.service.supervise",
     "repro.static.closedform", "repro.static.profile",
+    "repro.static.segments",
     "repro.tools.cache", "repro.tools.htmlreport", "repro.tools.session",
     "repro.tools.viewer",
 )

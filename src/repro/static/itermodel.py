@@ -38,6 +38,7 @@ from repro.lang.ast import (
     Access, Add, Call, Const, Expr, FloorDiv, Load, Loop, Max, Min, Mod, Mul,
     Program, ScalarAssign, Stmt, Sub, Var, _loads_in_expr,
 )
+from repro.lang.batch import _affine_in
 from repro.lang.executor import RunStats
 from repro.lang.memory import column_major_strides, row_major_strides
 
@@ -49,6 +50,12 @@ class StaticUnsupported(ValueError):
 #: Ceiling on enumerated occurrence points: beyond this the enumeration
 #: itself would rival a dynamic run, which defeats the engine's purpose.
 MAX_POINTS = 1 << 23
+
+#: Ceiling on the occurrences the exact engine's segment table orders
+#: (:mod:`repro.static.segments`): it holds a few dozen bytes per
+#: occurrence, so past this a ``BatchExecutor`` walk, which streams, is
+#: the leaner feed.  The paper points need at most 119,764 (GTC micell 6).
+STREAM_MAX_POINTS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +152,81 @@ def event_accesses(node) -> List[Access]:
     return out
 
 
+def _reads(expr: Expr) -> set:
+    """Names an expression reads, through indirect subscripts too."""
+    t = type(expr)
+    if t is Var:
+        return {expr.name}
+    if t is Const:
+        return set()
+    if t is Load:
+        return set().union(*map(_reads, expr.access.indices))
+    if t in (Min, Max):
+        return set().union(*map(_reads, expr.args))
+    return _reads(expr.left) | _reads(expr.right)
+
+
+def _writes(body, program: Program) -> set:
+    """Names a body may rebind: scalar assigns and loop variables,
+    through nested loops and calls."""
+    out: set = set()
+    for node in body:
+        if isinstance(node, ScalarAssign):
+            out.add(node.var)
+        elif isinstance(node, Loop):
+            out.add(node.var)
+            out |= _writes(node.body, program)
+        elif isinstance(node, Call):
+            out |= _writes(program.routines[node.callee].body, program)
+    return out
+
+
+def check_scalar_flow(program: Program) -> None:
+    """Raise :class:`StaticUnsupported` where the vectorised walk would
+    read a different value than the executor.
+
+    The walk evaluates all iterations of an enumerated loop at once, from
+    the environment as it stood at loop entry, and keeps a loop body's
+    assignments inside the loop.  So a name the body rebinds is *stale*
+    when read before its rebinding in the same iteration (it carries the
+    previous iteration's value) and after the loop (it carries the last
+    iteration's).  A loop whose body rebinds the loop's own variable is
+    stale too.  A rebinding before the read, in straight-line order,
+    makes the name exact again.
+    """
+    def check(body, stale: set, where: str) -> None:
+        for node in body:
+            if isinstance(node, Stmt):
+                reads = set().union(*(_reads(ix) for acc in node.accesses
+                                      for ix in acc.indices))
+            elif isinstance(node, ScalarAssign):
+                reads = _reads(node.expr)
+            elif isinstance(node, Loop):
+                reads = _reads(node.lo) | _reads(node.hi)
+            else:
+                reads = set()
+            late = reads & stale
+            if late:
+                raise StaticUnsupported(
+                    f"{where}: {sorted(late)} read where the value comes "
+                    f"from an earlier iteration of an enclosing loop")
+            if isinstance(node, ScalarAssign):
+                stale.discard(node.var)
+            elif isinstance(node, Call):
+                check(program.routines[node.callee].body, stale,
+                      node.callee)
+            elif isinstance(node, Loop):
+                rebinds = _writes(node.body, program)
+                if node.var in rebinds:
+                    raise StaticUnsupported(
+                        f"loop {node.name!r} rebinds its own variable "
+                        f"{node.var!r}")
+                check(node.body, (stale - {node.var}) | rebinds, node.name)
+                stale |= rebinds
+
+    check(program.routines[program.entry].body, set(), program.entry)
+
+
 def _bcast(value, n: int) -> np.ndarray:
     if isinstance(value, np.ndarray):
         return value.astype(np.int64, copy=False)
@@ -229,6 +311,7 @@ class IterModel:
         if params:
             env.update(params)
         env = {k: int(v) for k, v in env.items()}
+        check_scalar_flow(program)
         entry = program.routines[program.entry]
         chain: List[Tuple] = [("routine", entry.sid, 0)]
         self._body(entry.body, env, chain, 1)
@@ -349,12 +432,14 @@ class IterModel:
                   trips: np.ndarray) -> bool:
         """Emit a symbolic-nest item if the loop body qualifies.
 
-        Qualifies = pure straight-line ``Stmt`` body with no indirect
-        (``Load``-bearing) subscripts, and every reference numerically
-        affine in the loop variable across its whole range (probed at the
-        first, second, and last iteration per occurrence — a check, not
-        an assumption, so ``Mod``/``FloorDiv`` subscripts that break
-        linearity fall back to enumeration instead of going wrong).
+        Qualifies = pure straight-line ``Stmt`` body whose subscripts are
+        affine in the loop variable by construction (``_affine_in``, the
+        rule ``BatchExecutor`` compiles affine plans by: no indirect
+        subscript, and ``Mod``/``FloorDiv``/``Min``/``Max`` only over
+        iteration-invariant operands), and numerically affine across the
+        whole range at the first, second and last iteration per
+        occurrence.  A probe alone is not enough: ``4*(i//4) + i%2``
+        matches a line at three points and not between them.
         """
         refs: List[Access] = []
         ops = 0
@@ -363,7 +448,7 @@ class IterModel:
                 return False
             for acc in sub.accesses:
                 for ix in acc.indices:
-                    if _loads_in_expr(ix):
+                    if not _affine_in(ix, node.var):
                         return False
             refs.extend(sub.accesses)
             ops += sub.ops
@@ -395,8 +480,9 @@ class IterModel:
                 stats.stores += total
             else:
                 stats.loads += total
-        stats.scope_insts[node.sid] = (
-            stats.scope_insts.get(node.sid, 0) + (n + ops) * total)
+        if node.body:  # the executor counts per statement run
+            stats.scope_insts[node.sid] = (
+                stats.scope_insts.get(node.sid, 0) + (n + ops) * total)
         if not refs:
             return True
         keep = trips > 0

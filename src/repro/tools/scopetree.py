@@ -70,6 +70,7 @@ class ScopeTree:
         root_total = 0.0
         for top in self.children[ROOT]:
             root_total += total(top)
+        total = None  # break the self-reference (freed by refcount)
         out[ROOT] = root_total + exclusive.get(ROOT, 0.0)
         return out
 
@@ -116,6 +117,7 @@ class ScopeTree:
         lines.insert(0, f"== {title} ==")
         for top in self.children[ROOT]:
             emit(top, 0)
+        emit = None  # break the self-reference (freed by refcount)
         return "\n".join(lines)
 
 

@@ -116,6 +116,10 @@ class AnalysisSession:
         #: the engine whose code resolved the distances ("numpy" for a
         #: batched fenwick or a sharded run); None for a cache hit
         self.engine_ran: Optional[str] = None
+        #: the walk that produced the accesses: "enumerated" (the static
+        #: enumeration's segment table), "batch" or "scalar"; None for a
+        #: cache hit or a static run
+        self.executor_ran: Optional[str] = None
         self.sim: Optional[HierarchySim] = (
             HierarchySim(self.config) if simulate else None
         )
@@ -210,26 +214,40 @@ class AnalysisSession:
         """Execute the program once into a fresh analyzer.
 
         The numpy engine's buffered window is the one batched
-        implementation, so a ``BatchExecutor``-driven ``fenwick`` run
-        builds the numpy analyzer (byte-identical, and faster on every
-        registry point, from 192 accesses up).  Scalar runs and
-        ``treap`` keep their engine.  The window's last flush runs inside
-        the ``execute`` phase, so neither the cache store nor the first
+        implementation, so a batched ``fenwick`` run builds the numpy
+        analyzer (byte-identical, and faster on every registry point,
+        from 192 accesses up).  Its input comes from the static
+        enumeration (:mod:`repro.static.segments`) when the program has
+        one and no simulator needs the event stream; otherwise from a
+        ``BatchExecutor`` walk.  Scalar runs and ``treap`` keep their
+        engine and executor.  The window's last flush runs inside the
+        ``execute`` phase, so neither the cache store nor the first
         result read pays for it.
         """
         if batch and engine == "fenwick":
             engine = "numpy"
         self.analyzer = ReuseAnalyzer(self.config.granularities(),
                                       engine=engine)
-        handlers = [self.analyzer]
-        if self.sim is not None:
-            handlers.append(self.sim)
-        executor_cls = BatchExecutor if batch else Executor
-        executor = executor_cls(self.program, *handlers)
         t0 = time.perf_counter()
-        with _trace.span("execute", executor=executor_cls.__name__,
-                         engine=engine) as esp:
-            self.stats = executor.run(**params)
+        with _trace.span("execute", engine=engine) as esp:
+            table = None
+            if engine == "numpy" and batch and self.sim is None:
+                table = self._segment_table(params)
+            if table is not None:
+                self.executor_ran = "enumerated"
+                esp.set(executor="enumerated")
+                self.stats = table.stats
+                self.analyzer._np_state.feed(table)
+                del table
+            else:
+                handlers = [self.analyzer]
+                if self.sim is not None:
+                    handlers.append(self.sim)
+                executor_cls = BatchExecutor if batch else Executor
+                self.executor_ran = "batch" if batch else "scalar"
+                esp.set(executor=executor_cls.__name__)
+                self.stats = executor_cls(self.program,
+                                          *handlers).run(**params)
             self.analyzer._flush()
             esp.set(accesses=self.stats.accesses)
         phases["execute"] = time.perf_counter() - t0
@@ -245,6 +263,23 @@ class AnalysisSession:
                           self.analyzer.dump_state(),
                           "stats": self.stats})
             phases["cache_store"] = time.perf_counter() - t0
+
+    def _segment_table(self, params: Dict[str, int]):
+        """The numpy window's input built from the static enumeration,
+        or None when the enumeration rejects the program (it then runs
+        on ``BatchExecutor``; a rejection is not a failure)."""
+        from repro.static.itermodel import StaticUnsupported
+        from repro.static.segments import build_segments
+        t0 = time.perf_counter()
+        try:
+            return build_segments(self.program, params)
+        except StaticUnsupported as exc:
+            logger.info("%s: no segment table (%s); walking it",
+                        self.program.name, exc)
+            return None
+        finally:
+            _obs.timer("analyzer.np_walk_latency").observe(
+                time.perf_counter() - t0)
 
     def _run_static(self, params: Dict[str, int],
                     phases: Dict[str, float],
@@ -411,6 +446,7 @@ class AnalysisSession:
                 trace, self.stats = record_trace(
                     self.program, batch=self.batch, **params)
             rsp.set(accesses=trace.accesses)
+        self.executor_ran = "batch" if self.batch else "scalar"
         phases["record"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         grans = self.config.granularities()
@@ -473,6 +509,7 @@ class AnalysisSession:
             engine_ran=self.engine_ran,
             shards=self.shards,
             executor="batch" if self.batch else "scalar",
+            executor_ran=self.executor_ran,
             miss_model=self.miss_model,
             simulate=self.simulate,
             cache_attached=self.cache is not None,

@@ -64,6 +64,9 @@ def export(prediction: Prediction, path: Optional[str] = None) -> str:
 
     for top in tree.children[ROOT]:
         emit(top, scopes_el)
+    # emit's cell refers to emit itself: unbind it so the prediction it
+    # closes over is freed by reference counting, not by the collector
+    emit = None
 
     patterns_el = ET.SubElement(root, "ReusePatterns")
     for row in flat.rows:

@@ -236,6 +236,18 @@ class TestRecordSpilled:
             record_spilled(object(), str(tmp_path))
         assert os.listdir(str(tmp_path)) == []
 
+    def test_system_exit_mid_recording_leaves_no_temp_dir(self, tmp_path,
+                                                           monkeypatch):
+        # a cancelled job's SIGTERM arrives as SystemExit while it
+        # records: the spilled columns are on disk, the rename is not
+        def cancelled(recorder):
+            raise SystemExit(143)
+
+        monkeypatch.setattr(StreamRecorder, "finish", cancelled)
+        with pytest.raises(SystemExit):
+            record_spilled(_build(), str(tmp_path), spill_mb=0.001)
+        assert os.listdir(str(tmp_path)) == []
+
 
 class TestObsCounters:
     def test_trace_counters_tick(self, obs_on, tmp_path):

@@ -55,11 +55,19 @@ class TestSessionManifest:
         session.run()
         counters = session.manifest.metrics["counters"]
         assert counters["analyzer.batch_events"] == session.stats.accesses
+        # the default path feeds the window from the enumeration, so
+        # the BatchExecutor's batch.* counters stay at 0
+        assert session.manifest.executor_ran == "enumerated"
+        assert counters.get("batch.chunks", 0) == 0
+        # treap keeps the BatchExecutor walk.  fig1 is affine
+        # throughout; CG's sparse gathers compile to gather plans
+        # (counted once per compiled loop, not per access).
+        walked = AnalysisSession(fig1_interchange(8, 8), engine="treap")
+        walked.run()
+        counters = walked.manifest.metrics["counters"]
         assert counters["batch.chunks"] >= 1
-        # fig1 is affine throughout; CG's sparse gathers compile to
-        # gather plans (counted once per compiled loop, not per access).
         assert counters.get("batch.gather_plans", 0) == 0
-        cg = AnalysisSession(build_cg(grid=6, iterations=1))
+        cg = AnalysisSession(build_cg(grid=6, iterations=1), engine="treap")
         cg.run()
         cg_counters = cg.manifest.metrics["counters"]
         assert 0 < cg_counters["batch.gather_plans"] <= \
@@ -129,6 +137,42 @@ class TestEngineRan:
         m = RunManifest.from_dict(data)
         assert m.engine == "fenwick" and m.engine_ran is None
         assert "engine fenwick / batch executor" in m.render()
+
+
+class TestExecutorRan:
+    """The manifest records the walk that produced the accesses next to
+    the requested executor."""
+
+    @pytest.mark.parametrize("kwargs,ran", [
+        ({}, "enumerated"),
+        ({"engine": "fenwick"}, "enumerated"),
+        ({"engine": "fenwick", "batch": False}, "scalar"),
+        ({"engine": "numpy", "batch": False}, "scalar"),
+        ({"engine": "treap"}, "batch"),
+        ({"simulate": True}, "batch"),
+        ({"engine": "static"}, None),
+        ({"shards": 2, "shard_jobs": 1}, "batch"),
+    ], ids=["default", "fenwick-batched", "fenwick-scalar", "numpy-scalar",
+            "treap", "simulated", "static", "sharded"])
+    def test_records_the_walk(self, kwargs, ran):
+        session = AnalysisSession(stream_triad(64, 2), **kwargs).run()
+        m = session.manifest
+        assert session.executor_ran == m.executor_ran == ran
+        assert RunManifest.from_dict(m.to_dict()).executor_ran == ran
+        assert (f"executor ran: {ran}" in m.render()) == (ran is not None)
+
+    def test_cache_hit_records_no_walk(self, tmp_path):
+        cache = AnalysisCache(str(tmp_path))
+        AnalysisSession(stream_triad(64, 2), cache=cache).run()
+        hit = AnalysisSession(stream_triad(64, 2), cache=cache).run()
+        assert hit.from_cache and hit.manifest.executor_ran is None
+
+    def test_old_manifest_without_field_loads(self):
+        data = RunManifest(program="p").to_dict()
+        del data["executor_ran"]
+        m = RunManifest.from_dict(data)
+        assert m.executor == "batch" and m.executor_ran is None
+        assert "executor ran" not in m.render()
 
 
 class TestNumpyFlush:

@@ -1,0 +1,387 @@
+"""Differential check of the numpy window's enumerated feed.
+
+The default dynamic path builds the numpy engine's input from the static
+enumeration (:mod:`repro.static.segments`) instead of a
+``BatchExecutor`` walk.  For generated kernels and every registry
+workload, wherever the enumeration accepts the program:
+
+* the ``(rid, addr)`` stream materialised from the segment table equals
+  a ``BatchExecutor`` recording element by element;
+* the enumeration's ``RunStats`` equal the executor's field by field;
+* the table-fed numpy state pickles to the same bytes as the
+  ``BatchExecutor``-fed one, at the default flush threshold and at 7
+  (a window every few segments), and as the scalar fenwick reference.
+
+Where it rejects the program, the session walks it with
+``BatchExecutor`` instead, quietly and with the same state.
+"""
+
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.apps.registry import build_workload, workload_names
+from repro.core.analyzer import ReuseAnalyzer
+from repro.lang import (
+    MemoryLayout, Var, assign, call, idx, load, loop, program, routine,
+    stmt, store,
+)
+from repro.lang.ast import Const, FloorDiv, Max, Min, Mod
+from repro.lang.batch import BatchExecutor
+from repro.lang.executor import Executor
+from repro.model.config import MachineConfig
+from repro.static import itermodel, segments
+from repro.static.itermodel import StaticUnsupported
+from repro.static.segments import build_segments
+from repro.tools.session import AnalysisSession
+
+GRANS = MachineConfig.scaled_itanium2().granularities()
+STAT_FIELDS = ("accesses", "loads", "stores", "ops", "loop_entries",
+               "loop_iters", "scope_insts")
+
+
+class _Recorder:
+    def __init__(self):
+        self.rids = []
+        self.addrs = []
+
+    def enter_scope(self, sid):
+        pass
+
+    def exit_scope(self, sid):
+        pass
+
+    def access(self, rid, addr, is_store):
+        self.rids.append(rid)
+        self.addrs.append(addr)
+
+    def access_batch(self, rids, addrs, stores, period=0):
+        self.rids.extend(rids)
+        self.addrs.extend(addrs)
+
+
+def _stats(stats):
+    return {name: getattr(stats, name) for name in STAT_FIELDS}
+
+
+def _walked_state(prog, threshold=None):
+    analyzer = ReuseAnalyzer(GRANS, engine="numpy")
+    if threshold is not None:
+        analyzer._np_state.flush_threshold = threshold
+    BatchExecutor(prog, analyzer).run()
+    return pickle.dumps(analyzer.dump_state())
+
+
+def _fed_state(table, threshold=None):
+    analyzer = ReuseAnalyzer(GRANS, engine="numpy")
+    if threshold is not None:
+        analyzer._np_state.flush_threshold = threshold
+    analyzer._np_state.feed(table)
+    assert analyzer.clock == table.stats.accesses
+    return pickle.dumps(analyzer.dump_state())
+
+
+def check_feed(prog, thresholds=(None, 7), reference=True):
+    """Run every check on ``prog``; returns whether it was enumerated."""
+    rec = _Recorder()
+    walked = BatchExecutor(prog, rec).run()
+    try:
+        table = build_segments(prog)
+    except StaticUnsupported:
+        session = AnalysisSession(prog).run()
+        assert session.executor_ran == "batch"
+        assert session.fallback is None
+        assert pickle.dumps(session.analyzer.dump_state()) == \
+            _walked_state(prog)
+        return False
+    rids, addrs = table.stream()
+    assert rids.tolist() == rec.rids
+    assert addrs.tolist() == rec.addrs
+    assert _stats(table.stats) == _stats(walked)
+    for threshold in thresholds:
+        if threshold is not None and len(rec.rids) > 50 * threshold ** 3:
+            continue  # thousands of windows: the default one suffices
+        assert _fed_state(table, threshold) == \
+            _walked_state(prog, threshold), threshold
+    if reference:
+        scalar = ReuseAnalyzer(GRANS, engine="fenwick")
+        Executor(prog, scalar).run()
+        assert pickle.dumps(scalar.dump_state()) == _fed_state(table)
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Generated kernels
+# ---------------------------------------------------------------------------
+
+SCALARS = ("s0", "s1", "s2")
+
+
+class _Gen:
+    """Draws one kernel: affine nests to depth 4 with mixed and negative
+    steps, zero-trip loops, bounds on outer variables, indirect
+    subscripts, scalar assigns with loads (loop-carried and escaping
+    ones included), FloorDiv/Mod/Min/Max on negative values, and calls
+    inside loops."""
+
+    def __init__(self, draw):
+        self.draw = draw
+        lay = MemoryLayout()
+        self.lay = lay
+        self.a = lay.array("A", 40)
+        self.b = lay.array("B", 6, 5,
+                           order=draw(st.sampled_from(["F", "C"])))
+        self.c = lay.array("C", 48, elem_size=4, origin=0)
+        self.ix = lay.index_array("IX", 16)
+        self.ix.values[:] = draw(st.lists(st.integers(-9, 30),
+                                          min_size=16, max_size=16))
+
+    def expr(self, names, depth=0, loads=True):
+        """An index expression; ``loads=False`` inside an indirect
+        subscript (``Program`` cannot register a load nested in a
+        load's subscript)."""
+        draw = self.draw
+        leaf = draw(st.integers(0, (9 if loads else 8) if depth < 2 else 3))
+        if leaf <= 1 or not names:
+            return Const(draw(st.integers(-4, 4)))
+        if leaf <= 3:
+            var = Var(draw(st.sampled_from(names)))
+            return var * draw(st.integers(-2, 3)) + draw(st.integers(-3, 3))
+        left = self.expr(names, depth + 1, loads=leaf < 9 and loads)
+        if leaf == 4:
+            return left + self.expr(names, depth + 1, loads)
+        if leaf == 5:
+            return FloorDiv(left, draw(st.integers(1, 4)))
+        if leaf == 6:
+            return Mod(left, draw(st.integers(1, 5)))
+        if leaf == 7:
+            return Min(left, self.expr(names, depth + 1, loads))
+        if leaf == 8:
+            return Max(left, self.expr(names, depth + 1, loads))
+        return idx(self.ix, Mod(left, 16) + 1)
+
+    def access(self, names):
+        draw = self.draw
+        which = draw(st.integers(0, 3))
+        if which == 0:
+            return load(self.a, self.expr(names))
+        if which == 1:
+            return store(self.a, self.expr(names))
+        if which == 2:
+            return load(self.b, self.expr(names), self.expr(names))
+        return store(self.c, self.expr(names))
+
+    def body(self, names, loop_vars, depth, callee):
+        draw = self.draw
+        names = list(names)  # a body's own scalars join after assignment
+        nodes = []
+        loops = 0
+        for n in range(draw(st.integers(1, 3))):
+            # a routine's body opens with a loop: most of the stream
+            kind = 9 if depth <= 1 and n == 0 else draw(st.integers(0, 9))
+            if kind >= 6 and loops == 2:
+                kind = 0  # at most two loops per body bounds the stream
+            if kind <= 3 or (kind <= 6 and depth >= 4):
+                accs = [self.access(names)
+                        for _ in range(draw(st.integers(1, 3)))]
+                nodes.append(stmt(*accs, ops=draw(st.integers(0, 2))))
+            elif kind == 4:
+                # mostly a scalar of this body, read only after it is
+                # assigned; else a parameter or the loop variable, which
+                # reads elsewhere see from another iteration
+                local = f"t{depth}"
+                target = draw(st.sampled_from(
+                    (local,) * 6 + SCALARS + tuple(loop_vars[-1:])))
+                nodes.append(assign(target, self.expr(names)))
+                if target not in names:
+                    names.append(target)
+            elif kind == 5 and callee is not None:
+                nodes.append(call(callee))
+            elif depth < 4:
+                loops += 1
+                nodes.append(self.loop(names, loop_vars, depth, callee))
+        return nodes
+
+    def loop(self, names, loop_vars, depth, callee):
+        draw = self.draw
+        var = f"{'ij'[callee is None]}{depth}"
+        step = draw(st.sampled_from([1, 1, 2, -1, -2]))
+        trips = draw(st.integers(1 if depth == 0 else -1,
+                                 5 if depth < 2 else 3))
+        lo = self.expr(names) if draw(st.booleans()) else \
+            Const(draw(st.integers(-3, 3)))
+        if names and draw(st.booleans()):
+            # a bound on an outer variable, capped at a few trips
+            hi = Var(draw(st.sampled_from(names))) + trips * step
+            cap = lo + (trips - 1) * step
+            hi = Min(hi, cap) if step > 0 else Max(hi, cap)
+        else:
+            hi = lo + (trips - 1) * step
+        inner = names + [var]
+        return loop(var, lo, hi,
+                    *self.body(inner, loop_vars + [var], depth + 1, callee),
+                    step=step)
+
+
+@st.composite
+def kernels(draw):
+    gen = _Gen(draw)
+    names = list(SCALARS)
+    routines = []
+    nsubs = draw(st.integers(0, 2))
+    callee = None
+    for k in reversed(range(nsubs)):
+        name = f"sub{k}"
+        routines.append(routine(name, *gen.body(names, [], 1, callee)))
+        callee = name
+    routines.insert(0, routine("main", *gen.body(names, [], 0, callee)))
+    params = {name: draw(st.integers(-3, 5)) for name in SCALARS}
+    return program("gen", gen.lay, routines, params=params)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(prog=kernels())
+def test_generated_kernels(prog):
+    check_feed(prog)
+
+
+# ---------------------------------------------------------------------------
+# Regressions: programs the enumeration used to get wrong
+# ---------------------------------------------------------------------------
+
+def _small_layout():
+    lay = MemoryLayout()
+    a = lay.array("A", 40)
+    ix = lay.index_array("IX", 8)
+    ix.values[:] = [3, 1, 4, 1, 5, 9, 2, 6]
+    return lay, a, ix
+
+
+def test_loop_carried_scalar_is_rejected():
+    # s is read before it is assigned in the same iteration: iteration i
+    # reads iteration i-1's value, which a vectorised walk cannot see
+    lay, a, ix = _small_layout()
+    i = Var("i")
+    prog = program("carried", lay, [routine("main", loop(
+        "i", 1, 4, stmt(load(a, Var("s"))), assign("s", idx(ix, i))))],
+        params={"s": 1})
+    with pytest.raises(StaticUnsupported):
+        itermodel.enumerate_program(prog)
+    assert not check_feed(prog)
+
+
+def test_scalar_escaping_its_loop_is_rejected():
+    # s keeps the last iteration's value after the loop
+    lay, a, ix = _small_layout()
+    prog = program("escaping", lay, [routine(
+        "main", loop("i", 1, 4, assign("s", idx(ix, Var("i")))),
+        stmt(load(a, Var("s"))))], params={"s": 1})
+    with pytest.raises(StaticUnsupported):
+        itermodel.enumerate_program(prog)
+    assert not check_feed(prog)
+
+
+def test_scalar_assigned_before_use_is_enumerated():
+    lay, a, ix = _small_layout()
+    i = Var("i")
+    prog = program("local", lay, [routine("main", loop(
+        "i", 1, 4, assign("s", idx(ix, i)), stmt(load(a, Var("s")))),
+        loop("i", 1, 2, assign("s", i + 3), stmt(store(a, Var("s")))))],
+        params={"s": 1})
+    assert check_feed(prog)
+
+
+def test_empty_loop_body_counts_no_statements():
+    # the executor bumps scope_insts per statement run; a loop with an
+    # empty body runs none, so its scope gets no entry
+    lay, a, _ix = _small_layout()
+    prog = program("empty", lay, [routine("main", loop(
+        "i", 1, 3, loop("j", 1, 2), stmt(load(a, Var("i")))))])
+    assert check_feed(prog)
+
+
+def test_segment_opening_mid_iteration_gets_no_period():
+    # the inner loop runs only at i = 1, so from B's first run on the
+    # outer loop's statements alternate B, A, B, A ... in one segment
+    # that opens mid-iteration.  Rows of one access would all touch the
+    # same block and compress, crediting A's reuses to B: the segment
+    # must get period 0
+    lay, a, _ix = _small_layout()
+    i = Var("i")
+    prog = program("midrow", lay, [routine("main", loop(
+        "i", 1, 6, stmt(load(a, 1)),
+        loop("j", 1, Max(2 - i, 0), stmt(load(a, 9))),
+        stmt(store(a, 1))))])
+    assert check_feed(prog)
+
+
+def test_nonaffine_subscript_that_passes_a_three_point_probe():
+    # 2*(i//4)*2 + i%2 matches a line at i = 0, 1 and 5 but not at 2:
+    # the nest must be enumerated, not taken as affine
+    lay, a, _ix = _small_layout()
+    i = Var("i")
+    prog = program("probe", lay, [routine("main", loop(
+        "i", 0, 5, stmt(load(a, FloorDiv(i, 4) * 4 + Mod(i, 2)))))])
+    assert check_feed(prog)
+
+
+# ---------------------------------------------------------------------------
+# Registry workloads and fallbacks
+# ---------------------------------------------------------------------------
+
+SMALLER = {
+    "fig1": {"n": 12, "m": 10},
+    "fig2": {"n": 16, "m": 8},
+    "triad": {"n": 64, "steps": 2},
+    "gather": {"n": 64, "m": 256},
+    "cg": {"grid": 6},
+    "sweep3d": {"mesh": 4, "mm": 3, "nm": 2, "noct": 1},
+    "gtc": {"micell": 1, "mpsi": 4, "mtheta": 6, "mzeta": 2,
+            "timesteps": 1},
+}
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_registry_workload_at_defaults(name):
+    assert check_feed(build_workload(name), thresholds=(None,),
+                      reference=False)
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_registry_workload_smaller(name):
+    assert check_feed(build_workload(name, **SMALLER[name]))
+
+
+@pytest.mark.parametrize("name", ["sweep3d", "gtc", "cg"])
+def test_digit_keys_split_across_packs(name, monkeypatch):
+    # paper kernels' digits fit one int64 key; force one level per key
+    # so the multi-key sort and prefix comparisons run too
+    monkeypatch.setattr(segments, "_PACK_BITS", 1)
+    assert check_feed(build_workload(name, **SMALLER[name]),
+                      reference=False)
+
+
+def test_program_over_the_point_budget_walks(monkeypatch):
+    prog = build_workload("sweep3d", **SMALLER["sweep3d"])
+    clean = AnalysisSession(prog).run()
+    assert clean.executor_ran == "enumerated"
+    monkeypatch.setattr(segments, "STREAM_MAX_POINTS", 10)
+    with pytest.raises(StaticUnsupported):
+        build_segments(prog)
+    over = AnalysisSession(prog).run()
+    assert over.executor_ran == "batch"
+    assert over.fallback is None
+    assert pickle.dumps(over.analyzer.dump_state()) == \
+        pickle.dumps(clean.analyzer.dump_state())
+
+
+def test_simulated_session_walks():
+    prog = build_workload("sweep3d", **SMALLER["sweep3d"])
+    clean = AnalysisSession(prog).run()
+    simulated = AnalysisSession(prog, simulate=True).run()
+    assert simulated.executor_ran == "batch"
+    assert simulated.sim.totals()
+    assert pickle.dumps(simulated.analyzer.dump_state()) == \
+        pickle.dumps(clean.analyzer.dump_state())

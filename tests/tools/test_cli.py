@@ -52,6 +52,18 @@ class TestCommands:
         assert "carrying scope" in out
         assert "fragmentation" in out
 
+    def test_analyze_cg_grid(self, tmp_path, capsys):
+        from repro.apps.registry import build_workload
+        from repro.lang.executor import run_program
+        path = str(tmp_path / "run.json")
+        assert main(["analyze", "cg", "--grid", "12", "--no-cache",
+                     "--manifest-out", path]) == 0
+        assert "predicted misses" in capsys.readouterr().out
+        want = run_program(build_workload("cg", grid=12)).accesses
+        assert json.load(open(path))["events"]["accesses"] == want
+        # no flag: the registry's grid
+        assert build_parser().parse_args(["analyze", "cg"]).grid is None
+
     def test_analyze_with_xml(self, tmp_path, capsys):
         xml = tmp_path / "db.xml"
         assert main(["analyze", "fig1", "--xml", str(xml)]) == 0
@@ -159,7 +171,11 @@ class TestObservability:
         assert "execute" in out
         assert "accesses=" in out
         assert "analyzer.batch_events" in out
-        assert "batch.fallback_loops" in out
+        # the default path builds its input from the enumeration: no
+        # BatchExecutor walk, so no batch.* counters
+        assert "executor ran: enumerated" in out
+        assert "analyzer.np_walk_latency" in out
+        assert "batch.fallback_loops" not in out
 
     def test_profile_with_cache_shows_hit_miss(self, tmp_path, monkeypatch,
                                                capsys, reset_obs):
@@ -180,10 +196,12 @@ class TestObservability:
         data = json.load(open(path))
         assert data["program"] == "fig1a"
         assert data["events"]["accesses"] > 0
+        assert data["executor_ran"] == "enumerated"
         assert main(["stats", path]) == 0
         out = capsys.readouterr().out
         assert "run manifest: fig1a" in out
         assert "execute" in out
+        assert "executor ran: enumerated" in out
 
     def test_trace_out_writes_jsonl_spans(self, tmp_path, capsys,
                                           reset_obs):
