@@ -12,9 +12,10 @@ Commands
 ``sweep <app>``
     Run an analyze-mode parameter sweep (one task per ``--mesh`` /
     ``--micell`` value) under the fault-tolerant driver: bounded retries
-    (``--retries``), per-unit deadlines (``--timeout``), and a durable
+    (``--retries``), per-task deadlines (``--timeout``), and a durable
     checkpoint journal (``--checkpoint`` + ``--resume``) that restarts a
-    killed sweep from the last completed unit.
+    killed sweep from the last completed task.  ``--shards K`` analyzes
+    each task as K time shards inside the task's worker.
 ``stats <manifest.json>``
     Pretty-print a manifest saved by ``analyze --manifest-out`` or
     ``sweep --manifest-out`` (the sweep form is detected automatically).
@@ -112,6 +113,16 @@ def cmd_list(_args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.trace_dir is None and args.spill_mb is not None:
+        # --spill-mb alone still spills; the store lands in a throwaway
+        # directory, removed when the command ends (on error too)
+        import tempfile
+        with tempfile.TemporaryDirectory(prefix="repro-trace-") as tmp:
+            return _analyze(args, tmp)
+    return _analyze(args, args.trace_dir)
+
+
+def _analyze(args, trace_dir) -> int:
     from repro.tools.cache import AnalysisCache
     from repro.tools.session import AnalysisSession
 
@@ -121,12 +132,6 @@ def cmd_analyze(args) -> int:
         raise SystemExit("--closed-form requires --engine static")
     program = _build(args.workload, args)
     cache = None if args.no_cache else AnalysisCache()
-    trace_dir = args.trace_dir
-    if trace_dir is None and args.spill_mb is not None:
-        # --spill-mb alone still spills; the store just lands in a
-        # throwaway directory instead of a reusable one
-        import tempfile
-        trace_dir = tempfile.mkdtemp(prefix="repro-trace-")
     cf_spec = None
     if args.closed_form:
         cf_spec = {"workload": args.workload,
@@ -423,9 +428,6 @@ def cmd_measure(args) -> int:
         for name in SWEEP_VARIANTS:
             tasks.append(SweepTask(key=name, builder=build_variant,
                                    args=(name, params), mode="measure",
-                                   shards=args.shards,
-                                   trace_dir=args.trace_dir,
-                                   spill_mb=args.spill_mb,
                                    measure_kwargs={"name": name}))
     elif args.app == "gtc":
         params = GTCParams(micell=args.micell)
@@ -435,8 +437,7 @@ def cmd_measure(args) -> int:
             fused = ("pushi", "gcmotion") if variant.pushi_tiled else ()
             tasks.append(SweepTask(
                 key=variant.name, builder=build_gtc, args=(variant, params),
-                mode="measure", shards=args.shards,
-                trace_dir=args.trace_dir, spill_mb=args.spill_mb,
+                mode="measure",
                 measure_kwargs={"name": variant.name,
                                 "fused_routines": fused}))
     else:
@@ -528,15 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     meas.add_argument("--micell", type=int, default=6)
     meas.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="worker processes for the variant sweep")
-    meas.add_argument("--shards", type=int, default=1, metavar="K",
-                      help="time shards per task (analyze-mode sweeps "
-                           "only; the measure pipeline warns and runs "
-                           "unsharded)")
-    meas.add_argument("--trace-dir", metavar="DIR",
-                      help="columnar trace-store directory (analyze-mode "
-                           "sweeps only; measure tasks ignore it)")
-    meas.add_argument("--spill-mb", type=float, default=None, metavar="MB",
-                      help="spill buffer bound for --trace-dir recordings")
 
     sweep = sub.add_parser("sweep", help="fault-tolerant analysis sweep")
     sweep.add_argument("app", choices=("sweep3d", "gtc"))
@@ -545,13 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--micell", type=int, nargs="+", default=[2, 4],
                        metavar="M", help="GTC particles-per-cell values")
     sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes")
+                       help="worker processes (each runs whole tasks)")
     sweep.add_argument("--shards", type=int, default=1, metavar="K",
-                       help="time shards per task")
+                       help="analyze each task as K time shards, one "
+                            "after another in the task's worker "
+                            "(byte-identical to K=1)")
     sweep.add_argument("--trace-dir", metavar="DIR",
-                       help="record each sharded task once into a "
-                            "columnar trace store under DIR; shard "
-                            "units replay it via mmap")
+                       help="spill each task's recording to a columnar "
+                            "trace store under DIR; its shards replay "
+                            "it via mmap")
     sweep.add_argument("--spill-mb", type=float, default=None,
                        metavar="MB",
                        help="in-memory buffer bound for trace-store "
@@ -566,12 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cache-dir", metavar="DIR",
                        help="analysis cache directory (default: no cache)")
     sweep.add_argument("--retries", type=int, default=2, metavar="N",
-                       help="retry budget per unit (transient/crashed "
+                       help="retry budget per task (transient/crashed "
                             "failures only)")
     sweep.add_argument("--timeout", type=float, default=None, metavar="S",
-                       help="per-unit wall-clock deadline in seconds")
+                       help="per-task wall-clock deadline in seconds")
     sweep.add_argument("--checkpoint", metavar="PATH",
-                       help="durable journal of completed units")
+                       help="durable journal of completed tasks")
     sweep.add_argument("--resume", action="store_true",
                        help="continue an existing --checkpoint journal")
     sweep.add_argument("--manifest-out", metavar="PATH",

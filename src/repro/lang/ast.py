@@ -579,11 +579,8 @@ class Program:
                     node.loc, node.is_time_loop, depth, node,
                 ))
                 self._finalize_body(node.body, sid, routine, depth + 1)
-            elif isinstance(node, Stmt):
-                for acc in node.accesses:
-                    self._register_ref(acc, parent_sid)
-            elif isinstance(node, ScalarAssign):
-                for acc in _loads_in_expr(node.expr):
+            elif isinstance(node, (Stmt, ScalarAssign)):
+                for acc in event_accesses(node):
                     acc.loc = acc.loc or node.loc
                     self._register_ref(acc, parent_sid)
             elif isinstance(node, Call):
@@ -593,11 +590,6 @@ class Program:
                 raise TypeError(f"unexpected body node: {node!r}")
 
     def _register_ref(self, acc: Access, scope_sid: int) -> None:
-        # Subscript loads (indirect indexing) are references too.
-        for ix in acc.indices:
-            for inner in _loads_in_expr(ix):
-                inner.loc = inner.loc or acc.loc
-                self._register_ref(inner, scope_sid)
         if acc.rid >= 0:
             raise ValueError(
                 f"reference {acc!r} appears in more than one statement; "
@@ -634,22 +626,15 @@ class Program:
                 jobs.append((_setter(node, "_hi_fn"),
                              f"lambda env: {node.hi.compile(self)}"))
                 self._gen_body(node.body, jobs)
-            elif isinstance(node, Stmt):
+            elif isinstance(node, (Stmt, ScalarAssign)):
                 node.plan = []
-                for acc in node.accesses:
+                for acc in event_accesses(node):
                     self._gen_access(acc, node.plan, jobs)
-            elif isinstance(node, ScalarAssign):
-                node.plan = []
-                for acc in _loads_in_expr(node.expr):
-                    self._gen_access(acc, node.plan, jobs, loads_only=True)
-                jobs.append((_setter(node, "_run"),
-                             f"lambda env: {node.expr.compile(self)}"))
+                if isinstance(node, ScalarAssign):
+                    jobs.append((_setter(node, "_run"),
+                                 f"lambda env: {node.expr.compile(self)}"))
 
-    def _gen_access(self, acc: Access, plan: List, jobs: List,
-                    loads_only: bool = False) -> None:
-        for ix in acc.indices:
-            for inner in _loads_in_expr(ix):
-                self._gen_access(inner, plan, jobs, loads_only=True)
+    def _gen_access(self, acc: Access, plan: List, jobs: List) -> None:
         rid, is_store = acc.rid, acc.is_store
 
         def set_addr(fn: Callable, acc=acc, plan=plan,
@@ -704,11 +689,19 @@ def _setter(obj, attr: str) -> Callable:
     return set_it
 
 
-def _loads_in_expr(expr: Expr) -> List[Access]:
-    """Collect Load accesses inside an expression tree, evaluation order."""
-    found: List[Access] = []
-    _walk_loads(expr, found)
-    return found
+def event_accesses(node: Node) -> List[Access]:
+    """The references a Stmt or ScalarAssign makes, in event order: each
+    access after the loads in its subscripts (indirect indexing), nested
+    loads flattened innermost first.  Every reference appears once."""
+    out: List[Access] = []
+    if isinstance(node, ScalarAssign):
+        _walk_loads(node.expr, out)
+        return out
+    for acc in node.accesses:
+        for ix in acc.indices:
+            _walk_loads(ix, out)
+        out.append(acc)
+    return out
 
 
 def _walk_loads(expr: Expr, out: List[Access]) -> None:

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.lang.ast import (
     Access, Add, Call, Const, Expr, FloorDiv, Load, Loop, Max, Min, Mod, Mul,
-    Program, ScalarAssign, Stmt, Sub, Var, _loads_in_expr,
+    Program, ScalarAssign, Stmt, Sub, Var, event_accesses,
 )
 from repro.lang.batch import _affine_in
 from repro.lang.executor import RunStats
@@ -136,20 +136,6 @@ def access_addr(access: Access, env: Dict):
             continue
         addr = addr + (vec_eval(ix, env) - arr.origin) * stride
     return addr
-
-
-def event_accesses(node) -> List[Access]:
-    """Accesses of a Stmt/ScalarAssign in event order (subscript loads
-    first, exactly the order ``Program._gen_access`` builds the plan)."""
-    out: List[Access] = []
-    if isinstance(node, Stmt):
-        for acc in node.accesses:
-            for ix in acc.indices:
-                out.extend(_loads_in_expr(ix))
-            out.append(acc)
-    elif isinstance(node, ScalarAssign):
-        out.extend(_loads_in_expr(node.expr))
-    return out
 
 
 def _reads(expr: Expr) -> set:

@@ -200,13 +200,12 @@ class AnalysisCache:
     # -- keys -----------------------------------------------------------
 
     def key_for(self, program: Program, params: Dict[str, int],
-                config, miss_model: str, engine: str,
-                kind: str = "analysis") -> str:
+                config, miss_model: str, engine: str) -> str:
         """Content address for one analysis run."""
         h = hashlib.sha256()
         h.update(repr((
             SCHEMA_VERSION,
-            kind,
+            "analysis",
             program_fingerprint(program),
             sorted(params.items()),
             repr(config),
@@ -215,32 +214,20 @@ class AnalysisCache:
         )).encode())
         return h.hexdigest()
 
-    def shard_key_for(self, program: Program, params: Dict[str, int],
-                      config, miss_model: str, shards: int,
-                      index: int) -> str:
-        """Content address for one shard's partial analysis result.
-
-        Partials are keyed by the *requested* shard count plus the shard
-        index: cut points depend only on (access count, shard count), so
-        a partial is reusable by any later run asking for the same K —
-        but not across shard counts, whose boundaries move.  The merged
-        result is stored under the plain :meth:`key_for` address, which
-        sequential runs of any engine share.  The engine component is
-        pinned to ``"numpy"`` because shard workers always run the
-        buffered array engine, whatever the session's engine choice.
-        """
-        return self.key_for(program, params, config, miss_model, "numpy",
-                            kind=f"shard-{int(shards)}-{int(index)}")
-
     def trace_shard_key_for(self, digest: str, config, shards: int,
                             index: int) -> str:
-        """Content address for a shard partial of a *spilled* trace.
+        """Content address for one shard's partial analysis result.
 
-        The trace-store content digest already covers the program and
-        run parameters (identical event streams hash identically), so
-        the key needs only the digest, the granularity-bearing config,
-        and the (shard count, index) pair.  The miss model never enters:
-        partials are raw pattern databases, applied at predict time.
+        The trace's content digest already covers the program and run
+        parameters (identical event streams hash identically, in memory
+        or spilled), so the key needs only the digest, the
+        granularity-bearing config, and the (shard count, index) pair:
+        cut points depend only on the access count and the shard count,
+        so a partial is reusable by any later run cutting the same trace
+        the same way.  The miss model never enters: partials are raw
+        pattern databases, applied at predict time.  The merged result
+        is stored under the plain :meth:`key_for` address, which
+        sequential runs of any engine share.
         """
         h = hashlib.sha256()
         h.update(repr((

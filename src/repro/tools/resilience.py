@@ -345,12 +345,12 @@ class SweepCheckpoint:
     missing or partial result.  A truncated final line (the crash
     landed mid-append) is skipped on load.
 
-    Resume is strict: a unit is restored only when its digest — over
-    the builder's identity, arguments, mode, engine, shard geometry and
-    analysis knobs — matches, so editing the sweep definition silently
-    invalidates stale journal entries instead of replaying them.
-    Restored payloads are the pickled unit results themselves, which is
-    what makes a resumed sweep's merged outputs byte-identical to an
+    Resume is strict: a unit (one sweep task) is restored only when its
+    digest — over the builder's identity, arguments, mode, engine, shard
+    count and analysis knobs — matches, so editing the sweep definition
+    silently invalidates stale journal entries instead of replaying
+    them.  Restored payloads are the pickled task outcomes themselves,
+    which is what makes a resumed sweep's outputs byte-identical to an
     uninterrupted run.
     """
 
@@ -374,15 +374,15 @@ class SweepCheckpoint:
     # -- unit digests ----------------------------------------------------
 
     @staticmethod
-    def unit_digest(task: Any, kind: str, index: int) -> str:
-        """Content address of one pool unit of a sweep.
+    def unit_digest(task: Any) -> str:
+        """Content address of one sweep task.
 
         Hashes the *recipe*, not the program (rebuilding the program
         just to hash it would cost as much as the analysis it guards):
         builder module/qualname, args/kwargs reprs, mode, engine, miss
-        model, params, config repr, shard geometry, and the unit kind
-        and index.  Any edit to the sweep definition changes the digest
-        and the stale journal entry is ignored.
+        model, params, config repr and shard count.  Any edit to the
+        sweep definition changes the digest and the stale journal entry
+        is ignored.
         """
         builder = task.builder
         h = hashlib.sha256()
@@ -395,7 +395,10 @@ class SweepCheckpoint:
             sorted(task.params.items()),
             sorted(task.measure_kwargs.items()),
             repr(task.config), task.batch, task.shards,
-            kind, index,
+            # the unit kind and index sweeps hashed when a sharded task
+            # ran as one pool unit per shard: a whole task still hashes
+            # ("task", 0), so journals written then keep resuming
+            "task", 0,
         )).encode())
         return h.hexdigest()
 

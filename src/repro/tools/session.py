@@ -421,15 +421,16 @@ class AnalysisSession:
         The merged state matches a sequential run of any engine exactly,
         so it is stored under the same cache key the sequential path
         uses — sharded and unsharded runs share cache entries.  Per-shard
-        partial results are additionally cached under shard-count-scoped
-        keys, so a re-run with the same K resumes from partials even if
-        the merged entry is missing.
+        partial results are additionally cached under keys derived from
+        the trace's content digest and the shard count, so a re-run with
+        the same K resumes from partials even if the merged entry is
+        missing, and any program that records identical bytes shares
+        them.
 
         With :attr:`trace_store` set, the recording spills to a columnar
         on-disk store (:mod:`repro.core.tracestore`) and the shards
-        replay mmap'd file ranges instead of in-memory columns; the
-        partial keys are then derived from the trace's content digest,
-        so any program that records identical bytes shares them.
+        replay mmap'd file ranges instead of in-memory columns; both
+        kinds of trace hash to the same digest.
         """
         from repro.core.shard import (
             merge_shard_results, record_trace, run_shards, split_trace,
@@ -456,13 +457,8 @@ class AnalysisSession:
         shard_keys: List[Optional[str]] = [None] * len(slices)
         if self.cache is not None:
             for sl in slices:
-                if self.trace_store is not None:
-                    skey = self.cache.trace_shard_key_for(
-                        trace.digest, self.config, len(slices), sl.index)
-                else:
-                    skey = self.cache.shard_key_for(
-                        self.program, params, self.config, self.miss_model,
-                        self.shards, sl.index)
+                skey = self.cache.trace_shard_key_for(
+                    trace.digest, self.config, len(slices), sl.index)
                 shard_keys[sl.index] = skey
                 results[sl.index] = self.cache.get(skey)
         todo = [sl for sl in slices if results[sl.index] is None]

@@ -13,12 +13,12 @@ analyzer's :meth:`~repro.core.analyzer.ReuseAnalyzer.dump_state` payload,
 run statistics, or a full :class:`~repro.apps.harness.RunResult`).
 
 The driver is fault-tolerant (see :mod:`repro.tools.resilience`): failed
-or crashed units are retried with exponential backoff under a
-:class:`~repro.tools.resilience.RetryPolicy`, per-unit wall-clock
+or crashed tasks are retried with exponential backoff under a
+:class:`~repro.tools.resilience.RetryPolicy`, per-task wall-clock
 deadlines are enforced worker-side, a dead worker process breaks only its
-pool — the pool is rebuilt and in-flight units requeued — and an optional
+pool — the pool is rebuilt and in-flight tasks requeued — and an optional
 durable checkpoint journal lets ``run_sweep(..., checkpoint=path)`` resume
-a killed sweep from the last completed unit with byte-identical results.
+a killed sweep from the last completed task with byte-identical results.
 
 Combined with the per-task :class:`~repro.tools.cache.AnalysisCache`,
 repeated sweeps over overlapping grids run at file-read speed.
@@ -79,25 +79,20 @@ class SweepTask:
     #: cache directory for analyze mode; None disables caching
     cache_dir: Optional[str] = None
     batch: bool = True
-    #: time shards for analyze mode (1 = sequential).  In run_sweep a
-    #: sharded task expands into per-shard pool units that share the
-    #: worker pool with other tasks; measure mode ignores it (the
-    #: simulator's LRU state is order-dependent).
+    #: time shards for analyze mode (1 = sequential): the task's worker
+    #: runs ``AnalysisSession(shards=K)``, which records the trace once
+    #: and analyzes its K shards one after another
     shards: int = 1
-    #: directory for spilled columnar trace stores (analyze mode).  When
-    #: set, the parent records each sharded task once into a store and
-    #: every shard unit replays its mmap'd slice — no per-unit
-    #: re-recording; measure mode ignores it.
+    #: directory for the task's spilled columnar trace store (analyze
+    #: mode): the session records into it and its shards replay the
+    #: mmap'd store
     trace_dir: Optional[str] = None
     #: in-memory spill buffer bound (MB) for the trace-store recording
     spill_mb: Optional[float] = None
-    #: resolved store path; set by run_sweep after the parent records,
-    #: not by callers
-    trace_path: Optional[str] = None
     #: closed-form spec ``{"workload": name, "params": {...}}`` (optional
     #: ``free``/``samples``) for static analyze tasks.  run_sweep groups
     #: tasks sharing a kernel shape, derives once parent-side (sampling
-    #: on the sweep's own sizes), and ships the derivation to each unit
+    #: on the sweep's own sizes), and ships the derivation to each task
     #: under the ``"derivation"`` key of this dict.
     closed_form: Optional[Dict[str, Any]] = None
 
@@ -106,6 +101,12 @@ class SweepTask:
             raise ValueError(f"unknown sweep mode {self.mode!r}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
+        if self.mode == "measure" and (self.shards > 1
+                                       or self.trace_dir is not None
+                                       or self.spill_mb is not None):
+            raise ValueError("shards, trace_dir and spill_mb require "
+                             "mode='analyze' (the simulator's LRU state "
+                             "is order-dependent)")
         if self.closed_form and (self.mode != "analyze"
                                  or self.engine != "static"):
             raise ValueError("closed_form requires mode='analyze' and "
@@ -182,10 +183,9 @@ def _execute_task(task: SweepTask) -> SweepOutcome:
     from repro.tools.cache import AnalysisCache
     from repro.tools.session import AnalysisSession
     cache = AnalysisCache(task.cache_dir) if task.cache_dir else None
-    # shard_jobs=1: when a sharded task reaches this path directly, its
-    # shards run sequentially — pool workers are daemonic and may not
-    # spawn children.  run_sweep instead expands sharded tasks into
-    # per-shard pool units before they get here.
+    # shard_jobs=1: pool workers are daemonic and may not spawn children,
+    # so a sharded task analyzes its shards one after another in its own
+    # process; the sweep's parallelism is across tasks.
     cf_spec = dict(task.closed_form or {})
     derivation = cf_spec.pop("derivation", None)
     session = AnalysisSession(program, config=task.config,
@@ -206,6 +206,12 @@ def _execute_task(task: SweepTask) -> SweepOutcome:
                         from_cache=session.from_cache)
 
 
+def _failed_outcome(task: SweepTask, failure: WorkerFailure) -> SweepOutcome:
+    """The outcome of a task that failed with ``failure``."""
+    return SweepOutcome(key=task.key, mode=task.mode, engine=task.engine,
+                        shards=task.shards).set_failure(failure)
+
+
 def _task_attempt(task: SweepTask, attempt: int,
                   policy: Optional[RetryPolicy]) -> SweepOutcome:
     """One fault-isolated attempt at a whole task.
@@ -217,14 +223,13 @@ def _task_attempt(task: SweepTask, attempt: int,
     logged.  Failure *counting* (``sweep.worker_failures``,
     ``resil.timeouts``) happens parent-side in the scheduler so it
     survives even when the failed attempt itself is retried and
-    discarded.  The per-unit deadline, if the policy sets one, is
+    discarded.  The per-task deadline, if the policy sets one, is
     enforced *here*, worker-side, via SIGALRM.
     """
     t0 = time.perf_counter()
     try:
         with deadline(policy.timeout if policy else None):
-            _faults.fire("sweep.unit", key=task.key, unit="task", index=0,
-                         attempt=attempt)
+            _faults.fire("sweep.unit", key=task.key, attempt=attempt)
             outcome = _execute_task(task)
         outcome.retries = attempt
         outcome.duration = time.perf_counter() - t0
@@ -234,9 +239,7 @@ def _task_attempt(task: SweepTask, attempt: int,
             exc, retries=attempt, duration=time.perf_counter() - t0)
         logger.warning("sweep task %r failed (attempt %d, %s): %s",
                        task.key, attempt, failure.kind, failure.summary)
-        return SweepOutcome(key=task.key, mode=task.mode,
-                            engine=task.engine, shards=task.shards
-                            ).set_failure(failure)
+        return _failed_outcome(task, failure)
 
 
 def _run_task(task: SweepTask, attempt: int = 0,
@@ -258,238 +261,16 @@ def _run_task(task: SweepTask, attempt: int = 0,
     return outcome
 
 
-@dataclass
-class _ShardUnit:
-    """Plain-data result of one shard pool unit of a sharded task."""
-
-    #: ShardResult, or None when the requested index was clamped away
-    #: (more shards than accesses)
-    result: Any = None
-    #: recording RunStats; carried by the index-0 unit only
-    stats: Any = None
-    from_cache: bool = False
-    #: structured failure record; None on success
-    failure: Optional[WorkerFailure] = None
-    retries: int = 0
-    duration: float = 0.0
-    metrics: Optional[Dict[str, Any]] = None
-
-    @property
-    def error(self) -> Optional[str]:
-        return self.failure.render() if self.failure is not None else None
-
-
-def _execute_stored_shard_unit(task: SweepTask, si: int) -> _ShardUnit:
-    """Analyze shard ``si`` of a task whose trace the parent spilled.
-
-    The zero-copy fan-out path: the unit opens the parent-recorded
-    columnar store read-only, computes its slice as op-index ranges
-    (an O(nops) scan of the ops column, no side-table I/O), and replays
-    only its own range off the mmap — no program rebuild and no
-    re-recording.  Partials are cached under the
-    trace's content digest, so *any* task recording identical bytes
-    shares them.
-    """
-    from repro.core.shard import analyze_shard, split_trace
-    from repro.core.tracestore import load_trace
-    from repro.tools.cache import AnalysisCache
-    stored = load_trace(task.trace_path)
-    config = task.config or MachineConfig.scaled_itanium2()
-    cache = AnalysisCache(task.cache_dir) if task.cache_dir else None
-    key = None
-    if cache is not None:
-        key = cache.trace_shard_key_for(stored.digest, config,
-                                        task.shards, si)
-        payload = cache.get(key)
-        if payload is not None:
-            return _ShardUnit(result=payload["result"], from_cache=True)
-    slices = split_trace(stored, task.shards)
-    result = None
-    if si < len(slices):
-        with _trace.span("shard.analyze", index=si,
-                         accesses=slices[si].length):
-            result = analyze_shard(slices[si], config.granularities())
-    unit = _ShardUnit(result=result)
-    if key is not None:
-        cache.put(key, {"result": result})
-    return unit
-
-
-def _execute_shard_unit(task: SweepTask, si: int) -> _ShardUnit:
-    """Analyze shard ``si`` of a sharded analyze task.
-
-    Each unit re-records the trace on its side of the fork (recording is
-    the cheap O(ops) part; Programs are not picklable, so the trace
-    cannot ship from the parent) and analyzes only its own slice.  With a
-    cache attached the partial is stored under a shard-count-scoped key,
-    so a repeat sweep skips both the recording and the analysis.  Tasks
-    the parent already recorded into a trace store skip all of that and
-    replay their mmap'd slice instead.
-    """
-    if task.trace_path is not None:
-        return _execute_stored_shard_unit(task, si)
-    from repro.core.shard import analyze_shard, record_trace, split_trace
-    from repro.tools.cache import AnalysisCache
-    program = task.builder(*task.args, **task.kwargs)
-    config = task.config or MachineConfig.scaled_itanium2()
-    cache = AnalysisCache(task.cache_dir) if task.cache_dir else None
-    key = None
-    if cache is not None:
-        key = cache.shard_key_for(program, task.params, config,
-                                  task.miss_model, task.shards, si)
-        payload = cache.get(key)
-        if payload is not None:
-            return _ShardUnit(result=payload["result"],
-                              stats=payload["stats"], from_cache=True)
-    trace, stats = record_trace(program, batch=task.batch, **task.params)
-    slices = split_trace(trace, task.shards)
-    result = None
-    if si < len(slices):
-        with _trace.span("shard.analyze", index=si,
-                         accesses=slices[si].length):
-            result = analyze_shard(slices[si], config.granularities())
-    unit = _ShardUnit(result=result, stats=stats if si == 0 else None)
-    if key is not None:
-        cache.put(key, {"result": result, "stats": unit.stats})
-    return unit
-
-
-def _shard_attempt(task: SweepTask, si: int, attempt: int,
-                   policy: Optional[RetryPolicy]) -> _ShardUnit:
-    """One fault-isolated attempt at a shard unit (see _task_attempt)."""
-    t0 = time.perf_counter()
-    try:
-        with deadline(policy.timeout if policy else None):
-            _faults.fire("sweep.unit", key=task.key, unit="shard",
-                         index=si, attempt=attempt)
-            unit = _execute_shard_unit(task, si)
-        unit.retries = attempt
-        unit.duration = time.perf_counter() - t0
-        return unit
-    except Exception as exc:
-        failure = WorkerFailure.from_exception(
-            exc, retries=attempt, duration=time.perf_counter() - t0)
-        logger.warning("sweep task %r shard %d failed (attempt %d, %s): "
-                       "%s", task.key, si, attempt, failure.kind,
-                       failure.summary)
-        return _ShardUnit(failure=failure, retries=attempt,
-                          duration=failure.duration)
-
-
-def _run_shard_unit(task: SweepTask, si: int, attempt: int = 0,
-                    policy: Optional[RetryPolicy] = None) -> _ShardUnit:
-    """Worker body for one shard unit: fault-isolated and metered."""
-    if not _obs.is_enabled():
-        return _shard_attempt(task, si, attempt, policy)
-    with _obs.scoped() as reg:
-        reg.counter("shard.workers").inc()
-        t0 = time.perf_counter()
-        unit = _shard_attempt(task, si, attempt, policy)
-        reg.timer("shard.worker_latency").observe(time.perf_counter() - t0)
-        unit.metrics = reg.snapshot()
-    return unit
-
-
-def _run_unit(spec: Tuple[str, SweepTask, int], attempt: int = 0,
-              policy: Optional[RetryPolicy] = None):
-    """Pool entry point: a whole task, or one shard of a sharded task."""
-    kind, task, si = spec
-    if kind == "task":
-        return _run_task(task, attempt, policy)
-    return _run_shard_unit(task, si, attempt, policy)
-
-
-def _unit_failure(result: Any) -> Optional[WorkerFailure]:
-    """The structured failure of a unit result, or None on success."""
-    if isinstance(result, SweepOutcome):
-        if result.error is None:
-            return None
-        return WorkerFailure(kind=result.error_kind or "fatal",
-                             exc_type=result.error.split(":", 1)[0],
-                             message=result.error.splitlines()[0],
-                             traceback=result.error,
-                             retries=result.retries,
-                             duration=result.duration)
-    return result.failure
-
-
-def _poison_result(spec: Tuple[str, SweepTask, int],
-                   attempt: int) -> Any:
-    """Terminal outcome for a unit whose worker died past its retries."""
-    kind, task, si = spec
-    failure = WorkerFailure(
-        kind=FailureKind.POISON.value, exc_type="BrokenProcessPool",
-        message="worker process exited abruptly "
-                "(crash, OOM kill, or hard signal)",
-        traceback="BrokenProcessPool: worker process exited abruptly\n",
-        retries=attempt)
-    if kind == "task":
-        return SweepOutcome(key=task.key, mode=task.mode,
-                            engine=task.engine, shards=task.shards
-                            ).set_failure(failure)
-    return _ShardUnit(failure=failure, retries=attempt)
-
-
-def _merge_sharded_task(task: SweepTask, units: Sequence[_ShardUnit],
-                        stats: Any = None) -> SweepOutcome:
-    """Fold a sharded task's units into one ordinary SweepOutcome.
-
-    Runs in the parent: merges the boundary sets, predicts totals from
-    the merged state, and writes the merged state through to the plain
-    analysis cache key — so a later *sequential* run of the same point
-    is a cache hit too (the merge is byte-identical).  ``stats`` is the
-    parent-side recording's RunStats for trace-store tasks, whose units
-    never record and so never carry one.
-    """
-    merged = _obs.MetricsRegistry()
-    have_metrics = False
-    for unit in units:
-        if unit.metrics:
-            merged.merge(unit.metrics)
-            have_metrics = True
-    outcome = SweepOutcome(key=task.key, mode="analyze",
-                           engine=task.engine, shards=task.shards,
-                           retries=max((u.retries for u in units),
-                                       default=0),
-                           duration=sum(u.duration for u in units),
-                           metrics=merged.snapshot() if have_metrics
-                           else None)
-    failures = [u.failure for u in units if u.failure is not None]
-    if failures:
-        outcome.set_failure(failures[0])
-        outcome.retries = max(u.retries for u in units)
-        return outcome
-    try:
-        from repro.core.analyzer import ReuseAnalyzer
-        from repro.core.shard import merge_shard_results
-        from repro.model.predictor import predict
-        from repro.tools.cache import AnalysisCache
-        config = task.config or MachineConfig.scaled_itanium2()
-        results = [u.result for u in units if u.result is not None]
-        total = int(results[-1].end) if results else 0
-        with _trace.span("shard.merge", shards=len(results)):
-            state = merge_shard_results(results, config.granularities(),
-                                        total)
-        program = task.builder(*task.args, **task.kwargs)
-        prediction = predict(ReuseAnalyzer.from_state(state), config,
-                             program, model=task.miss_model)
-        outcome.totals = prediction.totals()
-        outcome.state = state
-        outcome.stats = (units[0].stats if units[0].stats is not None
-                         else stats)
-        outcome.from_cache = all(u.from_cache for u in units)
-        if task.cache_dir:
-            cache = AnalysisCache(task.cache_dir)
-            key = cache.key_for(program, task.params, config,
-                                task.miss_model, task.engine)
-            if key not in cache:
-                cache.put(key, {"analyzer_state": state,
-                                "stats": outcome.stats})
-    except Exception as exc:
-        logger.warning("sweep task %r shard merge failed: %s: %s",
-                       task.key, type(exc).__name__, exc)
-        outcome.set_failure(WorkerFailure.from_exception(exc))
-    return outcome
+def _task_failure(outcome: SweepOutcome) -> Optional[WorkerFailure]:
+    """The structured failure of a task outcome, or None on success."""
+    if outcome.error is None:
+        return None
+    return WorkerFailure(kind=outcome.error_kind or "fatal",
+                         exc_type=outcome.error.split(":", 1)[0],
+                         message=outcome.error.splitlines()[0],
+                         traceback=outcome.error,
+                         retries=outcome.retries,
+                         duration=outcome.duration)
 
 
 def _init_worker(obs_enabled: bool, log_level: Optional[int],
@@ -519,41 +300,40 @@ def default_jobs(limit: int = 8) -> int:
 # Scheduler
 # ---------------------------------------------------------------------------
 
-class _UnitScheduler:
-    """Retry-aware execution of pool units, inline or across processes.
+class _TaskScheduler:
+    """Retry-aware execution of sweep tasks, inline or across processes.
 
     The pool path replaces the old ``Pool.map`` with an incremental
     submit/complete loop over a ``ProcessPoolExecutor`` so that three
     things become possible:
 
-    * a unit whose outcome carries a retryable failure (transient error,
+    * a task whose outcome carries a retryable failure (transient error,
       deadline overrun) is *resubmitted* after a backoff delay instead
       of surfacing the failure — bounded by the policy's retry budget;
     * a worker process that dies abruptly raises ``BrokenProcessPool``
       on every unfinished future: the scheduler rebuilds the pool,
-      requeues those units (each charged one attempt — the crasher
+      requeues those tasks (each charged one attempt — the crasher
       cannot be told apart from its innocent poolmates), and keeps
-      going; a unit that exhausts its budget this way is reported as a
+      going; a task that exhausts its budget this way is reported as a
       ``poison`` failure rather than requeued forever;
-    * completed units stream to an ``on_done`` callback in completion
+    * completed tasks stream to an ``on_done`` callback in completion
       order, which is what lets the checkpoint journal stay current
       while the sweep is still running.
 
-    Backoff never blocks the loop: delayed units sit in a ready-time
+    Backoff never blocks the loop: delayed tasks sit in a ready-time
     heap and the completion wait uses the nearest ready time as its
     timeout.
     """
 
-    def __init__(self, specs: Sequence[Tuple[str, SweepTask, int]],
-                 policy: RetryPolicy,
-                 on_done: Optional[Callable[[int, Any], None]] = None
-                 ) -> None:
-        self.specs = list(specs)
+    def __init__(self, tasks: Sequence[SweepTask], policy: RetryPolicy,
+                 on_done: Optional[Callable[[int, SweepOutcome], None]]
+                 = None) -> None:
+        self.tasks = list(tasks)
         self.policy = policy
         self.on_done = on_done
         self.rng = policy.rng()
-        self.attempts = [0] * len(self.specs)
-        self.results: Dict[int, Any] = {}
+        self.attempts = [0] * len(self.tasks)
+        self.results: Dict[int, SweepOutcome] = {}
 
     def _count_retry(self) -> None:
         _obs.counter("resil.retries").inc()
@@ -567,9 +347,9 @@ class _UnitScheduler:
         if failure.exc_type == "DeadlineExceeded":
             _obs.counter("resil.timeouts").inc()
 
-    def _finish(self, i: int, result: Any) -> None:
+    def _finish(self, i: int, result: SweepOutcome) -> None:
         self.results[i] = result
-        if self.on_done is not None and _unit_failure(result) is None:
+        if self.on_done is not None and _task_failure(result) is None:
             self.on_done(i, result)
 
     def _wants_retry(self, i: int, failure: WorkerFailure) -> bool:
@@ -577,7 +357,7 @@ class _UnitScheduler:
         if not self.policy.should_retry(kind, self.attempts[i]):
             return False
         self._count_retry()
-        logger.info("sweep unit %d retrying (attempt %d, %s)", i,
+        logger.info("sweep task %d retrying (attempt %d, %s)", i,
                     self.attempts[i] + 1, failure.kind)
         self.attempts[i] += 1
         return True
@@ -587,9 +367,9 @@ class _UnitScheduler:
     def run_inline(self, todo: Sequence[int]) -> None:
         for i in todo:
             while True:
-                result = _run_unit(self.specs[i], self.attempts[i],
+                result = _run_task(self.tasks[i], self.attempts[i],
                                    self.policy)
-                failure = _unit_failure(result)
+                failure = _task_failure(result)
                 if failure is not None:
                     self._count_failure(failure)
                 if failure is None or not self._wants_retry(i, failure):
@@ -616,7 +396,7 @@ class _UnitScheduler:
                     queue.append(heapq.heappop(delayed)[1])
                 while queue:
                     i = queue.popleft()
-                    inflight[pool.submit(_run_unit, self.specs[i],
+                    inflight[pool.submit(_run_task, self.tasks[i],
                                          self.attempts[i],
                                          self.policy)] = i
                 if not inflight:
@@ -633,7 +413,7 @@ class _UnitScheduler:
                         result = fut.result()
                     except BrokenProcessPool:
                         broken = True
-                        self._broken_unit(i, queue)
+                        self._broken_task(i, queue)
                         continue
                     except Exception as exc:
                         # result failed to unpickle or similar plumbing
@@ -643,10 +423,10 @@ class _UnitScheduler:
                         if self._wants_retry(i, failure):
                             self._delay(delayed, i)
                         else:
-                            self._finish(i, self._failed_result(
-                                i, failure))
+                            self._finish(i, _failed_outcome(
+                                self.tasks[i], failure))
                         continue
-                    failure = _unit_failure(result)
+                    failure = _task_failure(result)
                     if failure is not None:
                         self._count_failure(failure)
                     if failure is not None and self._wants_retry(
@@ -659,11 +439,11 @@ class _UnitScheduler:
                     # requeue the survivors and rebuild the pool
                     _obs.counter("resil.pool_rebuilds").inc()
                     for fut, i in list(inflight.items()):
-                        self._broken_unit(i, queue)
+                        self._broken_task(i, queue)
                     inflight.clear()
                     pool.shutdown(wait=False)
                     logger.warning("sweep worker pool broke; rebuilding "
-                                   "(%d unit(s) requeued)", len(queue))
+                                   "(%d task(s) requeued)", len(queue))
                     pool = self._make_pool(nworkers)
         finally:
             pool.shutdown(wait=False)
@@ -676,29 +456,27 @@ class _UnitScheduler:
                       logging.getLogger("repro").level or None,
                       _faults.active_specs()))
 
-    def _broken_unit(self, i: int, queue: deque) -> None:
-        """A unit lost to a dead worker: requeue or report as poison."""
+    def _broken_task(self, i: int, queue: deque) -> None:
+        """A task lost to a dead worker: requeue or report as poison."""
         _obs.counter("sweep.worker_failures").inc()
         if self.policy.should_retry(FailureKind.POISON, self.attempts[i]):
             self._count_retry()
             self.attempts[i] += 1
             queue.append(i)
         else:
-            self._finish(i, _poison_result(self.specs[i],
-                                           self.attempts[i]))
+            self._finish(i, _failed_outcome(self.tasks[i], WorkerFailure(
+                kind=FailureKind.POISON.value,
+                exc_type="BrokenProcessPool",
+                message="worker process exited abruptly "
+                        "(crash, OOM kill, or hard signal)",
+                traceback="BrokenProcessPool: worker process exited "
+                          "abruptly\n",
+                retries=self.attempts[i])))
 
     def _delay(self, delayed: List[Tuple[float, int]], i: int) -> None:
         ready = time.monotonic() + self.policy.backoff(
             self.attempts[i] - 1, self.rng)
         heapq.heappush(delayed, (ready, i))
-
-    def _failed_result(self, i: int, failure: WorkerFailure) -> Any:
-        kind, task, si = self.specs[i]
-        if kind == "task":
-            return SweepOutcome(key=task.key, mode=task.mode,
-                                engine=task.engine, shards=task.shards
-                                ).set_failure(failure)
-        return _ShardUnit(failure=failure, retries=failure.retries)
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +619,7 @@ def run_sweep(tasks: Sequence[SweepTask],
               checkpoint_fsync: bool = False) -> List[SweepOutcome]:
     """Run every task, in order, across ``jobs`` worker processes.
 
-    ``jobs=None`` or ``jobs=1`` (or a single unit) runs inline — no
+    ``jobs=None`` or ``jobs=1`` (or a single task) runs inline — no
     processes, easiest to debug, and what the test suite exercises by
     default.  Outcomes are returned in task order regardless of worker
     scheduling.  A failing task never aborts the sweep: its outcome
@@ -850,16 +628,21 @@ def run_sweep(tasks: Sequence[SweepTask],
     With observability enabled, per-task worker metrics are merged back
     into the parent's registry before returning.
 
+    The pool spreads tasks, not shards: a task with ``shards=K`` runs
+    one :class:`~repro.tools.session.AnalysisSession` with ``shards=K``
+    in its worker, which records the trace once, analyzes the K shards
+    in turn, caches their partials and merges them.
+
     ``retry`` is the :class:`~repro.tools.resilience.RetryPolicy`
-    applied per unit (default: two retries of transient/poison failures,
-    no deadline); retried units re-run the same deterministic analysis,
+    applied per task (default: two retries of transient/poison failures,
+    no deadline); retried tasks re-run the same deterministic analysis,
     so results are byte-identical however many attempts they took.
 
-    ``checkpoint`` names a durable JSONL journal: each completed unit is
+    ``checkpoint`` names a durable JSONL journal: each completed task is
     recorded (payload + journal line) as soon as it finishes, and a
-    later ``run_sweep(..., checkpoint=same_path)`` restores those units
+    later ``run_sweep(..., checkpoint=same_path)`` restores those tasks
     from disk instead of recomputing them — a sweep killed mid-run
-    resumes from where it died with byte-identical merged results.
+    resumes from where it died with byte-identical results.
     ``checkpoint_fsync`` additionally fsyncs each journal append.
 
     ``manifest_out`` writes a sweep-level roll-up JSON (see
@@ -872,36 +655,9 @@ def run_sweep(tasks: Sequence[SweepTask],
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     policy = retry if retry is not None else DEFAULT_POLICY
-    # Sharded analyze tasks expand into per-shard units that share the
-    # pool with whole-task units, so one huge trace no longer serializes
-    # the sweep; the parent folds each group back into one outcome.
-    # Measure mode cannot shard (the simulator's LRU state is
-    # order-dependent): affected tasks run unsharded, reported once per
-    # sweep rather than once per task.
-    ignored_shards = [task.key for task in tasks
-                      if task.shards > 1 and task.mode == "measure"]
-    if ignored_shards:
-        shown = ", ".join(repr(k) for k in ignored_shards[:5])
-        if len(ignored_shards) > 5:
-            shown += f", ... ({len(ignored_shards)} total)"
-        logger.warning("shards ignored in measure mode for %d task(s) "
-                       "[%s]: the simulator's LRU state is "
-                       "order-dependent", len(ignored_shards), shown)
-    specs: List[Tuple[str, SweepTask, int]] = []
-    plan: List[Tuple[int, int]] = []
-    for task in tasks:
-        shards = task.shards
-        if shards > 1 and task.mode == "measure":
-            shards = 1
-        plan.append((len(specs), shards))
-        if shards > 1:
-            specs.extend(("shard", task, si) for si in range(shards))
-        else:
-            specs.append(("task", task, 0))
-
     ckpt: Optional[SweepCheckpoint] = None
     digests: List[str] = []
-    restored: Dict[int, Any] = {}
+    restored: Dict[int, SweepOutcome] = {}
     if checkpoint:
         # Dedup journal payloads against the sweep's analysis cache when
         # every caching task agrees on one directory; mixed or absent
@@ -914,8 +670,7 @@ def run_sweep(tasks: Sequence[SweepTask],
                                        fsync=checkpoint_fsync)
         ckpt = SweepCheckpoint(checkpoint, fsync=checkpoint_fsync,
                                cache=ckpt_cache)
-        digests = [SweepCheckpoint.unit_digest(task, kind, si)
-                   for kind, task, si in specs]
+        digests = [SweepCheckpoint.unit_digest(task) for task in tasks]
         journal = ckpt.load()
         for i, digest in enumerate(digests):
             if digest in journal:
@@ -924,46 +679,16 @@ def run_sweep(tasks: Sequence[SweepTask],
                     restored[i] = payload
         if restored:
             _obs.counter("resil.checkpoint_restored").inc(len(restored))
-            logger.info("sweep checkpoint %s: restored %d/%d unit(s)",
-                        checkpoint, len(restored), len(specs))
-
-    # Parent-side recording for the zero-copy fan-out: each sharded task
-    # with a trace_dir records once into a digest-named columnar store
-    # (skipped when every unit was already restored), and its shard
-    # units become mmap replays of that store.  Specs must be patched
-    # before the scheduler snapshots them.  Unit digests hash the recipe
-    # only, so checkpoints stay valid across this rewrite.
-    record_stats: Dict[int, Any] = {}
-    for ti, (task, (base, count)) in enumerate(zip(tasks, plan)):
-        if (count <= 1 or task.trace_dir is None
-                or task.trace_path is not None
-                or all(base + si in restored for si in range(count))):
-            continue
-        try:
-            from repro.core.tracestore import record_spilled
-            with _trace.span("shard.record", program=str(task.key)):
-                stored, stats = record_spilled(
-                    task.builder(*task.args, **task.kwargs),
-                    task.trace_dir, batch=task.batch,
-                    spill_mb=task.spill_mb, **task.params)
-        except Exception as exc:
-            logger.warning("sweep task %r: trace-store recording failed "
-                           "(%s: %s); shard units will re-record",
-                           task.key, type(exc).__name__, exc)
-            continue
-        task = replace(task, trace_path=stored.path)
-        tasks[ti] = task
-        record_stats[ti] = stats
-        for si in range(count):
-            specs[base + si] = ("shard", task, si)
+            logger.info("sweep checkpoint %s: restored %d/%d task(s)",
+                        checkpoint, len(restored), len(tasks))
 
     # Parent-side closed-form derivation: static tasks that request
     # closed_form and share one kernel shape derive ONCE here — sampled
     # on the sweep's own sizes, so every task's bound is a verified hull
-    # member — and the derivation ships to each unit.  Like the trace
-    # rewrite above, this patches specs after digests were taken, so
-    # checkpoints stay valid.  A failed derivation leaves its group
-    # untouched: units derive (or enumerate) on their own side.
+    # member — and the derivation ships to each task.  This patches
+    # tasks after digests were taken, so checkpoints stay valid.  A
+    # failed derivation leaves its group untouched: tasks derive (or
+    # enumerate) on their own side.
     cf_groups: Dict[Tuple, List[int]] = {}
     for ti, task in enumerate(tasks):
         spec = task.closed_form
@@ -1002,40 +727,27 @@ def run_sweep(tasks: Sequence[SweepTask],
                     samples=samples, cache=cache)
         except Exception as exc:
             logger.warning("sweep closed-form derivation failed for "
-                           "%s/%s (%s: %s); %d unit(s) evaluate on "
+                           "%s/%s (%s: %s); %d task(s) evaluate on "
                            "their own", workload, free,
                            type(exc).__name__, exc, len(tis))
             continue
         for ti in tis:
-            task = replace(tasks[ti], closed_form={
+            tasks[ti] = replace(tasks[ti], closed_form={
                 **tasks[ti].closed_form, "samples": list(samples),
                 "derivation": deriv})
-            tasks[ti] = task
-            specs[plan[ti][0]] = ("task", task, 0)
 
-    def on_done(i: int, result: Any) -> None:
-        if ckpt is None or i in restored:
-            return
-        kind, task, si = specs[i]
-        ckpt.record(digests[i], f"{task.key!r}/{kind}{si}", result)
+    def on_done(i: int, result: SweepOutcome) -> None:
+        if ckpt is not None and i not in restored:
+            ckpt.record(digests[i], repr(tasks[i].key), result)
 
-    scheduler = _UnitScheduler(specs, policy, on_done=on_done)
+    scheduler = _TaskScheduler(tasks, policy, on_done=on_done)
     scheduler.results.update(restored)
-    todo = [i for i in range(len(specs)) if i not in restored]
+    todo = [i for i in range(len(tasks)) if i not in restored]
     if jobs == 1 or len(todo) <= 1:
         scheduler.run_inline(todo)
     else:
         scheduler.run_pool(todo, jobs)
-    unit_results = [scheduler.results[i] for i in range(len(specs))]
-
-    outcomes = []
-    for ti, (task, (base, count)) in enumerate(zip(tasks, plan)):
-        if count == 1:
-            outcomes.append(unit_results[base])
-        else:
-            outcomes.append(_merge_sharded_task(
-                task, unit_results[base:base + count],
-                stats=record_stats.get(ti)))
+    outcomes = [scheduler.results[i] for i in range(len(tasks))]
     if _obs.is_enabled():
         registry = _obs.registry()
         for out in outcomes:

@@ -1,5 +1,6 @@
 """Shared test utilities: naive reference implementations, tiny kernels,
-and seeded on-disk state for the GC tests.
+a hypothesis strategy drawing generated kernels, and seeded on-disk state
+for the GC tests.
 
 The naive oracles here are deliberately simple (O(n^2) scans, explicit LRU
 stacks) so their correctness is obvious; the real implementations are tested
@@ -14,10 +15,14 @@ import os
 import time
 from typing import Dict, List, Optional, Tuple
 
+from hypothesis import strategies as st
+
 from repro.core.tracestore import record_spilled
 from repro.lang import (
-    MemoryLayout, Program, Var, load, loop, program, routine, stmt, store,
+    MemoryLayout, Program, Var, assign, call, idx, load, loop, program,
+    routine, stmt, store,
 )
+from repro.lang.ast import Const, FloorDiv, Max, Min, Mod
 from repro.service.jobs import JobSpec, JobStore
 from repro.tools.atomicio import atomic_write_text
 from repro.tools.cache import AnalysisCache
@@ -222,3 +227,132 @@ def service_state(tmp_path) -> Tuple[str, JobStore, AnalysisCache]:
     os.makedirs(state)
     return (state, JobStore(state),
             AnalysisCache(os.path.join(state, "cache"), shared=True))
+
+
+# ---------------------------------------------------------------------------
+# Generated kernels
+# ---------------------------------------------------------------------------
+
+SCALARS = ("s0", "s1", "s2")
+
+
+class _Gen:
+    """Draws one kernel: affine nests to depth 4 with mixed and negative
+    steps, zero-trip loops, bounds on outer variables, indirect
+    subscripts (loads nested in them included), scalar assigns with
+    loads (loop-carried and escaping ones included), FloorDiv/Mod/Min/Max
+    on negative values, and calls inside loops."""
+
+    def __init__(self, draw):
+        self.draw = draw
+        lay = MemoryLayout()
+        self.lay = lay
+        self.a = lay.array("A", 40)
+        self.b = lay.array("B", 6, 5,
+                           order=draw(st.sampled_from(["F", "C"])))
+        self.c = lay.array("C", 48, elem_size=4, origin=0)
+        self.ix = lay.index_array("IX", 16)
+        self.ix.values[:] = draw(st.lists(st.integers(-9, 30),
+                                          min_size=16, max_size=16))
+
+    def expr(self, names, depth=0):
+        """An index expression; an indirect subscript may hold another
+        load (``IX(IX(i) + 1)``)."""
+        draw = self.draw
+        leaf = draw(st.integers(0, 9 if depth < 2 else 3))
+        if leaf <= 1 or not names:
+            return Const(draw(st.integers(-4, 4)))
+        if leaf <= 3:
+            var = Var(draw(st.sampled_from(names)))
+            return var * draw(st.integers(-2, 3)) + draw(st.integers(-3, 3))
+        left = self.expr(names, depth + 1)
+        if leaf == 4:
+            return left + self.expr(names, depth + 1)
+        if leaf == 5:
+            return FloorDiv(left, draw(st.integers(1, 4)))
+        if leaf == 6:
+            return Mod(left, draw(st.integers(1, 5)))
+        if leaf == 7:
+            return Min(left, self.expr(names, depth + 1))
+        if leaf == 8:
+            return Max(left, self.expr(names, depth + 1))
+        return idx(self.ix, Mod(left, 16) + 1)
+
+    def access(self, names):
+        draw = self.draw
+        which = draw(st.integers(0, 3))
+        if which == 0:
+            return load(self.a, self.expr(names))
+        if which == 1:
+            return store(self.a, self.expr(names))
+        if which == 2:
+            return load(self.b, self.expr(names), self.expr(names))
+        return store(self.c, self.expr(names))
+
+    def body(self, names, loop_vars, depth, callee):
+        draw = self.draw
+        names = list(names)  # a body's own scalars join after assignment
+        nodes = []
+        loops = 0
+        for n in range(draw(st.integers(1, 3))):
+            # a routine's body opens with a loop: most of the stream
+            kind = 9 if depth <= 1 and n == 0 else draw(st.integers(0, 9))
+            if kind >= 6 and loops == 2:
+                kind = 0  # at most two loops per body bounds the stream
+            if kind <= 3 or (kind <= 6 and depth >= 4):
+                accs = [self.access(names)
+                        for _ in range(draw(st.integers(1, 3)))]
+                nodes.append(stmt(*accs, ops=draw(st.integers(0, 2))))
+            elif kind == 4:
+                # mostly a scalar of this body, read only after it is
+                # assigned; else a parameter or the loop variable, which
+                # reads elsewhere see from another iteration
+                local = f"t{depth}"
+                target = draw(st.sampled_from(
+                    (local,) * 6 + SCALARS + tuple(loop_vars[-1:])))
+                nodes.append(assign(target, self.expr(names)))
+                if target not in names:
+                    names.append(target)
+            elif kind == 5 and callee is not None:
+                nodes.append(call(callee))
+            elif depth < 4:
+                loops += 1
+                nodes.append(self.loop(names, loop_vars, depth, callee))
+        return nodes
+
+    def loop(self, names, loop_vars, depth, callee):
+        draw = self.draw
+        var = f"{'ij'[callee is None]}{depth}"
+        step = draw(st.sampled_from([1, 1, 2, -1, -2]))
+        trips = draw(st.integers(1 if depth == 0 else -1,
+                                 5 if depth < 2 else 3))
+        lo = self.expr(names) if draw(st.booleans()) else \
+            Const(draw(st.integers(-3, 3)))
+        if names and draw(st.booleans()):
+            # a bound on an outer variable, capped at a few trips
+            hi = Var(draw(st.sampled_from(names))) + trips * step
+            cap = lo + (trips - 1) * step
+            hi = Min(hi, cap) if step > 0 else Max(hi, cap)
+        else:
+            hi = lo + (trips - 1) * step
+        inner = names + [var]
+        return loop(var, lo, hi,
+                    *self.body(inner, loop_vars + [var], depth + 1, callee),
+                    step=step)
+
+
+@st.composite
+def kernels(draw):
+    """Hypothesis strategy: one generated kernel (see ``_Gen``)."""
+    gen = _Gen(draw)
+    names = list(SCALARS)
+    routines = []
+    nsubs = draw(st.integers(0, 2))
+    callee = None
+    for k in reversed(range(nsubs)):
+        name = f"sub{k}"
+        routines.append(routine(name, *gen.body(names, [], 1, callee)))
+        callee = name
+    routines.insert(0, routine("main", *gen.body(names, [], 0, callee)))
+    params = {name: draw(st.integers(-3, 5)) for name in SCALARS}
+    return program("gen", gen.lay, routines, params=params)

@@ -4,15 +4,19 @@ The acceptance bar for the time-sliced parallel path is the same as the
 array engine's: ``pickle.dumps`` equality of the merged ``dump_state``
 against a sequential run — pattern keys, bins within keys, cold rids,
 footprints, and clock, *including dict insertion order*.  Exercised on
-the paper's two headline codes plus CG (irregular index vectors), across
-shard counts that place boundaries mid-scope, mid-chunk, and inside
+the paper's two headline codes plus CG (irregular index vectors) and on
+generated kernels (against the scalar fenwick reference), across shard
+counts that place boundaries mid-scope, mid-chunk, and inside
 run-compressed affine regions, and through every integration surface:
 session, cache, sweep driver, and CLI.
 """
 
+import os
 import pickle
+import tempfile
 
 import pytest
+from hypothesis import given, settings
 
 from repro.apps.gtc import GTCParams, build_gtc
 from repro.apps.kernels import irregular_gather, stream_triad
@@ -22,8 +26,11 @@ from repro.core import ReuseAnalyzer
 from repro.core.shard import (
     analyze_sharded, analyze_trace_sharded, record_trace,
 )
-from repro.lang import BatchExecutor
+from repro.lang import BatchExecutor, Executor
 from repro.model import MachineConfig
+from repro.tools.cache import AnalysisCache
+from repro.tools.session import AnalysisSession
+from tests.helpers import kernels
 
 CFG = MachineConfig.scaled_itanium2()
 GRANS = CFG.granularities()
@@ -94,6 +101,39 @@ def test_scalar_executor_recording():
     assert pickle.dumps(state) == _sequential_ref(build)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(prog=kernels())
+def test_generated_kernels_sharded(prog):
+    """Sharded sessions on generated kernels: every K, in memory
+    and spilled, matches the scalar fenwick reference; the merged state
+    and the partials round-trip through the cache."""
+    scalar = ReuseAnalyzer(GRANS, engine="fenwick")
+    Executor(prog, scalar).run()
+    ref = pickle.dumps(scalar.dump_state())
+    with tempfile.TemporaryDirectory() as tmp:
+        for k in (1, 2, 3, 5, 7):
+            for store in (None, os.path.join(tmp, "traces")):
+                session = AnalysisSession(
+                    prog, shards=k, trace_store=store,
+                    spill_mb=0.001 if store else None).run()
+                assert session.fallback is None
+                assert pickle.dumps(session.analyzer.dump_state()) == ref
+        cache = AnalysisCache(os.path.join(tmp, "cache"))
+        first = AnalysisSession(prog, shards=3, cache=cache).run()
+        assert pickle.dumps(first.analyzer.dump_state()) == ref
+        again = AnalysisSession(prog, shards=3, cache=cache).run()
+        assert again.from_cache
+        assert pickle.dumps(again.analyzer.dump_state()) == ref
+        # without the merged entry, a third run resumes from partials
+        os.unlink(cache._path(cache.key_for(prog, {}, first.config, "sa",
+                                            first.engine)))
+        hits = cache.hits
+        third = AnalysisSession(prog, shards=3, cache=cache).run()
+        assert not third.from_cache
+        assert cache.hits == hits + max(1, min(3, first.stats.accesses))
+        assert pickle.dumps(third.analyzer.dump_state()) == ref
+
+
 class TestSpilledEquivalence:
     """The stored-trace path meets the same byte-identity bar.
 
@@ -132,8 +172,6 @@ class TestSpilledEquivalence:
 
 class TestSessionIntegration:
     def test_session_sharded_matches_sequential(self, tmp_path):
-        from repro.tools.cache import AnalysisCache
-        from repro.tools.session import AnalysisSession
         build = BUILDERS["sweep3d"]
         seq = AnalysisSession(build(), engine="numpy")
         seq.run()
@@ -155,9 +193,6 @@ class TestSessionIntegration:
         assert pickle.dumps(seq2.analyzer.dump_state()) == ref
 
     def test_session_resumes_from_shard_partials(self, tmp_path):
-        import os
-        from repro.tools.cache import AnalysisCache
-        from repro.tools.session import AnalysisSession
         build = BUILDERS["sweep3d"]
         cache = AnalysisCache(str(tmp_path))
         first = AnalysisSession(build(), shards=3, cache=cache)
@@ -175,8 +210,6 @@ class TestSessionIntegration:
         assert pickle.dumps(again.analyzer.dump_state()) == ref
 
     def test_session_trace_store_matches_sequential(self, tmp_path):
-        from repro.tools.cache import AnalysisCache
-        from repro.tools.session import AnalysisSession
         build = BUILDERS["sweep3d"]
         ref = _sequential_ref(build)
         cache = AnalysisCache(str(tmp_path / "cache"))
@@ -186,7 +219,6 @@ class TestSessionIntegration:
         sh.run()
         assert pickle.dumps(sh.analyzer.dump_state()) == ref
         # the store landed on disk, digest-named
-        import os
         assert os.listdir(str(tmp_path / "ts"))
         # merged entry still lives under the sequential key
         seq = AnalysisSession(build(), cache=cache)
@@ -195,7 +227,6 @@ class TestSessionIntegration:
         assert pickle.dumps(seq.analyzer.dump_state()) == ref
 
     def test_trace_store_without_sharding(self, tmp_path):
-        from repro.tools.session import AnalysisSession
         build = BUILDERS["sweep3d"]
         session = AnalysisSession(build(), trace_store=str(tmp_path),
                                   spill_mb=0.01)
@@ -204,13 +235,11 @@ class TestSessionIntegration:
             _sequential_ref(build)
 
     def test_trace_store_rejects_simulation(self):
-        from repro.tools.session import AnalysisSession
         with pytest.raises(ValueError):
             AnalysisSession(BUILDERS["sweep3d"](), simulate=True,
                             trace_store="/tmp/nope")
 
     def test_session_rejects_sharded_simulation(self):
-        from repro.tools.session import AnalysisSession
         with pytest.raises(ValueError):
             AnalysisSession(BUILDERS["sweep3d"](), shards=2,
                             simulate=True)
@@ -219,73 +248,91 @@ class TestSessionIntegration:
 
 
 class TestSweepIntegration:
+    """A sharded sweep task is one sharded session in its worker."""
+
     def test_sharded_task_matches_plain(self, tmp_path):
         from repro.tools.sweep import SweepTask, run_sweep
         params = SweepParams(n=6, mm=4, nm=2, noct=1)
-        tasks = [
-            SweepTask(key="plain", builder=build_original, args=(params,),
-                      cache_dir=str(tmp_path)),
-            SweepTask(key="sharded", builder=build_original,
-                      args=(params,), shards=3,
-                      cache_dir=str(tmp_path)),
-        ]
-        plain, sharded = run_sweep(tasks, jobs=1)
-        assert plain.error is None and sharded.error is None
-        assert pickle.dumps(sharded.state) == pickle.dumps(plain.state)
-        assert sharded.totals == plain.totals
-        assert sharded.shards == 3 and plain.shards == 1
-        assert sharded.stats.accesses == plain.stats.accesses
-        # sharded units + merged write-through populated the cache:
-        # the pooled re-run is pure cache hits, same bytes
-        again = run_sweep(tasks, jobs=2)
-        assert all(out.from_cache for out in again)
-        assert pickle.dumps(again[1].state) == pickle.dumps(plain.state)
+        for jobs in (1, 2):
+            cache = str(tmp_path / f"jobs{jobs}")
+            tasks = [
+                SweepTask(key="plain", builder=build_original,
+                          args=(params,)),
+                SweepTask(key="sharded", builder=build_original,
+                          args=(params,), shards=3, cache_dir=cache),
+            ]
+            plain, sharded = run_sweep(tasks, jobs=jobs)
+            assert plain.error is None and sharded.error is None
+            assert not sharded.from_cache
+            assert pickle.dumps(sharded.state) == pickle.dumps(plain.state)
+            assert sharded.totals == plain.totals
+            assert sharded.shards == 3 and plain.shards == 1
+            assert sharded.stats.accesses == plain.stats.accesses
+            # the merged state went to the plain key: an unsharded task
+            # on the same cache is a hit, and so is a sharded re-run
+            again = run_sweep([
+                SweepTask(key="cached", builder=build_original,
+                          args=(params,), cache_dir=cache), tasks[1]],
+                jobs=jobs)
+            assert all(out.from_cache for out in again)
+            assert all(pickle.dumps(out.state) == pickle.dumps(plain.state)
+                       for out in again)
 
     def test_trace_dir_task_matches_plain(self, tmp_path):
-        import os
         from repro.tools.sweep import SweepTask, run_sweep
         params = SweepParams(n=6, mm=4, nm=2, noct=1)
-        tasks = [
-            SweepTask(key="plain", builder=build_original, args=(params,),
-                      cache_dir=str(tmp_path / "cache")),
-            SweepTask(key="spilled", builder=build_original,
-                      args=(params,), shards=3,
-                      cache_dir=str(tmp_path / "cache"),
-                      trace_dir=str(tmp_path / "ts"), spill_mb=0.01),
-        ]
-        plain, spilled = run_sweep(tasks, jobs=1)
-        assert plain.error is None and spilled.error is None
-        assert pickle.dumps(spilled.state) == pickle.dumps(plain.state)
-        assert spilled.stats.accesses == plain.stats.accesses
-        # the parent recorded once: exactly one digest-named store
+        cache = str(tmp_path / "cache")
+        spilled = SweepTask(key="spilled", builder=build_original,
+                            args=(params,), shards=3, cache_dir=cache,
+                            trace_dir=str(tmp_path / "ts"), spill_mb=0.01)
+        plain = SweepTask(key="plain", builder=build_original,
+                          args=(params,), cache_dir=cache)
+        first, hit = run_sweep([spilled, plain], jobs=1)
+        assert first.error is None and hit.error is None
+        assert not first.from_cache and hit.from_cache
+        assert pickle.dumps(first.state) == pickle.dumps(hit.state)
+        assert pickle.dumps(first.state) == _sequential_ref(
+            lambda: build_original(params))
+        assert first.stats.accesses == hit.stats.accesses
+        # the task recorded once: exactly one digest-named store
         assert len(os.listdir(str(tmp_path / "ts"))) == 1
-        # shard partials were cached under the trace digest: a pooled
-        # re-run is pure cache hits, same bytes
-        again = run_sweep(tasks, jobs=2)
+        # a task the cache serves records no store
+        served = SweepTask(key="served", builder=build_original,
+                           args=(params,), shards=3, cache_dir=cache,
+                           trace_dir=str(tmp_path / "ts2"), spill_mb=0.01)
+        again = run_sweep([spilled, served], jobs=2)
         assert all(out.from_cache for out in again)
-        assert pickle.dumps(again[1].state) == pickle.dumps(plain.state)
+        assert pickle.dumps(again[1].state) == pickle.dumps(first.state)
+        assert not os.path.exists(str(tmp_path / "ts2"))
+        assert len(os.listdir(str(tmp_path / "ts"))) == 1
 
     def test_pool_expansion_without_cache(self):
+        # sharded tasks spread across the pool, one task per worker
         from repro.tools.sweep import SweepTask, run_sweep
         params = SweepParams(n=6, mm=4, nm=2, noct=1)
         ref = _sequential_ref(lambda: build_original(params))
-        (out,) = run_sweep([SweepTask(key="s", builder=build_original,
-                                      args=(params,), shards=4)], jobs=2)
-        assert out.error is None
-        assert pickle.dumps(out.state) == ref
+        outs = run_sweep([SweepTask(key=k, builder=build_original,
+                                    args=(params,), shards=k)
+                          for k in (2, 4)], jobs=2)
+        assert [out.error for out in outs] == [None, None]
+        assert [pickle.dumps(out.state) for out in outs] == [ref, ref]
 
-    def test_measure_mode_ignores_shards(self, caplog):
+    def test_measure_mode_rejects_shard_options(self, tmp_path):
         from repro.apps.sweep3d import build_variant
-        from repro.tools.sweep import SweepTask, run_sweep
+        from repro.cli import main
+        from repro.tools.sweep import SweepTask
         params = SweepParams(n=5, mm=3, nm=2, noct=1)
-        task = SweepTask(key="orig", builder=build_variant,
-                         args=("original", params), mode="measure",
-                         shards=2, measure_kwargs={"name": "orig"})
-        with caplog.at_level("WARNING", logger="repro.tools.sweep"):
-            (out,) = run_sweep([task], jobs=1)
-        assert out.error is None
-        assert out.shards == 1
-        assert "ignored in measure mode" in caplog.text
+        for opts in ({"shards": 2}, {"trace_dir": str(tmp_path)},
+                     {"spill_mb": 1.0}):
+            with pytest.raises(ValueError, match="mode='analyze'"):
+                SweepTask(key="orig", builder=build_variant,
+                          args=("original", params), mode="measure",
+                          measure_kwargs={"name": "orig"}, **opts)
+        for flag in (["--shards", "2"], ["--trace-dir", str(tmp_path)],
+                     ["--spill-mb", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["measure", "sweep3d", *flag])
+            assert exc.value.code == 2
 
     def test_manifest_rows_carry_engine_and_shards(self):
         from repro.tools.sweep import (
@@ -322,7 +369,6 @@ class TestCLIIntegration:
         assert "predicted misses" in out.out
 
     def test_analyze_with_spill(self, capsys, tmp_path, monkeypatch):
-        import tempfile
         from repro.cli import main
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         assert main(["analyze", "fig1", "--shards", "3",
@@ -330,10 +376,12 @@ class TestCLIIntegration:
         out = capsys.readouterr()
         assert "3 time shards from a spilled trace" in out.err
         assert "predicted misses" in out.out
+        # the throwaway store directory is gone when the command ends
+        assert not [name for name in os.listdir(str(tmp_path))
+                    if name.startswith("repro-trace-")]
 
     def test_sharded_manifest_renders(self, obs_on, tmp_path):
         from repro.obs.manifest import RunManifest
-        from repro.tools.session import AnalysisSession
         session = AnalysisSession(BUILDERS["sweep3d"](), shards=2)
         session.run()
         path = session.manifest.save(str(tmp_path / "m.json"))

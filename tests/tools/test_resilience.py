@@ -181,7 +181,7 @@ class TestSweepCheckpoint:
         import hashlib
 
         ckpt = SweepCheckpoint(str(tmp_path / "ck.jsonl"))
-        digest = SweepCheckpoint.unit_digest(_task(), "task", 0)
+        digest = SweepCheckpoint.unit_digest(_task())
         assert ckpt.load() == {}
         payload = {"totals": {"L2": 7}}
         ckpt.record(digest, "unit-4", payload)
@@ -194,19 +194,25 @@ class TestSweepCheckpoint:
         assert ckpt.restore(digest, journal[digest]) == payload
 
     def test_digest_changes_with_recipe(self):
-        base = SweepCheckpoint.unit_digest(_task(4), "task", 0)
-        assert SweepCheckpoint.unit_digest(_task(5), "task", 0) != base
-        assert SweepCheckpoint.unit_digest(_task(4), "shard", 0) != base
-        assert SweepCheckpoint.unit_digest(_task(4), "task", 1) != base
-        assert (SweepCheckpoint.unit_digest(_task(4, engine="fenwick"),
-                                            "task", 0) != base)
-        assert SweepCheckpoint.unit_digest(_task(4), "task", 0) == base
+        base = SweepCheckpoint.unit_digest(_task(4))
+        assert SweepCheckpoint.unit_digest(_task(5)) != base
+        assert SweepCheckpoint.unit_digest(_task(4, shards=2)) != base
+        assert (SweepCheckpoint.unit_digest(_task(4, engine="fenwick"))
+                != base)
+        assert SweepCheckpoint.unit_digest(_task(4)) == base
+
+    def test_digest_matches_earlier_journals(self):
+        # the digest a task had when sweeps still split sharded tasks
+        # into one pool unit per shard: journals written then resume
+        assert SweepCheckpoint.unit_digest(_task(4)) == (
+            "391f3d6083cfd19819ad8228dd7224df"
+            "3545353304a46a74b1d9999c413b0bde")
 
     def test_truncated_final_line_skipped(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         ckpt = SweepCheckpoint(str(path))
-        d1 = SweepCheckpoint.unit_digest(_task(4), "task", 0)
-        d2 = SweepCheckpoint.unit_digest(_task(5), "task", 0)
+        d1 = SweepCheckpoint.unit_digest(_task(4))
+        d2 = SweepCheckpoint.unit_digest(_task(5))
         ckpt.record(d1, "a", 1)
         after_first = ckpt.load()
         ckpt.record(d2, "b", 2)
@@ -217,7 +223,7 @@ class TestSweepCheckpoint:
 
     def test_missing_payload_degrades_to_recompute(self, tmp_path):
         ckpt = SweepCheckpoint(str(tmp_path / "ck.jsonl"))
-        digest = SweepCheckpoint.unit_digest(_task(), "task", 0)
+        digest = SweepCheckpoint.unit_digest(_task())
         ckpt.record(digest, "a", {"x": 1})
         journal = ckpt.load()
         assert digest in journal
@@ -226,7 +232,7 @@ class TestSweepCheckpoint:
 
     def test_corrupt_payload_degrades_to_recompute(self, tmp_path):
         ckpt = SweepCheckpoint(str(tmp_path / "ck.jsonl"))
-        digest = SweepCheckpoint.unit_digest(_task(), "task", 0)
+        digest = SweepCheckpoint.unit_digest(_task())
         ckpt.record(digest, "a", {"x": 1})
         payload_path = os.path.join(ckpt.payload_dir, digest + ".pkl")
         with open(payload_path, "wb") as fh:
@@ -236,7 +242,7 @@ class TestSweepCheckpoint:
     def test_version_mismatch_invalidates_journal(self, tmp_path):
         path = tmp_path / "ck.jsonl"
         ckpt = SweepCheckpoint(str(path))
-        digest = SweepCheckpoint.unit_digest(_task(), "task", 0)
+        digest = SweepCheckpoint.unit_digest(_task())
         ckpt.record(digest, "a", 1)
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
@@ -246,15 +252,15 @@ class TestSweepCheckpoint:
 
     def test_fsync_mode_round_trips(self, tmp_path):
         ckpt = SweepCheckpoint(str(tmp_path / "ck.jsonl"), fsync=True)
-        digest = SweepCheckpoint.unit_digest(_task(), "task", 0)
+        digest = SweepCheckpoint.unit_digest(_task())
         ckpt.record(digest, "a", [1, 2, 3])
         journal = ckpt.load()
         assert ckpt.restore(digest, journal[digest]) == [1, 2, 3]
 
     def test_identical_payloads_share_one_sidecar(self, obs_on, tmp_path):
         ckpt = SweepCheckpoint(str(tmp_path / "ck.jsonl"))
-        d1 = SweepCheckpoint.unit_digest(_task(4), "task", 0)
-        d2 = SweepCheckpoint.unit_digest(_task(5), "task", 0)
+        d1 = SweepCheckpoint.unit_digest(_task(4))
+        d2 = SweepCheckpoint.unit_digest(_task(5))
         payload = {"totals": {"L2": 7}}
         ckpt.record(d1, "a", payload)
         ckpt.record(d2, "b", payload)
@@ -270,8 +276,8 @@ class TestSweepCheckpoint:
         from repro.tools.cache import AnalysisCache
         cache = AnalysisCache(str(tmp_path / "cache"))
         ckpt = SweepCheckpoint(str(tmp_path / "ck.jsonl"), cache=cache)
-        d1 = SweepCheckpoint.unit_digest(_task(4), "task", 0)
-        d2 = SweepCheckpoint.unit_digest(_task(5), "task", 0)
+        d1 = SweepCheckpoint.unit_digest(_task(4))
+        d2 = SweepCheckpoint.unit_digest(_task(5))
         ckpt.record(d1, "a", {"x": 1})
         ckpt.record(d2, "b", {"x": 1})
         journal = ckpt.load()
@@ -290,7 +296,7 @@ class TestSweepCheckpoint:
         # journals written before content addressing named payloads by
         # the unit digest; restore must still read them
         ckpt = SweepCheckpoint(str(tmp_path / "ck.jsonl"))
-        digest = SweepCheckpoint.unit_digest(_task(), "task", 0)
+        digest = SweepCheckpoint.unit_digest(_task())
         os.makedirs(ckpt.payload_dir, exist_ok=True)
         with open(os.path.join(ckpt.payload_dir, digest + ".pkl"),
                   "wb") as fh:

@@ -120,11 +120,10 @@ class TestPoolCrashRecovery:
         assert snap["counters"]["resil.retries"] >= 1
 
     def test_repeat_crasher_reported_as_poison(self, tmp_path):
-        # every worker attempt crashes: both units exhaust their retry
+        # every worker attempt crashes: both tasks exhaust their retry
         # budget through pool rebuilds and surface as poison, not a hang
         faults.install(FaultSpec(point="sweep.unit", action="crash",
-                                 match=(("unit", "task"),), times=0,
-                                 marker=str(tmp_path / "m")))
+                                 times=0, marker=str(tmp_path / "m")))
         outcomes = run_sweep(_analyze_tasks((4, 5)), jobs=2,
                              retry=RetryPolicy(retries=1, base_delay=0.01,
                                                jitter=0.0))
@@ -190,8 +189,8 @@ class TestCheckpointResume:
         ckpt_path = str(tmp_path / "ck.jsonl")
         clean = run_sweep(tasks)
         faults.install(FaultSpec(point="sweep.unit", action="crash",
-                                 match=(("key", 5), ("index", 1)),
-                                 times=1, marker=str(tmp_path / "m")))
+                                 match=(("key", 5),), times=1,
+                                 marker=str(tmp_path / "m")))
         crashed = run_sweep(tasks, jobs=2, retry=FAST,
                             checkpoint=ckpt_path)
         assert [out.failed for out in crashed] == [False] * 3
@@ -287,22 +286,6 @@ class TestEngineFallback:
         assert again.fallback == m.fallback
         clean = RunManifest.from_dict(RunManifest(program="p").to_dict())
         assert clean.fallback is None
-
-
-class TestMeasureShardWarningDedupe:
-    def test_single_warning_for_many_tasks(self, caplog):
-        tasks = [SweepTask(key=f"m{n}", builder=build_original,
-                           args=(SweepParams(n=n, mm=3, nm=2, noct=1),),
-                           mode="measure", shards=3,
-                           measure_kwargs={"name": f"m{n}"})
-                 for n in (4, 5)]
-        with caplog.at_level("WARNING", logger="repro.tools.sweep"):
-            outcomes = run_sweep(tasks)
-        warnings = [r for r in caplog.records
-                    if "ignored in measure mode" in r.getMessage()]
-        assert len(warnings) == 1
-        assert "'m4'" in warnings[0].getMessage()
-        assert all(not out.failed for out in outcomes)
 
 
 class TestStructuredOutcomeFields:
