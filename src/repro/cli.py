@@ -141,7 +141,6 @@ def _analyze(args, trace_dir) -> int:
                               spill_mb=args.spill_mb,
                               closed_form=args.closed_form,
                               closed_form_spec=cf_spec)
-    spilled = " from a spilled trace" if trace_dir is not None else ""
     if args.closed_form:
         print(f"estimating {program.name} from its closed-form "
               "derivation (no execution, no enumeration) ...",
@@ -151,13 +150,16 @@ def _analyze(args, trace_dir) -> int:
               file=sys.stderr)
     elif args.shards > 1:
         print(f"running {program.name} under instrumentation "
-              f"({args.shards} time shards{spilled}) ...", file=sys.stderr)
+              f"({args.shards} time shards) ...", file=sys.stderr)
     else:
-        print(f"running {program.name} under instrumentation"
-              f"{spilled} ...", file=sys.stderr)
+        print(f"running {program.name} under instrumentation ...",
+              file=sys.stderr)
     session.run()
     if session.from_cache:
         print("(restored from analysis cache)", file=sys.stderr)
+    if session.trace_path:
+        print(f"(recorded into trace store {session.trace_path})",
+              file=sys.stderr)
     print(session.config)
     print()
     totals = {k: round(v) for k, v in session.totals().items()}
@@ -202,30 +204,13 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    import os
-
+def _sweep_tasks(args) -> list:
+    """One analyze task per swept size (``ValueError`` on options no
+    task can run)."""
     from repro.apps.gtc import GTCParams, build_gtc
     from repro.apps.sweep3d import SweepParams, build_original
-    from repro.tools.resilience import RetryPolicy
-    from repro.tools.sweep import SweepTask, run_sweep
+    from repro.tools.sweep import SweepTask
 
-    if args.manifest_out:
-        obs.set_enabled(True)
-    if args.resume and not args.checkpoint:
-        raise SystemExit("--resume requires --checkpoint PATH")
-    if args.checkpoint:
-        exists = os.path.exists(args.checkpoint)
-        if exists and not args.resume:
-            raise SystemExit(
-                f"checkpoint {args.checkpoint!r} already exists; pass "
-                "--resume to continue it or remove the file to start over")
-        if args.resume and not exists:
-            raise SystemExit(
-                f"nothing to resume: checkpoint {args.checkpoint!r} "
-                "does not exist")
-    if args.closed_form and args.engine != "static":
-        raise SystemExit("--closed-form requires --engine static")
     tasks = []
     if args.app == "sweep3d":
         for n in args.mesh:
@@ -249,6 +234,38 @@ def cmd_sweep(args) -> int:
                              if args.closed_form else None)))
     else:
         raise SystemExit(f"unknown app {args.app!r}; use sweep3d or gtc")
+    return tasks
+
+
+def cmd_sweep(args) -> int:
+    import os
+
+    from repro.tools.resilience import RetryPolicy
+    from repro.tools.sweep import run_sweep
+
+    if args.manifest_out:
+        obs.set_enabled(True)
+    if args.resume and not args.checkpoint:
+        raise SystemExit("--resume requires --checkpoint PATH")
+    if args.checkpoint:
+        exists = os.path.exists(args.checkpoint)
+        if exists and not args.resume:
+            raise SystemExit(
+                f"checkpoint {args.checkpoint!r} already exists; pass "
+                "--resume to continue it or remove the file to start over")
+        if args.resume and not exists:
+            raise SystemExit(
+                f"nothing to resume: checkpoint {args.checkpoint!r} "
+                "does not exist")
+    if args.closed_form and args.engine != "static":
+        raise SystemExit("--closed-form requires --engine static")
+    try:
+        tasks = _sweep_tasks(args)
+    except ValueError as exc:
+        # an impossible option combination is a usage error, raised
+        # before any task runs
+        print(f"repro sweep: error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     policy = RetryPolicy(retries=args.retries, timeout=args.timeout)
     print(f"sweeping {len(tasks)} {args.app} task(s) "
           f"(jobs={args.jobs}, retries={args.retries}"
@@ -498,16 +515,18 @@ def build_parser() -> argparse.ArgumentParser:
                               "cached closed-form derivation instead of "
                               "enumerating (byte-identical state)")
     analyze.add_argument("--shards", type=int, default=1, metavar="K",
-                         help="analyze the trace as K parallel time "
+                         help="analyze the run as K parallel time "
                               "shards (results are byte-identical to "
                               "a sequential run)")
     analyze.add_argument("--trace-dir", metavar="DIR",
-                         help="spill the recording to a columnar trace "
+                         help="spill a recording to a columnar trace "
                               "store under DIR; shards replay it via "
-                              "mmap instead of re-recording")
+                              "mmap.  Only runs that record write one: "
+                              "a program the static enumeration accepts "
+                              "is cut from its segment table instead")
     analyze.add_argument("--spill-mb", type=float, default=None,
                          metavar="MB",
-                         help="in-memory buffer bound for the spilled "
+                         help="in-memory buffer bound for a spilled "
                               "recording (default 64; implies a "
                               "temporary --trace-dir if none is given)")
     analyze.add_argument("--xml", metavar="PATH",
@@ -543,13 +562,15 @@ def build_parser() -> argparse.ArgumentParser:
                             "after another in the task's worker "
                             "(byte-identical to K=1)")
     sweep.add_argument("--trace-dir", metavar="DIR",
-                       help="spill each task's recording to a columnar "
+                       help="spill a task's recording to a columnar "
                             "trace store under DIR; its shards replay "
-                            "it via mmap")
+                            "it via mmap.  Only tasks that record write "
+                            "one: a program the static enumeration "
+                            "accepts is cut from its segment table")
     sweep.add_argument("--spill-mb", type=float, default=None,
                        metavar="MB",
                        help="in-memory buffer bound for trace-store "
-                            "recordings (default 64)")
+                            "recordings (default 64; needs --trace-dir)")
     sweep.add_argument("--engine", default="numpy",
                        choices=("fenwick", "treap", "numpy", "static"),
                        help="reuse-distance engine, as for analyze")

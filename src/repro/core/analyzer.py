@@ -177,13 +177,7 @@ class ReuseAnalyzer:
             if _state._open_addrs is not None:
                 _state._close_open()
             _state._cur_snap = -1
-            sids = _stack._sids
-            # Sharded analyses seed the stack with scopes entered before
-            # the shard; popping into that prefix shrinks it (_seed_live
-            # is 0 for ordinary states, so this never fires).
-            if len(sids) <= _state._seed_live:
-                _state._seed_live = len(sids) - 1
-            sids.pop()
+            _stack._sids.pop()
             _stack._clocks.pop()
 
         self.enter_scope = enter_scope

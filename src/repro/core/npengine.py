@@ -347,10 +347,6 @@ class NumpyBatchState:
     :class:`WindowArrays` and resolves it in :meth:`_resolve`.
     """
 
-    #: Scope-stack entries below this depth were inherited from before the
-    #: analysis window (sharded analyses only; see repro.core.shard).
-    _seed_live = 0
-
     def __init__(self, analyzer) -> None:
         # The analyzer holds this state (and its bound methods); a weak
         # back-reference keeps the pair free of cycles, so a dropped
@@ -514,14 +510,15 @@ class NumpyBatchState:
         bins[b] = bins.get(b, 0) + cnt
 
     def _on_first_touch(self, gi, cold, uniq, first_c, q_cold, Rc,
-                        t_c, kept_idx, pos_seg, seg_snap) -> None:
+                        t_c, kept_idx, pos_seg, win) -> None:
         """Handle blocks first touched in this buffer with no table entry.
 
         For a standalone analysis these are cold misses: count them per
         rid in first-event order (matching the scalar engines' dict
         order).  The sharded engine overrides this to divert them into
         its unresolved-boundary set instead — whether they are really
-        cold or a cross-shard reuse is only known at merge time.
+        cold or a cross-shard reuse is only known at merge time — with
+        seed depths read from ``win``'s scope snapshots.
         """
         pos_cold = first_c[q_cold]
         vals_c, inv_c, cnts = np.unique(Rc[pos_cold],
@@ -898,7 +895,7 @@ class NumpyBatchState:
             q_cold = np.flatnonzero(~found_u)
             if q_cold.size:
                 self._on_first_touch(gi, cold, uniq, first_c, q_cold, Rc,
-                                     t_c, kept_idx, pos_seg, seg_snap)
+                                     t_c, kept_idx, pos_seg, win)
 
             # ---- engine marks + block-table entries ----
             eng.ensure(end)

@@ -5,29 +5,36 @@ the sweep driver only parallelizes across *tasks*.  This module shards a
 single access stream across workers, PARDA-style, and merges the partial
 results back into output byte-identical to a sequential run:
 
-1. **Record.**  The program runs once under a :class:`StreamRecorder`,
-   which writes the event stream as a columnar trace
-   (:mod:`repro.core.tracestore`), in memory or spilled to a store
-   directory.  Affine loops stay unmaterialized (``rows`` records mirror
-   the ``BatchExecutor.access_rows`` protocol), so recording is cheap —
-   no per-access Python work for the loops that dominate real traces.
-2. **Split.**  :func:`split_trace` cuts the stream into K contiguous time
-   shards at access-count boundaries, as op-index ranges into the
+1. **Cut or record.**  When the static enumeration accepts the program,
+   its segment table (:mod:`repro.static.segments`) is cut into K
+   slices at segment boundaries (:meth:`~repro.static.segments.
+   SegmentTable.slices`): nothing is recorded, and each shard
+   materialises only its own windows.  Otherwise the program runs once
+   under a :class:`StreamRecorder`, which writes the event stream as a
+   columnar trace (:mod:`repro.core.tracestore`), in memory or spilled
+   to a store directory.  Affine loops stay unmaterialized (``rows``
+   records mirror the ``BatchExecutor.access_rows`` protocol), so
+   recording is cheap — no per-access Python work for the loops that
+   dominate real traces.
+2. **Split.**  :func:`split_trace` cuts a recording into K contiguous
+   time shards at access-count boundaries, as op-index ranges into the
    trace.  A boundary can land anywhere — mid-scope, mid-chunk, or in
    the middle of a run-compressed region; replay then passes a cut
    batch chunk as its slice and a cut affine row block as partial-row /
-   whole-rows / partial-row pieces.  Each shard carries the scope stack
-   live at its start (*seed* scopes, with their global entry clocks).
-3. **Analyze.**  Each shard replays its ops through a
-   :class:`ReuseAnalyzer` whose buffered numpy state is swapped for
-   :class:`ShardBatchState`.  Global clocks are preserved (the shard
-   starts at its global start clock), so every reuse whose previous
-   touch lies *inside* the shard resolves exactly as the sequential
-   engine would — distances count only accesses in ``(t_prev, t)``, all
-   in-shard, and carrying-scope bisects see true global entry clocks.
-   The first in-shard touch of each block cannot be classified locally
-   (cold miss or cross-shard reuse?); it is diverted into a time-ordered
-   *unresolved boundary set* instead of the cold table.
+   whole-rows / partial-row pieces.  Each shard of either kind carries
+   the scope stack live at its start (*seed* scopes, with their global
+   entry clocks, all below the shard's start).
+3. **Analyze.**  Each shard feeds its slice (table windows, or a
+   replayed trace range) through a :class:`ReuseAnalyzer` whose
+   buffered numpy state is swapped for :class:`ShardBatchState`.
+   Global clocks are preserved (the shard starts at its global start
+   clock), so every reuse whose previous touch lies *inside* the shard
+   resolves exactly as the sequential engine would — distances count
+   only accesses in ``(t_prev, t)``, all in-shard, and carrying-scope
+   bisects see true global entry clocks.  The first in-shard touch of
+   each block cannot be classified locally (cold miss or cross-shard
+   reuse?); it is diverted into a time-ordered *unresolved boundary
+   set* instead of the cold table.
 4. **Merge.**  :func:`merge_shard_results` folds adjacent shards
    pairwise, resolving each right span's boundary set against the left
    span's last-touch table and a Fenwick tree over its marks.  Each
@@ -192,22 +199,23 @@ def split_trace(trace, nshards: int) -> List[StoredShardSlice]:
 class ShardBatchState(NumpyBatchState):
     """Buffered numpy state that defers boundary classification.
 
-    Three deviations from the sequential state, all hook overrides:
+    Two deviations from the sequential state, both hook overrides:
 
     * blocks first touched in the shard with no local table entry are
       *unresolved* — appended (time-ordered) to the boundary set with
       everything the merge needs to finish them (event clock, rid, live
-      seed depth, bottom-of-stack sid) — instead of being counted cold;
+      seed depth, bottom-of-stack sid) — instead of being counted cold.
+      Seeds are the scopes inherited from before the shard: an entry of
+      the event's scope-stack snapshot is a live seed exactly when its
+      entry clock is below the shard's ``start``, since every scope
+      entered inside the shard has a clock at or after it;
     * pattern inserts record the first event clock per key and per
-      (key, bin), so the merge can rebuild global dict-insertion order;
-    * scope-stack snapshots additionally remember the live seed depth
-      (seeds are the scopes inherited from before the shard; exits can
-      shrink that prefix, tracked by the analyzer's exit closure).
+      (key, bin), so the merge can rebuild global dict-insertion order.
     """
 
-    def __init__(self, analyzer, seed_len: int = 0) -> None:
+    def __init__(self, analyzer, start: int) -> None:
         super().__init__(analyzer)
-        self._seed_live = seed_len
+        self.start = start
         ngran = len(analyzer.grans)
         #: per granularity: pattern key -> first event clock
         self.key_first: List[Dict] = [dict() for _ in range(ngran)]
@@ -217,20 +225,6 @@ class ShardBatchState(NumpyBatchState):
         #: (block, clock, rid, seed_depth, first_sid)
         self.unresolved: List[List[tuple]] = [[] for _ in range(ngran)]
         self._obs_unresolved = _obs.counter("shard.boundary_unresolved")
-
-    def _reset(self) -> None:
-        super()._reset()
-        self._snap_seed: List[int] = []
-        self._snap_first: List[int] = []
-
-    def _snap_id(self) -> int:
-        if self._cur_snap < 0:
-            sid = super()._snap_id()
-            sids = self.stack._sids
-            self._snap_seed.append(self._seed_live)
-            self._snap_first.append(sids[0] if sids else -1)
-            return sid
-        return self._cur_snap
 
     def _insert_pattern(self, gi, raw, key, b, cnt, clock) -> None:
         bins = raw.get(key)
@@ -245,16 +239,23 @@ class ShardBatchState(NumpyBatchState):
             self.bin_first[gi][(key, b)] = clock
 
     def _on_first_touch(self, gi, cold, uniq, first_c, q_cold, Rc,
-                        t_c, kept_idx, pos_seg, seg_snap) -> None:
+                        t_c, kept_idx, pos_seg, win) -> None:
         # q_cold is in block-sorted order; re-sort by first position so
         # the boundary set stays time-ordered.  First occurrences never
         # sit on a run-compressed copy, so t_c is the exact event clock.
         pos_cold = first_c[q_cold]
         order = np.argsort(pos_cold)
         p = pos_cold[order]
-        snaps = seg_snap[pos_seg[kept_idx[p]]]
-        seed = np.array(self._snap_seed, dtype=np.int64)[snaps]
-        first = np.array(self._snap_first, dtype=np.int64)[snaps]
+        snaps = win.seg_snap[pos_seg[kept_idx[p]]]
+        offs = np.zeros(win.snap_depths.size + 1, dtype=np.int64)
+        np.cumsum(win.snap_depths, out=offs[1:])
+        # seeds per snapshot: its entries entered before the shard
+        below = np.zeros(offs[-1] + 1, dtype=np.int64)
+        np.cumsum(win.flat_clocks < self.start, out=below[1:])
+        lo = offs[snaps]
+        hi = offs[snaps + 1]
+        seed = below[hi] - below[lo]
+        first = np.where(hi > lo, np.append(win.flat_sids, -1)[lo], -1)
         self.unresolved[gi].extend(zip(
             uniq[q_cold[order]].tolist(), t_c[p].tolist(), Rc[p].tolist(),
             seed.tolist(), first.tolist()))
@@ -276,22 +277,27 @@ class ShardResult:
     metrics: Optional[Dict[str, Any]] = None
 
 
-def analyze_shard(sl: StoredShardSlice,
-                  granularities: Dict[str, int]) -> ShardResult:
-    """Replay one shard through a seeded analyzer; locally-exact result.
+def analyze_shard(sl, granularities: Dict[str, int]) -> ShardResult:
+    """Analyze one shard in a seeded analyzer; locally-exact result.
 
-    The analyzer's clock starts at the shard's global start and its scope
-    stack is pre-seeded, so in-shard reuses (distances, bins, carrying
+    ``sl`` is a :class:`~repro.core.tracestore.StoredShardSlice`, whose
+    ops are replayed through the analyzer, or a
+    :class:`~repro.static.segments.TableSlice`, whose table is fed to
+    the state window by window.  The analyzer's clock starts at the
+    shard's global start, so in-shard reuses (distances, bins, carrying
     scopes) come out exactly as in the sequential run.  Cross-shard
     reuses land in the unresolved boundary set for the merge.
     """
     analyzer = ReuseAnalyzer(granularities, engine="numpy")
-    state = ShardBatchState(analyzer, seed_len=len(sl.seed_sids))
+    state = ShardBatchState(analyzer, sl.start)
     analyzer._install_numpy_state(state)
     analyzer.clock = sl.start
-    analyzer.stack._sids.extend(sl.seed_sids)
-    analyzer.stack._clocks.extend(sl.seed_clocks)
-    replay_slice(TraceStore(sl.trace), sl, analyzer)
+    if isinstance(sl, StoredShardSlice):
+        analyzer.stack._sids.extend(sl.seed_sids)
+        analyzer.stack._clocks.extend(sl.seed_clocks)
+        replay_slice(TraceStore(sl.trace), sl, analyzer)
+    else:
+        state.feed(sl.table)
     analyzer._flush()
     grans = []
     for gi, g in enumerate(analyzer.grans):
@@ -569,10 +575,11 @@ def _run_shard(args) -> ShardResult:
     return result
 
 
-def run_shards(slices: Sequence[StoredShardSlice],
-               granularities: Dict[str, int],
+def run_shards(slices: Sequence, granularities: Dict[str, int],
                jobs: Optional[int] = None) -> List[ShardResult]:
     """Analyze every shard, inline or across a process pool.
+
+    ``slices`` are trace or table slices (see :func:`analyze_shard`).
 
     ``jobs=None`` picks ``min(len(slices), cpu_count)``.  Worker metric
     snapshots are merged back into the parent registry (and stay on each

@@ -71,9 +71,12 @@ class JobSpec:
     engine: str = "numpy"
     shards: int = 1
     miss_model: str = "sa"
-    #: spill the recording to a columnar trace store under the service
-    #: state dir (required for shards > 1 jobs that want disk replay)
+    #: spill a recording to a columnar trace store under the service
+    #: state dir; only runs that record write one (a program the
+    #: enumeration accepts is cut from its segment table instead)
     use_trace_store: bool = False
+    #: in-memory buffer bound (MB) of that recording (needs
+    #: ``use_trace_store``)
     spill_mb: Optional[float] = None
     #: evaluate the cached closed-form derivation instead of enumerating
     #: (engine="static" only; byte-identical state, shared derivation
@@ -145,6 +148,9 @@ class JobSpec:
                 spill_mb = float(spill_mb)
             except (TypeError, ValueError):
                 raise SpecError("'spill_mb' must be a number")
+            if not data.get("use_trace_store"):
+                raise SpecError("'spill_mb' bounds a trace-store "
+                                "recording; it needs 'use_trace_store'")
         return cls(workload=workload, params=dict(params), engine=engine,
                    shards=shards, miss_model=str(miss_model),
                    use_trace_store=bool(data.get("use_trace_store", False)),

@@ -35,6 +35,12 @@ walk.  The table is exact, not an estimate: the materialised
   ``append_*`` entry points apply, and each window is materialised only
   when its flush runs, one scatter per item.  No whole-program address
   array is built.
+* **Slices.**  :meth:`SegmentTable.slices` cuts the table into time
+  shards at segment boundaries for :mod:`repro.core.shard`; each slice
+  is a table of its own holding only its segments, occurrences and
+  snapshots (views of the parent's arrays), so K pickled slices cost
+  about one table.  :attr:`SegmentTable.digest` names a table's content
+  for the shard partials' cache keys.
 
 Programs over :data:`~repro.static.itermodel.STREAM_MAX_POINTS`
 occurrences raise :class:`~repro.static.itermodel.StaticUnsupported`
@@ -44,6 +50,8 @@ like any program the enumeration rejects; the caller then walks it with
 
 from __future__ import annotations
 
+import hashlib
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -74,6 +82,22 @@ class _Item:
             self.trip = item.trip
         else:
             self.stride = self.trip = None
+
+    def part(self, lo: int, hi: int, occ0: int) -> "_Item":
+        """Occurrences ``lo .. hi - 1``, positions rebased by ``occ0``."""
+        part = object.__new__(_Item)
+        part.pos = self.pos[lo:hi] - occ0
+        part.k = self.k
+        part.rids = self.rids
+        part.addr0 = self.addr0[lo:hi]
+        part.stride = None if self.stride is None else self.stride[lo:hi]
+        part.trip = None if self.trip is None else self.trip[lo:hi]
+        return part
+
+
+#: Format tag of :attr:`SegmentTable.digest`; bump when the table's
+#: arrays change meaning.
+_DIGEST_TAG = "repro-segment-table:1"
 
 
 #: Bits of one packed sort key (an int64 that stays non-negative).
@@ -394,6 +418,100 @@ class SegmentTable:
             self._flat_clocks[offs[h0]:offs[h1]],
             self._flat_sids[offs[h0]:offs[h1]])
 
+    # -- shards ----------------------------------------------------------
+
+    def slices(self, nshards: int) -> List["TableSlice"]:
+        """Cut the table into at most ``nshards`` time shards.
+
+        Shard ``i`` starts at the first segment boundary at or after
+        ``i * n // nshards`` accesses; cuts that land on one boundary
+        collapse, so a run gets at most ``min(nshards, segments)``
+        shards, and an empty table gives one empty shard.  A segment
+        holds at most ``CHUNK_ACCESSES`` accesses, so each cut lands
+        less than one chunk past its target.  A shard's seeds are the
+        entries of its first segment's snapshot entered before its
+        start.
+        """
+        clock = self._seg_clock
+        nseg = clock.size - 1
+        if not nseg:
+            return [TableSlice(0, 0, 0, (), (), self)]
+        n = self.accesses
+        k = max(1, int(nshards))
+        cuts = np.searchsorted(clock, [i * n // k for i in range(k)])
+        bounds = np.unique(np.append(cuts, nseg)).tolist()
+        out = []
+        for index, (s0, s1) in enumerate(zip(bounds, bounds[1:])):
+            start = int(clock[s0])
+            head = int(self._seg_head[s0])
+            lo, hi = self._snap_offs[head], self._snap_offs[head + 1]
+            clocks = self._flat_clocks[lo:hi]
+            seed = clocks < start
+            out.append(TableSlice(
+                index, start, int(clock[s1]) - start,
+                tuple(self._flat_sids[lo:hi][seed].tolist()),
+                tuple(clocks[seed].tolist()), self._sub(s0, s1)))
+        return out
+
+    def _sub(self, s0: int, s1: int) -> "SegmentTable":
+        """Segments ``s0 .. s1 - 1`` as a table of their own.
+
+        Address, clock and snapshot arrays are views of this table's;
+        only the occurrence, head and snapshot-offset indices are
+        rebased copies.
+        """
+        sub = object.__new__(SegmentTable)
+        sub.stats = self.stats
+        clock = self._seg_clock
+        c0, c1 = int(clock[s0]), int(clock[s1])
+        sub.accesses = c1 - c0
+        start = self._start
+        o0 = int(np.searchsorted(start, c0, side="right")) - 1
+        o1 = int(np.searchsorted(start, c1, side="left"))
+        sub._start = start[o0:o1 + 1]
+        sub._items = []
+        for entry in self._items:
+            lo = int(np.searchsorted(entry.pos, o0))
+            hi = int(np.searchsorted(entry.pos, o1))
+            if lo < hi:
+                sub._items.append(entry.part(lo, hi, o0))
+        h0 = int(self._seg_head[s0])
+        h1 = int(self._seg_head[s1 - 1]) + 1
+        offs = self._snap_offs
+        sub._seg_clock = clock[s0:s1 + 1]
+        sub._seg_per = self._seg_per[s0:s1]
+        sub._seg_head = self._seg_head[s0:s1] - h0
+        sub._snap_offs = offs[h0:h1 + 1] - offs[h0]
+        sub._snap_depths = self._snap_depths[h0:h1]
+        sub._snap_top_sid = self._snap_top_sid[h0:h1]
+        sub._snap_top_clock = self._snap_top_clock[h0:h1]
+        sub._flat_sids = self._flat_sids[offs[h0]:offs[h1]]
+        sub._flat_clocks = self._flat_clocks[offs[h0]:offs[h1]]
+        return sub
+
+    @property
+    def digest(self) -> str:
+        """sha256 over a format tag and the table's arrays.
+
+        Equal digests mean equal streams, clocks and snapshots, hence
+        equal shard results: it keys the shard partials (see
+        :meth:`~repro.tools.cache.AnalysisCache.trace_shard_key_for`).
+        """
+        h = hashlib.sha256(f"{_DIGEST_TAG}:{self.accesses}".encode())
+        arrays = [self._seg_clock]
+        if self.segments:
+            arrays += [self._seg_per, self._seg_head, self._start,
+                       self._snap_offs, self._flat_sids, self._flat_clocks]
+        for entry in self._items:
+            arrays += [entry.rids, entry.pos, entry.addr0]
+            if entry.trip is not None:
+                arrays += [entry.stride, entry.trip]
+        for arr in arrays:
+            arr = np.ascontiguousarray(arr)
+            h.update(f"{arr.dtype.str}{arr.shape}".encode())
+            h.update(arr)
+        return h.hexdigest()
+
     def stream(self) -> Tuple[np.ndarray, np.ndarray]:
         """The whole run's ``(rids, addrs)``, materialised at once (for
         checks; the engine's feed goes window by window)."""
@@ -402,6 +520,26 @@ class SegmentTable:
             return empty, empty
         win = self.window(0, self.segments)
         return win.rids, win.addrs
+
+
+@dataclass(frozen=True)
+class TableSlice:
+    """One contiguous time shard of a segment table (picklable).
+
+    The table-fed counterpart of
+    :class:`~repro.core.tracestore.StoredShardSlice`: ``table`` holds
+    only the shard's segments, and the seeds are the scopes live at
+    ``start`` (global entry clocks, all below ``start``).
+    """
+
+    index: int
+    #: global clock before the shard's first access
+    start: int
+    #: accesses in the shard
+    length: int
+    seed_sids: Tuple[int, ...]
+    seed_clocks: Tuple[int, ...]
+    table: SegmentTable
 
 
 def build_segments(program: Program,

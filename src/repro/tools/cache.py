@@ -218,13 +218,14 @@ class AnalysisCache:
                             index: int) -> str:
         """Content address for one shard's partial analysis result.
 
-        The trace's content digest already covers the program and run
-        parameters (identical event streams hash identically, in memory
-        or spilled), so the key needs only the digest, the
-        granularity-bearing config, and the (shard count, index) pair:
-        cut points depend only on the access count and the shard count,
-        so a partial is reusable by any later run cutting the same trace
-        the same way.  The miss model never enters: partials are raw
+        ``digest`` is a recorded trace's or a segment table's content
+        digest; either covers the program and run parameters (identical
+        event streams hash identically, in memory or spilled), so the
+        key needs only the digest, the granularity-bearing config, and
+        the (requested shard count, index) pair: cut points depend only
+        on the content and the requested count, so a partial is
+        reusable by any later run cutting the same content the same
+        way.  The miss model never enters: partials are raw
         pattern databases, applied at predict time.  The merged result
         is stored under the plain :meth:`key_for` address, which
         sequential runs of any engine share.

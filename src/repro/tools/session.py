@@ -67,12 +67,17 @@ class AnalysisSession:
         self.batch = batch
         self.shards = int(shards)
         self.shard_jobs = shard_jobs
-        #: directory for the spilled columnar trace store; when set, the
-        #: recording goes to disk and shards replay it via mmap
+        #: directory for the spilled columnar trace store; when set and
+        #: the run records (a program the enumeration rejects, or
+        #: batch=False), the recording goes to disk and shards replay it
+        #: via mmap
         self.trace_store = trace_store
         self.spill_mb = spill_mb
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
+        if spill_mb is not None and trace_store is None:
+            raise ValueError("spill_mb bounds a trace-store recording; "
+                             "it needs trace_store")
         if self.shards > 1 and simulate:
             raise ValueError("sharded analysis cannot drive the simulator "
                              "(LRU state is order-dependent)")
@@ -130,7 +135,8 @@ class AnalysisSession:
         #: path ("to": its engine); None for a clean run
         self.fallback: Optional[Dict[str, str]] = None
         #: resolved digest-named store directory when the run recorded
-        #: into :attr:`trace_store` (trace-gc live-reference tracking)
+        #: into :attr:`trace_store` (None when it cut a segment table;
+        #: trace-gc live-reference tracking)
         self.trace_path: Optional[str] = None
         self._static: Optional[StaticAnalysis] = None
         self._frag: Optional[FragmentationAnalysis] = None
@@ -416,49 +422,67 @@ class AnalysisSession:
 
     def _run_sharded(self, params: Dict[str, int],
                      phases: Dict[str, float], key: Optional[str]) -> None:
-        """Record once, analyze K time shards, merge byte-identically.
+        """Analyze K time shards of one run and merge them byte-identically.
+
+        When the enumeration accepts the program (a batched run whose
+        segment table builds, as in :meth:`_run_sequential`), the table
+        is cut into at most K slices at segment boundaries and each
+        shard is fed its slice's windows: nothing is recorded.
+        Otherwise the program is recorded once, spilled to a columnar
+        store under :attr:`trace_store` when one is set (the shards then
+        replay mmap'd file ranges), and split into K slices.
 
         The merged state matches a sequential run of any engine exactly,
         so it is stored under the same cache key the sequential path
         uses — sharded and unsharded runs share cache entries.  Per-shard
         partial results are additionally cached under keys derived from
-        the trace's content digest and the shard count, so a re-run with
-        the same K resumes from partials even if the merged entry is
-        missing, and any program that records identical bytes shares
-        them.
-
-        With :attr:`trace_store` set, the recording spills to a columnar
-        on-disk store (:mod:`repro.core.tracestore`) and the shards
-        replay mmap'd file ranges instead of in-memory columns; both
-        kinds of trace hash to the same digest.
+        the table's or the trace's content digest and K, so a re-run
+        with the same K resumes from partials even if the merged entry
+        is missing, and any program with identical content shares them.
         """
         from repro.core.shard import (
             merge_shard_results, record_trace, run_shards, split_trace,
         )
         t0 = time.perf_counter()
-        with _trace.span("shard.record", program=self.program.name) as rsp:
-            if self.trace_store is not None:
-                from repro.core.tracestore import record_spilled
-                trace, self.stats = record_spilled(
-                    self.program, self.trace_store, batch=self.batch,
-                    spill_mb=self.spill_mb, **params)
-                self.trace_path = trace.path
-            else:
-                trace, self.stats = record_trace(
-                    self.program, batch=self.batch, **params)
-            rsp.set(accesses=trace.accesses)
-        self.executor_ran = "batch" if self.batch else "scalar"
-        phases["record"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
+        table = self._segment_table(params) if self.batch else None
+        if table is not None:
+            self.executor_ran = "enumerated"
+            self.stats = table.stats
+            accesses = table.accesses
+            phases["enumerate"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            slices = table.slices(self.shards)
+            digest = table.digest if self.cache is not None else None
+        else:
+            with _trace.span("shard.record",
+                             program=self.program.name) as rsp:
+                if self.trace_store is not None:
+                    from repro.core.tracestore import record_spilled
+                    trace, self.stats = record_spilled(
+                        self.program, self.trace_store, batch=self.batch,
+                        spill_mb=self.spill_mb, **params)
+                    self.trace_path = trace.path
+                else:
+                    trace, self.stats = record_trace(
+                        self.program, batch=self.batch, **params)
+                rsp.set(accesses=trace.accesses)
+            self.executor_ran = "batch" if self.batch else "scalar"
+            accesses = trace.accesses
+            digest = trace.digest
+            phases["record"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            with _trace.span("shard.split", shards=self.shards):
+                slices = split_trace(trace, self.shards)
         grans = self.config.granularities()
-        with _trace.span("shard.split", shards=self.shards):
-            slices = split_trace(trace, self.shards)
         results = [None] * len(slices)
         shard_keys: List[Optional[str]] = [None] * len(slices)
         if self.cache is not None:
+            # keyed by K, not by the slice count: a table's cuts collapse
+            # (CG grid 6 cuts 28 slices at K = 28 and at K = 29, at
+            # different boundaries), and partials of two cuts must not mix
             for sl in slices:
                 skey = self.cache.trace_shard_key_for(
-                    trace.digest, self.config, len(slices), sl.index)
+                    digest, self.config, self.shards, sl.index)
                 shard_keys[sl.index] = skey
                 results[sl.index] = self.cache.get(skey)
         todo = [sl for sl in slices if results[sl.index] is None]
@@ -474,7 +498,7 @@ class AnalysisSession:
         phases["shard_analyze"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         with _trace.span("shard.merge", shards=len(results)):
-            state = merge_shard_results(results, grans, trace.accesses)
+            state = merge_shard_results(results, grans, accesses)
         self._hold(state)
         phases["shard_merge"] = time.perf_counter() - t0
         # every shard runs the numpy window (repro.core.shard)

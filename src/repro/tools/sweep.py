@@ -80,14 +80,16 @@ class SweepTask:
     cache_dir: Optional[str] = None
     batch: bool = True
     #: time shards for analyze mode (1 = sequential): the task's worker
-    #: runs ``AnalysisSession(shards=K)``, which records the trace once
+    #: runs ``AnalysisSession(shards=K)``, which cuts the program's
+    #: segment table (or records a program the enumeration rejects)
     #: and analyzes its K shards one after another
     shards: int = 1
     #: directory for the task's spilled columnar trace store (analyze
-    #: mode): the session records into it and its shards replay the
-    #: mmap'd store
+    #: mode): a session that records writes the store there and its
+    #: shards replay the mmap'd store; a table-fed session writes none
     trace_dir: Optional[str] = None
     #: in-memory spill buffer bound (MB) for the trace-store recording
+    #: (needs ``trace_dir``)
     spill_mb: Optional[float] = None
     #: closed-form spec ``{"workload": name, "params": {...}}`` (optional
     #: ``free``/``samples``) for static analyze tasks.  run_sweep groups
@@ -107,6 +109,14 @@ class SweepTask:
             raise ValueError("shards, trace_dir and spill_mb require "
                              "mode='analyze' (the simulator's LRU state "
                              "is order-dependent)")
+        # the AnalysisSession guards, checked before any work is queued
+        if self.engine == "static" and (self.shards > 1
+                                        or self.trace_dir is not None):
+            raise ValueError("engine='static' has no trace to shard or "
+                             "spill")
+        if self.spill_mb is not None and self.trace_dir is None:
+            raise ValueError("spill_mb bounds a trace-store recording; "
+                             "it needs trace_dir")
         if self.closed_form and (self.mode != "analyze"
                                  or self.engine != "static"):
             raise ValueError("closed_form requires mode='analyze' and "

@@ -1,8 +1,9 @@
 """Unit tests for the time-sliced shard machinery.
 
 Recording fidelity, trace splitting invariants (contiguity, seed scope
-stacks, boundary placement), the degenerate shard counts, and the shard
-observability counters.  Byte-identity of the merged output against the
+stacks, boundary placement), segment-table slicing (cuts, seeds, pickled
+size), the degenerate shard counts, and the shard observability
+counters.  Byte-identity of the merged output against the
 sequential engines lives in ``tests/integration/test_shard_equivalence``.
 """
 
@@ -18,8 +19,11 @@ from repro.core.shard import (
     ShardBatchState, analyze_shard, analyze_trace_sharded,
     merge_shard_results, record_trace, run_shards, split_trace,
 )
-from repro.lang import BatchExecutor
+from repro.lang import (
+    BatchExecutor, MemoryLayout, Var, load, loop, program, routine, stmt,
+)
 from repro.model import MachineConfig
+from repro.static.segments import build_segments
 from tests.helpers import record_ops, replayed_ops
 
 GRANS = MachineConfig.scaled_itanium2().granularities()
@@ -247,21 +251,92 @@ class TestShardAnalysis:
 
     def test_seed_depth_shrinks_on_seed_exit(self):
         # A shard that exits a seeded scope must not attribute later
-        # boundary reuses to it: _seed_live tracks the shrinking prefix.
+        # boundary reuses to it: a snapshot entry is a live seed only
+        # while its entry clock is below the shard's start.
         analyzer = ReuseAnalyzer(GRANS, engine="numpy")
-        state = ShardBatchState(analyzer, seed_len=2)
+        state = ShardBatchState(analyzer, 10)
         analyzer._install_numpy_state(state)
         analyzer.clock = 10
         analyzer.stack._sids.extend([1, 2])
         analyzer.stack._clocks.extend([0, 5])
+        touch = lambda addr: analyzer.access_batch([0], [addr], [False])
+        touch(0)
         analyzer.exit_scope(2)
-        assert state._seed_live == 1
+        touch(4096)
         analyzer.enter_scope(3)
-        assert state._seed_live == 1
+        touch(8192)
         analyzer.exit_scope(3)
-        assert state._seed_live == 1
         analyzer.exit_scope(1)
-        assert state._seed_live == 0
+        touch(12288)
+        analyzer._flush()
+        for boundary in state.unresolved:
+            # (seed depth, bottom sid) per first touch, in time order
+            assert [(e[1], e[3], e[4]) for e in boundary] == [
+                (11, 2, 1), (12, 1, 1), (13, 1, 1), (14, 0, -1)]
+
+
+class TestTableSlices:
+    """A segment table cut into shards (the recording-free feed)."""
+
+    def test_cuts_at_segment_boundaries(self):
+        table = build_segments(build_original(SweepParams(n=6, mm=3, nm=2,
+                                                          noct=1)))
+        clock = table._seg_clock.tolist()
+        for k in (1, 2, 3, 5, 8):
+            slices = table.slices(k)
+            assert len(slices) == min(k, table.segments)
+            assert slices[0].start == 0
+            for i, sl in enumerate(slices):
+                # the first boundary at or after i * n // k
+                assert sl.start == min(c for c in clock
+                                       if c >= i * table.accesses // k)
+                assert sl.table.accesses == sl.length
+                assert all(c < sl.start for c in sl.seed_clocks)
+            assert sum(sl.length for sl in slices) == table.accesses
+
+    def test_more_shards_than_segments_collapse(self):
+        table = build_segments(stream_triad(64, 2))
+        slices = table.slices(10 ** 6)
+        assert len(slices) == table.segments
+        state = merge_shard_results(run_shards(slices, GRANS, jobs=1),
+                                    GRANS, table.accesses)
+        assert pickle.dumps(state) == _fed(table)
+
+    def test_empty_program_single_shard(self):
+        lay = MemoryLayout()
+        a = lay.array("A", 8)
+        prog = program("empty", lay, [routine("main", loop(
+            "i", 1, 0, stmt(load(a, Var("i")))))])
+        table = build_segments(prog)
+        (sl,) = table.slices(7)
+        assert (sl.start, sl.length, sl.seed_sids) == (0, 0, ())
+        state = merge_shard_results(run_shards([sl], GRANS), GRANS, 0)
+        assert pickle.dumps(state) == _fed(table)
+
+    def test_slices_pickle_only_their_segments(self):
+        # in process a slice views its parent's arrays; pickled, each
+        # ships its own part, so K slices cost about one table
+        table = build_segments(build_original(SweepParams(n=6, mm=3, nm=2,
+                                                          noct=1)))
+        whole = len(pickle.dumps(table))
+        for k in (2, 3, 5):
+            blobs = [pickle.dumps(sl) for sl in table.slices(k)]
+            assert all(len(blob) < whole for blob in blobs)
+            assert sum(map(len, blobs)) < whole + 4096 * k
+
+    def test_digest_names_the_content(self):
+        build = lambda n: build_original(SweepParams(n=n, mm=3, nm=2,
+                                                     noct=1))
+        assert build_segments(build(6)).digest == \
+            build_segments(build(6)).digest
+        assert build_segments(build(6)).digest != \
+            build_segments(build(5)).digest
+
+
+def _fed(table) -> bytes:
+    analyzer = ReuseAnalyzer(GRANS, engine="numpy")
+    analyzer._np_state.feed(table)
+    return pickle.dumps(analyzer.dump_state())
 
 
 @pytest.mark.parametrize("shards", [0, -3])

@@ -230,8 +230,22 @@ def service_state(tmp_path) -> Tuple[str, JobStore, AnalysisCache]:
 
 
 # ---------------------------------------------------------------------------
-# Generated kernels
+# Registry workloads at small sizes, and generated kernels
 # ---------------------------------------------------------------------------
+
+#: every registry workload's parameters at a size a test runs in well
+#: under a second
+SMALLER = {
+    "fig1": {"n": 12, "m": 10},
+    "fig2": {"n": 16, "m": 8},
+    "triad": {"n": 64, "steps": 2},
+    "gather": {"n": 64, "m": 256},
+    "cg": {"grid": 6},
+    "sweep3d": {"mesh": 4, "mm": 3, "nm": 2, "noct": 1},
+    "gtc": {"micell": 1, "mpsi": 4, "mtheta": 6, "mzeta": 2,
+            "timesteps": 1},
+}
+
 
 SCALARS = ("s0", "s1", "s2")
 

@@ -4,11 +4,13 @@ The acceptance bar for the time-sliced parallel path is the same as the
 array engine's: ``pickle.dumps`` equality of the merged ``dump_state``
 against a sequential run — pattern keys, bins within keys, cold rids,
 footprints, and clock, *including dict insertion order*.  Exercised on
-the paper's two headline codes plus CG (irregular index vectors) and on
-generated kernels (against the scalar fenwick reference), across shard
-counts that place boundaries mid-scope, mid-chunk, and inside
-run-compressed affine regions, and through every integration surface:
-session, cache, sweep driver, and CLI.
+the paper's two headline codes plus CG (irregular index vectors), every
+registry workload and generated kernels (against the scalar fenwick
+reference), on both feeds — segment-table slices, and recorded traces
+in memory or spilled — across shard counts that place boundaries
+mid-scope, mid-chunk, and inside run-compressed affine regions, and
+through every integration surface: session, cache, sweep driver, and
+CLI.
 """
 
 import os
@@ -20,6 +22,7 @@ from hypothesis import given, settings
 
 from repro.apps.gtc import GTCParams, build_gtc
 from repro.apps.kernels import irregular_gather, stream_triad
+from repro.apps.registry import build_workload, workload_names
 from repro.apps.spcg import build_cg
 from repro.apps.sweep3d import SweepParams, build_original
 from repro.core import ReuseAnalyzer
@@ -28,9 +31,12 @@ from repro.core.shard import (
 )
 from repro.lang import BatchExecutor, Executor
 from repro.model import MachineConfig
+from repro.static import segments
+from repro.static.itermodel import StaticUnsupported
+from repro.static.segments import build_segments
 from repro.tools.cache import AnalysisCache
 from repro.tools.session import AnalysisSession
-from tests.helpers import kernels
+from tests.helpers import SMALLER, kernels
 
 CFG = MachineConfig.scaled_itanium2()
 GRANS = CFG.granularities()
@@ -105,11 +111,18 @@ def test_scalar_executor_recording():
 @given(prog=kernels())
 def test_generated_kernels_sharded(prog):
     """Sharded sessions on generated kernels: every K, in memory
-    and spilled, matches the scalar fenwick reference; the merged state
-    and the partials round-trip through the cache."""
+    and spilled, matches the scalar fenwick reference on the feed the
+    program gets (table slices when the enumeration accepts it, a
+    recording when it rejects it); the merged state and the partials
+    round-trip through the cache."""
     scalar = ReuseAnalyzer(GRANS, engine="fenwick")
     Executor(prog, scalar).run()
     ref = pickle.dumps(scalar.dump_state())
+    try:
+        table = build_segments(prog)
+    except StaticUnsupported:
+        table = None
+    feed = "batch" if table is None else "enumerated"
     with tempfile.TemporaryDirectory() as tmp:
         for k in (1, 2, 3, 5, 7):
             for store in (None, os.path.join(tmp, "traces")):
@@ -117,6 +130,10 @@ def test_generated_kernels_sharded(prog):
                     prog, shards=k, trace_store=store,
                     spill_mb=0.001 if store else None).run()
                 assert session.fallback is None
+                assert session.executor_ran == feed
+                # only a recording writes a store
+                assert (session.trace_path is not None) == \
+                    (store is not None and table is None)
                 assert pickle.dumps(session.analyzer.dump_state()) == ref
         cache = AnalysisCache(os.path.join(tmp, "cache"))
         first = AnalysisSession(prog, shards=3, cache=cache).run()
@@ -124,14 +141,45 @@ def test_generated_kernels_sharded(prog):
         again = AnalysisSession(prog, shards=3, cache=cache).run()
         assert again.from_cache
         assert pickle.dumps(again.analyzer.dump_state()) == ref
-        # without the merged entry, a third run resumes from partials
+        # without the merged entry, a third run resumes from partials:
+        # one per slice the first run cut
         os.unlink(cache._path(cache.key_for(prog, {}, first.config, "sa",
                                             first.engine)))
+        cut = (max(1, min(3, first.stats.accesses)) if table is None
+               else len(table.slices(3)))
         hits = cache.hits
         third = AnalysisSession(prog, shards=3, cache=cache).run()
         assert not third.from_cache
-        assert cache.hits == hits + max(1, min(3, first.stats.accesses))
+        assert cache.hits == hits + cut
         assert pickle.dumps(third.analyzer.dump_state()) == ref
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_registry_workload_table_fed(name, tmp_path):
+    """Every registry workload cuts its segment table: each K equals the
+    sequential state, in memory and with a trace store set, and a store
+    set for a table-fed run stays empty."""
+    prog = build_workload(name, **SMALLER[name])
+    ref = pickle.dumps(AnalysisSession(prog).run().analyzer.dump_state())
+    store = str(tmp_path / "ts")
+    for k in (1, 2, 3, 5, 7):
+        for trace_store in (None, store):
+            session = AnalysisSession(prog, shards=k,
+                                      trace_store=trace_store).run()
+            assert session.executor_ran == "enumerated"
+            assert session.fallback is None and session.trace_path is None
+            assert pickle.dumps(session.analyzer.dump_state()) == ref
+    assert not os.path.exists(store)
+
+
+def test_table_fed_pool_matches_sequential():
+    # table slices pickle to a 2-process pool (each ships its own part,
+    # see tests/core/test_shard.py::TestTableSlices)
+    build = BUILDERS["sweep3d"]
+    session = AnalysisSession(build(), shards=4, shard_jobs=2).run()
+    assert session.executor_ran == "enumerated"
+    assert pickle.dumps(session.analyzer.dump_state()) == \
+        _sequential_ref(build)
 
 
 class TestSpilledEquivalence:
@@ -183,7 +231,8 @@ class TestSessionIntegration:
         assert pickle.dumps(sh.analyzer.dump_state()) == ref
         assert sh.totals() == seq.totals()
         assert sh.manifest.shards == 3
-        assert set(sh.manifest.phases) >= {"record", "shard_analyze",
+        assert sh.manifest.executor_ran == "enumerated"
+        assert set(sh.manifest.phases) >= {"enumerate", "shard_analyze",
                                            "shard_merge"}
         # merged entry is stored under the sequential key: a later
         # unsharded session of the same engine hits it
@@ -209,17 +258,53 @@ class TestSessionIntegration:
         assert cache.hits == hits_before + 3
         assert pickle.dumps(again.analyzer.dump_state()) == ref
 
-    def test_session_trace_store_matches_sequential(self, tmp_path):
+    def test_partials_of_other_cuts_never_mix(self, tmp_path):
+        # CG's table cuts 28 slices at K = 28 and at K = 29, at
+        # different boundaries; with one K = 28 partial evicted, a K = 29
+        # run keyed by the slice count would merge 27 of K = 28's
+        # partials with one of its own, overlapping shards
+        prog = build_workload("cg", **SMALLER["cg"])
+        table = build_segments(prog)
+        at28, at29 = table.slices(28), table.slices(29)
+        assert len(at28) == len(at29)
+        assert [sl.start for sl in at28] != [sl.start for sl in at29]
+        ref = pickle.dumps(AnalysisSession(prog).run().analyzer.dump_state())
+        cache = AnalysisCache(str(tmp_path))
+        first = AnalysisSession(prog, shards=28, shard_jobs=1,
+                                cache=cache).run()
+        os.unlink(cache._path(cache.key_for(prog, {}, first.config, "sa",
+                                            first.engine)))
+        os.unlink(cache._path(cache.trace_shard_key_for(
+            table.digest, first.config, 28, 3)))
+        hits = cache.hits
+        other = AnalysisSession(prog, shards=29, shard_jobs=1,
+                                cache=cache).run()
+        assert cache.hits == hits
+        assert pickle.dumps(other.analyzer.dump_state()) == ref
+
+    def test_session_trace_store_matches_sequential(self, tmp_path,
+                                                    monkeypatch):
         build = BUILDERS["sweep3d"]
         ref = _sequential_ref(build)
+        # a program the enumeration accepts cuts its table: no store
+        sh = AnalysisSession(build(), shards=3,
+                             trace_store=str(tmp_path / "none"),
+                             spill_mb=0.01).run()
+        assert sh.executor_ran == "enumerated" and sh.trace_path is None
+        assert pickle.dumps(sh.analyzer.dump_state()) == ref
+        assert not os.path.exists(str(tmp_path / "none"))
+        # over the point budget, the run records and spills
+        monkeypatch.setattr(segments, "STREAM_MAX_POINTS", 10)
         cache = AnalysisCache(str(tmp_path / "cache"))
         sh = AnalysisSession(build(), shards=3, cache=cache,
                              trace_store=str(tmp_path / "ts"),
                              spill_mb=0.01)
         sh.run()
+        assert sh.executor_ran == "batch"
         assert pickle.dumps(sh.analyzer.dump_state()) == ref
         # the store landed on disk, digest-named
-        assert os.listdir(str(tmp_path / "ts"))
+        (name,) = os.listdir(str(tmp_path / "ts"))
+        assert sh.trace_path == str(tmp_path / "ts" / name)
         # merged entry still lives under the sequential key
         seq = AnalysisSession(build(), cache=cache)
         seq.run()
@@ -238,6 +323,10 @@ class TestSessionIntegration:
         with pytest.raises(ValueError):
             AnalysisSession(BUILDERS["sweep3d"](), simulate=True,
                             trace_store="/tmp/nope")
+
+    def test_spill_mb_needs_a_trace_store(self):
+        with pytest.raises(ValueError, match="needs trace_store"):
+            AnalysisSession(BUILDERS["sweep3d"](), shards=2, spill_mb=1.0)
 
     def test_session_rejects_sharded_simulation(self):
         with pytest.raises(ValueError):
@@ -278,9 +367,17 @@ class TestSweepIntegration:
             assert all(pickle.dumps(out.state) == pickle.dumps(plain.state)
                        for out in again)
 
-    def test_trace_dir_task_matches_plain(self, tmp_path):
+    def test_trace_dir_task_matches_plain(self, tmp_path, monkeypatch):
         from repro.tools.sweep import SweepTask, run_sweep
         params = SweepParams(n=6, mm=4, nm=2, noct=1)
+        # a table-fed task writes no store
+        (table_fed,) = run_sweep([SweepTask(
+            key="table", builder=build_original, args=(params,), shards=3,
+            trace_dir=str(tmp_path / "none"), spill_mb=0.01)], jobs=1)
+        assert table_fed.error is None
+        assert not os.path.exists(str(tmp_path / "none"))
+        # over the point budget, the task records into the store
+        monkeypatch.setattr(segments, "STREAM_MAX_POINTS", 10)
         cache = str(tmp_path / "cache")
         spilled = SweepTask(key="spilled", builder=build_original,
                             args=(params,), shards=3, cache_dir=cache,
@@ -293,6 +390,7 @@ class TestSweepIntegration:
         assert pickle.dumps(first.state) == pickle.dumps(hit.state)
         assert pickle.dumps(first.state) == _sequential_ref(
             lambda: build_original(params))
+        assert pickle.dumps(table_fed.state) == pickle.dumps(first.state)
         assert first.stats.accesses == hit.stats.accesses
         # the task recorded once: exactly one digest-named store
         assert len(os.listdir(str(tmp_path / "ts"))) == 1
@@ -328,10 +426,26 @@ class TestSweepIntegration:
                 SweepTask(key="orig", builder=build_variant,
                           args=("original", params), mode="measure",
                           measure_kwargs={"name": "orig"}, **opts)
-        for flag in (["--shards", "2"], ["--trace-dir", str(tmp_path)],
-                     ["--spill-mb", "1"]):
+        # the AnalysisSession guards, at task construction
+        for opts, match in (
+                ({"engine": "static", "shards": 2}, "engine='static'"),
+                ({"engine": "static", "trace_dir": str(tmp_path)},
+                 "engine='static'"),
+                ({"spill_mb": 1.0}, "needs trace_dir")):
+            with pytest.raises(ValueError, match=match):
+                SweepTask(key="orig", builder=build_original,
+                          args=(params,), **opts)
+        for argv in (["measure", "sweep3d", "--shards", "2"],
+                     ["measure", "sweep3d", "--trace-dir", str(tmp_path)],
+                     ["measure", "sweep3d", "--spill-mb", "1"],
+                     ["sweep", "sweep3d", "--mesh", "4", "--engine",
+                      "static", "--shards", "2"],
+                     ["sweep", "sweep3d", "--mesh", "4", "--engine",
+                      "static", "--trace-dir", str(tmp_path)],
+                     ["sweep", "sweep3d", "--mesh", "4", "--spill-mb",
+                      "1"]):
             with pytest.raises(SystemExit) as exc:
-                main(["measure", "sweep3d", *flag])
+                main(argv)
             assert exc.value.code == 2
 
     def test_manifest_rows_carry_engine_and_shards(self):
@@ -374,7 +488,16 @@ class TestCLIIntegration:
         assert main(["analyze", "fig1", "--shards", "3",
                      "--spill-mb", "1", "--no-cache"]) == 0
         out = capsys.readouterr()
-        assert "3 time shards from a spilled trace" in out.err
+        assert "3 time shards" in out.err
+        assert "predicted misses" in out.out
+        # fig1 is cut from its segment table: nothing was recorded
+        assert "trace store" not in out.err
+        # over the point budget the run records into the throwaway store
+        monkeypatch.setattr(segments, "STREAM_MAX_POINTS", 10)
+        assert main(["analyze", "fig1", "--shards", "3",
+                     "--spill-mb", "1", "--no-cache"]) == 0
+        out = capsys.readouterr()
+        assert "recorded into trace store" in out.err
         assert "predicted misses" in out.out
         # the throwaway store directory is gone when the command ends
         assert not [name for name in os.listdir(str(tmp_path))

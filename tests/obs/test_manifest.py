@@ -151,7 +151,7 @@ class TestExecutorRan:
         ({"engine": "treap"}, "batch"),
         ({"simulate": True}, "batch"),
         ({"engine": "static"}, None),
-        ({"shards": 2, "shard_jobs": 1}, "batch"),
+        ({"shards": 2, "shard_jobs": 1}, "enumerated"),
     ], ids=["default", "fenwick-batched", "fenwick-scalar", "numpy-scalar",
             "treap", "simulated", "static", "sharded"])
     def test_records_the_walk(self, kwargs, ran):

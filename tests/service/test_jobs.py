@@ -48,6 +48,8 @@ class TestJobSpec:
          "no trace to shard"),
         ({"workload": "sweep3d", "engine": "static",
           "use_trace_store": True}, "no trace to spill"),
+        ({"workload": "sweep3d", "shards": 2, "spill_mb": 1},
+         "needs 'use_trace_store'"),
         ("not a dict", "object"),
     ])
     def test_rejects(self, body, fragment):

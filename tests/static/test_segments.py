@@ -36,7 +36,7 @@ from repro.static import itermodel, segments
 from repro.static.itermodel import StaticUnsupported
 from repro.static.segments import build_segments
 from repro.tools.session import AnalysisSession
-from tests.helpers import kernels
+from tests.helpers import SMALLER, kernels
 
 GRANS = MachineConfig.scaled_itanium2().granularities()
 STAT_FIELDS = ("accesses", "loads", "stores", "ops", "loop_entries",
@@ -246,18 +246,6 @@ def test_load_nested_in_a_scalar_assign():
 # ---------------------------------------------------------------------------
 # Registry workloads and fallbacks
 # ---------------------------------------------------------------------------
-
-SMALLER = {
-    "fig1": {"n": 12, "m": 10},
-    "fig2": {"n": 16, "m": 8},
-    "triad": {"n": 64, "steps": 2},
-    "gather": {"n": 64, "m": 256},
-    "cg": {"grid": 6},
-    "sweep3d": {"mesh": 4, "mm": 3, "nm": 2, "noct": 1},
-    "gtc": {"micell": 1, "mpsi": 4, "mtheta": 6, "mzeta": 2,
-            "timesteps": 1},
-}
-
 
 @pytest.mark.parametrize("name", workload_names())
 def test_registry_workload_at_defaults(name):
