@@ -18,22 +18,28 @@ quantifies the repo's answer to that cost:
   machinery itself is exercised even on small hosts; the per-job rate in
   the JSON makes single-CPU oversubscription visible instead of hiding
   it),
-* **sharded**: ONE trace time-sliced into K=4 shards
-  (`repro.core.shard.analyze_sharded`: record -> split -> per-shard
-  workers -> boundary merge), compared against the sequential numpy
-  engine on the same >= 200k-access trace.  The merged state must be
-  byte-identical (`pickle.dumps` equality, dict order included); the
-  >= 1.8x `shard_speedup` gate applies only when the host has >= 4 CPUs
-  (`shard_cpus` records what the run actually had — on a 1-CPU host the
-  sharded wall time is honestly reported, not excused),
-* **fan-out**: the same workload spilled ONCE to the columnar trace
-  store (`repro.core.tracestore`), then split into file-offset slices
-  that the shard workers replay off the mmap.  Recording stays outside
-  the timed region — it is paid once per trace and amortized over every
-  analysis — so `fanout_speedup` must beat `shard_speedup` on *any*
-  host: the fan-out run does strictly less work per analysis (no
-  re-record, no pickled column windows to the pool).  Byte-identity of the
-  merged state is asserted in smoke mode too.
+* **sharded**: ONE trace time-sliced into K=4 shards by the *recorded*
+  feed (`repro.core.shard`: `record_trace` -> `split_trace` ->
+  `run_shards` on a worker pool -> `merge_shard_results`), compared
+  against the sequential numpy engine on the same >= 200k-access trace.
+  This is the fallback `AnalysisSession(shards=K)` takes only for
+  programs the static enumeration rejects; Sweep3D, like every registry
+  workload, is cut from its segment table instead (the table slices'
+  pool timings are in `docs/architecture.md`, "Sharded analysis").  The
+  merged state must be byte-identical (`pickle.dumps` equality, dict
+  order included); the >= 1.8x `shard_speedup` gate applies only when
+  the host has >= 4 CPUs (`shard_cpus` records what the run actually
+  had — on a 1-CPU host the sharded wall time is honestly reported, not
+  excused),
+* **fan-out**: the same recorded feed, with the workload spilled ONCE
+  to the columnar trace store (`repro.core.tracestore`), then cut into
+  op-range slices whose windows the shard workers materialise off the
+  mmap.  Recording stays outside the timed region — it is paid once per
+  trace and amortized over every analysis — so `fanout_speedup` must
+  beat `shard_speedup` on *any* host: the fan-out run does strictly
+  less work per analysis (no re-record, no pickled column windows to
+  the pool).  Byte-identity of the merged state is asserted in smoke
+  mode too.
 
 * **static**: no pipeline at all — `repro.static.profile` predicts the
   pattern databases analytically.  Two numbers: the per-analysis cost on
@@ -423,17 +429,21 @@ def _run_count_smaller_leg(smoke, repeats):
 
 
 def _run_sharded(params, jobs):
-    """One full sharded pipeline (record -> split -> workers -> merge)."""
-    from repro.core.shard import analyze_sharded
+    """One full recorded sharded pipeline (record -> split -> workers ->
+    merge)."""
+    from repro.core.shard import (
+        merge_shard_results, record_trace, run_shards, split_trace,
+    )
     program = build_original(params)
+    grans = CFG.granularities()
     gc.collect()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         t0 = time.perf_counter()
-        state, stats = analyze_sharded(program, SHARD_K,
-                                       granularities=CFG.granularities(),
-                                       jobs=jobs)
+        trace, stats = record_trace(program)
+        results = run_shards(split_trace(trace, SHARD_K), grans, jobs=jobs)
+        state = merge_shard_results(results, grans, trace.accesses)
         elapsed = time.perf_counter() - t0
     finally:
         if gc_was_enabled:
@@ -447,17 +457,18 @@ def _run_fanout(stored, jobs):
     The recording is *not* in the timed region — that is the fan-out
     leg's whole claim: one spilled recording feeds every downstream
     sharded analysis through the page cache, so the marginal cost of an
-    additional analysis is the offset-range split plus the mmap replay,
-    never a re-record or a pickled column window.
+    additional analysis is the op-range split plus the windows read off
+    the mmap, never a re-record or a pickled column window.
     """
-    from repro.core.shard import analyze_trace_sharded
+    from repro.core.shard import merge_shard_results, run_shards, split_trace
+    grans = CFG.granularities()
     gc.collect()
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         t0 = time.perf_counter()
-        state = analyze_trace_sharded(stored, CFG.granularities(),
-                                      SHARD_K, jobs=jobs)
+        results = run_shards(split_trace(stored, SHARD_K), grans, jobs=jobs)
+        state = merge_shard_results(results, grans, stored.accesses)
         elapsed = time.perf_counter() - t0
     finally:
         if gc_was_enabled:
@@ -511,8 +522,8 @@ def _experiment(smoke=False):
                        == pickle.dumps(numpy_an.dump_state()))
 
     # Fan-out leg: the SAME workload spilled ONCE to the columnar trace
-    # store, then repeatedly split into offset slices that the workers
-    # replay off the mmap.  Recording happens outside the timed region
+    # store, then repeatedly cut into op-range slices whose windows the
+    # workers read off the mmap.  Recording happens outside the timed region
     # (it is paid once per trace, amortized over every analysis), so
     # fanout_s is the marginal cost the sharded leg re-pays per run.
     from repro.core.tracestore import record_spilled
@@ -631,7 +642,7 @@ def test_ablation_batch_throughput(benchmark, record, request):
         f"{'sweep (%d proc)' % r['sweep_jobs']:<22}"
         f"{r['parallel_kps']:>13.0f}"
         f"{r['parallel_kps'] / r['scalar_kps']:>8.2f}x",
-        f"{'sharded (K=%d, %dp)' % (r['shard_k'], r['shard_jobs']):<22}"
+        f"{'sharded rec (K=%d,%dp)' % (r['shard_k'], r['shard_jobs']):<22}"
         f"{r['shard_kps']:>13.0f}"
         f"{r['scalar_s'] / r['shard_s']:>8.2f}x",
         f"{'fan-out (spilled)':<22}{r['fanout_kps']:>13.0f}"
@@ -640,7 +651,8 @@ def test_ablation_batch_throughput(benchmark, record, request):
         f"pattern databases byte-identical: {r['dbs_identical']} "
         "(scalar = numpy = numpy+obs)",
         f"run statistics identical: {r['stats_equal']}",
-        f"sharded vs numpy sequential: {r['shard_speedup']:.2f}x "
+        f"sharded (recorded feed) vs numpy sequential: "
+        f"{r['shard_speedup']:.2f}x "
         f"on {r['shard_cpus']} CPU(s), merged state byte-identical: "
         f"{r['shard_identical']}",
         f"fan-out from one spilled trace ({r['trace_spill_bytes']} "
@@ -724,7 +736,8 @@ def test_ablation_batch_throughput(benchmark, record, request):
     # Fanning out from one spilled trace must beat the record-every-run
     # sharded pipeline on any host: the timed region drops the record
     # phase entirely and ships offset slices, not column windows, so if
-    # this fails the store's replay path is slower than re-recording.
+    # this fails reading windows off the store is slower than
+    # re-recording.
     assert r["fanout_speedup"] > r["shard_speedup"]
     assert r["trace_spill_bytes"] > 0
     # The static engine's claim is asymptotic: O(symbolic terms) vs

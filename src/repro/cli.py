@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "a sequential run)")
     analyze.add_argument("--trace-dir", metavar="DIR",
                          help="spill a recording to a columnar trace "
-                              "store under DIR; shards replay it via "
+                              "store under DIR; shards read it via "
                               "mmap.  Only runs that record write one: "
                               "a program the static enumeration accepts "
                               "is cut from its segment table instead")
@@ -563,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(byte-identical to K=1)")
     sweep.add_argument("--trace-dir", metavar="DIR",
                        help="spill a task's recording to a columnar "
-                            "trace store under DIR; its shards replay "
+                            "trace store under DIR; its shards read "
                             "it via mmap.  Only tasks that record write "
                             "one: a program the static enumeration "
                             "accepts is cut from its segment table")

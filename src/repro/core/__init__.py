@@ -14,9 +14,9 @@ __all__ = [
     "ReuseAnalyzer", "ReusePattern", "SUBBINS",
     "ScopeStack", "ShardResult", "StoredShardSlice",
     "StoredTrace", "TraceStore", "TraceStoreWriter", "TreapEngine",
-    "analyze_sharded", "analyze_trace_sharded", "bin_mid", "bin_of",
-    "bin_range", "for_program", "from_raw", "load_trace",
-    "merge_shard_results", "record_spilled", "record_trace", "split_trace",
+    "bin_mid", "bin_of", "bin_range", "for_program", "from_raw",
+    "load_trace", "merge_shard_results", "record_spilled", "record_trace",
+    "split_trace",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
@@ -28,8 +28,8 @@ __getattr__, __dir__ = lazy_exports(__name__, {
                   "bin_range", "from_raw"),
     "patterns": ("COLD", "PatternDB", "PatternKey", "ReusePattern"),
     "scopestack": ("ScopeStack",),
-    "shard": ("ShardResult", "analyze_sharded", "analyze_trace_sharded",
-              "merge_shard_results", "record_trace", "split_trace"),
+    "shard": ("ShardResult", "merge_shard_results", "record_trace",
+              "split_trace"),
     "tracestore": ("StoredShardSlice", "StoredTrace", "TraceStore",
                    "TraceStoreWriter", "load_trace", "record_spilled"),
     "treap": ("TreapEngine",),

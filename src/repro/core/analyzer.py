@@ -148,9 +148,8 @@ class ReuseAnalyzer:
     def _install_numpy_state(self, state) -> None:
         """Route the event-handler entry points through a buffered state.
 
-        Called by ``__init__`` for ``engine="numpy"`` and by the sharded
-        engine (:mod:`repro.core.shard`), which swaps in a subclassed
-        state after seeding the scope stack.
+        Called by ``__init__`` for ``engine="numpy"``; a subclassed state
+        (such as :mod:`repro.core.shard`'s) is swapped in the same way.
         """
         self._np_state = state
         self._flush = state.flush

@@ -38,7 +38,8 @@ the whole buffer with array operations:
    through a mixed-radix key and ``np.unique``.
 
 A segment table built from the static enumeration
-(:mod:`repro.static.segments`) can stand in for the buffer:
+(:mod:`repro.static.segments`), or a slice of one or of a recorded trace
+(:mod:`repro.core.tracestore`), can stand in for the buffer:
 :meth:`NumpyBatchState.feed` resolves it window by window through the
 same pipeline, materialising each window only when it flushes.
 
@@ -306,6 +307,22 @@ class _AffineRows:
         self.rids = rids
 
 
+def _scatter_rows(A: np.ndarray, R: np.ndarray, starts: np.ndarray,
+                  bases: np.ndarray, strides: np.ndarray, rids: np.ndarray,
+                  m: int) -> None:
+    """Materialise affine chunks of ``m`` iterations into ``A``/``R``.
+
+    Chunk ``g`` starts at position ``starts[g]``; ``bases``, ``strides``
+    and ``rids`` are ``(chunks, k)`` matrices, one row per chunk.  One
+    broadcast matrix and one fancy-index scatter for all of them.
+    """
+    g, k = bases.shape
+    it = np.arange(m, dtype=np.int64)[None, :, None]
+    cols = starts[:, None] + np.arange(m * k, dtype=np.int64)
+    A[cols] = (bases[:, None, :] + it * strides[:, None, :]).reshape(g, m * k)
+    R[cols] = np.tile(rids, m)
+
+
 class WindowArrays:
     """One window's input to the flush pipeline, materialised.
 
@@ -342,7 +359,8 @@ class NumpyBatchState:
     """Cross-call access buffer plus the vectorised flush pipeline.
 
     Two feeds reach the same pipeline: the executor's ``append_*`` calls,
-    buffered here chunk by chunk, and a prebuilt segment table handed to
+    buffered here chunk by chunk, and a prebuilt window source (a segment
+    table, or a shard slice of one or of a recording) handed to
     :meth:`feed`.  :meth:`flush` materialises whichever is pending into
     :class:`WindowArrays` and resolves it in :meth:`_resolve`.
     """
@@ -387,7 +405,7 @@ class NumpyBatchState:
         self._open_addrs: Optional[list] = None
         self._open_snap = -1
         self._n = 0
-        #: a segment table's window awaiting its flush (see feed)
+        #: a fed window awaiting its flush (see feed)
         self._pending = None
 
     # -- buffering ---------------------------------------------------------
@@ -557,16 +575,19 @@ class NumpyBatchState:
         self._reset()
         self._obs_flush_latency.observe(time.perf_counter() - t_flush)
 
-    def feed(self, table) -> None:
-        """Resolve a prebuilt segment table window by window.
+    def feed(self, source) -> None:
+        """Resolve a prebuilt feed window by window.
 
-        ``table`` (a :class:`repro.static.segments.SegmentTable`) already
-        holds the whole run's segments and scope snapshots; each window
-        goes through :meth:`flush` like a buffered one, cut at the same
-        threshold, and is materialised only when its flush runs.
+        ``source`` is anything with a ``windows(threshold)`` method that
+        yields ``(accesses, materialise)`` pairs: a segment table or one
+        of its slices (:mod:`repro.static.segments`), or a recorded
+        trace's slice (:class:`repro.core.tracestore.StoredShardSlice`).
+        Each window goes through :meth:`flush` like a buffered one, cut
+        at the same threshold, and is materialised only when its flush
+        runs.
         """
         self.flush()
-        for n, window in table.windows(self.flush_threshold):
+        for n, window in source.windows(self.flush_threshold):
             self._obs_calls.inc()
             self._obs_events.inc(n)
             self._pending = window
@@ -577,9 +598,9 @@ class NumpyBatchState:
     def _materialise(self) -> WindowArrays:
         """The buffered chunks as one window's arrays.
 
-        Affine chunks go through one broadcast matrix and one fancy-index
-        scatter per (row length, iteration count) group, so per-segment
-        Python work is a single list append.
+        Affine chunks go through :func:`_scatter_rows` once per (row
+        length, iteration count) group, so per-segment Python work is a
+        single list append.
         """
         n = self._n
         seg_len = np.array(self._seg_len, dtype=np.int64)
@@ -600,19 +621,11 @@ class NumpyBatchState:
                 A[s:e] = chunk
                 R[s:e] = chunk_rids[i]
         for (k, m), idxs in groups.items():
-            bases = np.array([chunks[i].bases for i in idxs],
-                             dtype=np.int64)
-            strides = np.array([chunks[i].strides for i in idxs],
-                               dtype=np.int64)
-            rid_mat = np.array([chunks[i].rids for i in idxs],
-                               dtype=np.int64)
-            it = np.arange(m, dtype=np.int64)[None, :, None]
-            mat = (bases[:, None, :] + it * strides[:, None, :]).reshape(
-                len(idxs), m * k)
-            cols = seg_start[idxs][:, None] + np.arange(m * k,
-                                                        dtype=np.int64)
-            A[cols] = mat
-            R[cols] = np.tile(rid_mat, m)
+            _scatter_rows(
+                A, R, seg_start[idxs],
+                np.array([chunks[i].bases for i in idxs], dtype=np.int64),
+                np.array([chunks[i].strides for i in idxs], dtype=np.int64),
+                np.array([chunks[i].rids for i in idxs], dtype=np.int64), m)
         return WindowArrays(
             A, R, seg_len, np.array(self._seg_per, dtype=np.int64),
             np.array(self._seg_snap, dtype=np.int64),

@@ -6,35 +6,33 @@ single access stream across workers, PARDA-style, and merges the partial
 results back into output byte-identical to a sequential run:
 
 1. **Cut or record.**  When the static enumeration accepts the program,
-   its segment table (:mod:`repro.static.segments`) is cut into K
-   slices at segment boundaries (:meth:`~repro.static.segments.
-   SegmentTable.slices`): nothing is recorded, and each shard
-   materialises only its own windows.  Otherwise the program runs once
-   under a :class:`StreamRecorder`, which writes the event stream as a
-   columnar trace (:mod:`repro.core.tracestore`), in memory or spilled
-   to a store directory.  Affine loops stay unmaterialized (``rows``
-   records mirror the ``BatchExecutor.access_rows`` protocol), so
-   recording is cheap — no per-access Python work for the loops that
-   dominate real traces.
-2. **Split.**  :func:`split_trace` cuts a recording into K contiguous
-   time shards at access-count boundaries, as op-index ranges into the
-   trace.  A boundary can land anywhere — mid-scope, mid-chunk, or in
-   the middle of a run-compressed region; replay then passes a cut
-   batch chunk as its slice and a cut affine row block as partial-row /
-   whole-rows / partial-row pieces.  Each shard of either kind carries
-   the scope stack live at its start (*seed* scopes, with their global
-   entry clocks, all below the shard's start).
-3. **Analyze.**  Each shard feeds its slice (table windows, or a
-   replayed trace range) through a :class:`ReuseAnalyzer` whose
-   buffered numpy state is swapped for :class:`ShardBatchState`.
-   Global clocks are preserved (the shard starts at its global start
-   clock), so every reuse whose previous touch lies *inside* the shard
-   resolves exactly as the sequential engine would — distances count
-   only accesses in ``(t_prev, t)``, all in-shard, and carrying-scope
-   bisects see true global entry clocks.  The first in-shard touch of
-   each block cannot be classified locally (cold miss or cross-shard
-   reuse?); it is diverted into a time-ordered *unresolved boundary
-   set* instead of the cold table.
+   its segment table (:mod:`repro.static.segments`) is the stream, and
+   nothing is recorded.  Otherwise the program runs once under a
+   :class:`~repro.core.tracestore.StreamRecorder` (:func:`record_trace`),
+   which writes the event stream as a columnar trace
+   (:mod:`repro.core.tracestore`), in memory or spilled to a store
+   directory.  Affine loops stay unmaterialized (``rows`` records mirror
+   the ``BatchExecutor.access_rows`` protocol), so recording is cheap —
+   no per-access Python work for the loops that dominate real traces.
+2. **Split.**  Either stream is cut into at most K contiguous time
+   shards by one rule: shard ``i`` opens at the first segment or op
+   boundary at or after ``i * n // K`` accesses (:meth:`~repro.static.
+   segments.SegmentTable.slices`, :func:`split_trace`).  Cuts that land
+   on one boundary collapse, and scope events on a cut open the next
+   shard.  Each shard carries the scope stack live at its start (*seed*
+   scopes, with their global entry clocks, all below the shard's start).
+3. **Analyze.**  Each shard's slice yields its windows as a segment
+   table does, and one ``feed`` resolves them in a
+   :class:`ShardBatchState`, the buffered numpy state of a
+   :class:`ReuseAnalyzer`; the seeds reach it through the windows' scope
+   snapshots.  Global clocks are preserved (the shard starts at its
+   global start clock), so every reuse whose previous touch lies
+   *inside* the shard resolves exactly as the sequential engine would —
+   distances count only accesses in ``(t_prev, t)``, all in-shard, and
+   carrying-scope bisects see true global entry clocks.  The first
+   in-shard touch of each block cannot be classified locally (cold miss
+   or cross-shard reuse?); it is diverted into a time-ordered
+   *unresolved boundary set* instead of the cold table.
 4. **Merge.**  :func:`merge_shard_results` folds adjacent shards
    pairwise, resolving each right span's boundary set against the left
    span's last-touch table and a Fenwick tree over its marks.  Each
@@ -54,10 +52,10 @@ O(F log F * log K), while the O(N) analysis fans out across workers.
 from __future__ import annotations
 
 import logging
-import multiprocessing
+import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,94 +64,18 @@ from repro.core.histogram import bin_of_array
 from repro.core.npengine import (
     NumpyBatchState, NumpyFenwickEngine, _count_smaller_left,
 )
-from repro.core.tracestore import (
-    OP_ENTER, OP_EXIT, StoredShardSlice, StoredTrace, TraceStore,
-    TraceStoreWriter, replay_slice,
-)
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 
+if TYPE_CHECKING:  # pragma: no cover - loads only where a run records
+    from repro.core.tracestore import StoredShardSlice
+
 logger = logging.getLogger("repro.core.shard")
-
-#: Default granularities, matching MachineConfig.scaled_itanium2().
-_DEFAULT_GRANS = {"line": 64, "page": 512}
-
-#: The recorder closes an open scalar segment at this many accesses.
-COALESCE_CAP = 1 << 16
 
 
 # ---------------------------------------------------------------------------
 # Recording
 # ---------------------------------------------------------------------------
-
-class StreamRecorder:
-    """Event handler that records the access stream as a columnar trace.
-
-    Every event goes to a :class:`~repro.core.tracestore.TraceStoreWriter`
-    (an in-memory one unless the caller passes a writer with a store
-    directory): scope events, materialized chunks, and unmaterialized
-    affine chunks, exactly the ``access_rows`` protocol.  Scalar accesses
-    between scope events coalesce into one chunk, closed at a fixed cap
-    so the recorder's own buffering stays bounded too.  Chunk boundaries
-    are analysis-neutral, so the cap cannot change results.
-    """
-
-    def __init__(self, writer: Optional[TraceStoreWriter] = None) -> None:
-        self.writer = TraceStoreWriter() if writer is None else writer
-        self._add_scope = self.writer.add_scope
-        self._add_batch = self.writer.add_batch
-        self._add_rows = self.writer.add_rows
-        self._open: Optional[Tuple[list, list, list]] = None
-
-    def enter_scope(self, sid: int) -> None:
-        if self._open is not None:
-            self._close()
-        self._add_scope(OP_ENTER, sid)
-
-    def exit_scope(self, sid: int) -> None:
-        if self._open is not None:
-            self._close()
-        self._add_scope(OP_EXIT, sid)
-
-    def access(self, rid: int, addr: int, is_store: bool) -> None:
-        op = self._open
-        if op is None:
-            self._open = ([rid], [addr], [is_store])
-        else:
-            rids, addrs, stores = op
-            rids.append(rid)
-            addrs.append(addr)
-            stores.append(is_store)
-            if len(addrs) >= COALESCE_CAP:
-                self._close()
-
-    def access_batch(self, rids, addrs, stores, period: int = 0) -> None:
-        n = len(addrs)
-        if not n:
-            return
-        if self._open is not None:
-            self._close()
-        self._add_batch(rids, addrs, stores,
-                        period if period and not n % period else 0)
-
-    def access_rows(self, rids, stores, bases, strides, m: int) -> None:
-        if not m * len(bases):
-            return
-        if self._open is not None:
-            self._close()
-        self._add_rows(rids, stores, bases, strides, m)
-
-    def finish(self) -> StoredTrace:
-        """Close the open scalar segment and finalize the recording."""
-        self._close()
-        return self.writer.finalize()
-
-    def _close(self) -> None:
-        op = self._open
-        if op is not None:
-            self._add_batch(op[0], op[1], op[2], 0)
-            self._open = None
-
 
 def record_trace(program, batch: bool = True, spill=None,
                  spill_mb: Optional[float] = None, **params):
@@ -165,6 +87,7 @@ def record_trace(program, batch: bool = True, spill=None,
     :class:`~repro.core.tracestore.TraceStoreWriter`): then they stream
     to disk under a ``spill_mb``-bounded buffer.
     """
+    from repro.core.tracestore import StreamRecorder, TraceStoreWriter
     from repro.lang.batch import BatchExecutor
     from repro.lang.executor import Executor
     writer = (spill if isinstance(spill, TraceStoreWriter)
@@ -181,11 +104,11 @@ def record_trace(program, batch: bool = True, spill=None,
     return trace, stats
 
 
-def split_trace(trace, nshards: int) -> List[StoredShardSlice]:
-    """Cut a recorded trace into K contiguous time shards.
+def split_trace(trace, nshards: int) -> List["StoredShardSlice"]:
+    """Cut a recorded trace into at most K contiguous time shards.
 
     ``trace`` is a :class:`~repro.core.tracestore.StoredTrace` or an
-    open :class:`~repro.core.tracestore.TraceStore`; the cut rules are
+    open :class:`~repro.core.tracestore.TraceStore`; the cut rule is
     :func:`~repro.core.tracestore.split_stored_trace`'s.
     """
     from repro.core.tracestore import split_stored_trace
@@ -280,25 +203,18 @@ class ShardResult:
 def analyze_shard(sl, granularities: Dict[str, int]) -> ShardResult:
     """Analyze one shard in a seeded analyzer; locally-exact result.
 
-    ``sl`` is a :class:`~repro.core.tracestore.StoredShardSlice`, whose
-    ops are replayed through the analyzer, or a
-    :class:`~repro.static.segments.TableSlice`, whose table is fed to
-    the state window by window.  The analyzer's clock starts at the
-    shard's global start, so in-shard reuses (distances, bins, carrying
-    scopes) come out exactly as in the sequential run.  Cross-shard
-    reuses land in the unresolved boundary set for the merge.
+    ``sl`` is a :class:`~repro.static.segments.TableSlice` or a
+    :class:`~repro.core.tracestore.StoredShardSlice`; either yields its
+    windows, with the seeds in their scope snapshots, and the state is
+    fed them one by one.  The analyzer's clock starts at the shard's
+    global start, so in-shard reuses (distances, bins, carrying scopes)
+    come out exactly as in the sequential run.  Cross-shard reuses land
+    in the unresolved boundary set for the merge.
     """
     analyzer = ReuseAnalyzer(granularities, engine="numpy")
-    state = ShardBatchState(analyzer, sl.start)
-    analyzer._install_numpy_state(state)
     analyzer.clock = sl.start
-    if isinstance(sl, StoredShardSlice):
-        analyzer.stack._sids.extend(sl.seed_sids)
-        analyzer.stack._clocks.extend(sl.seed_clocks)
-        replay_slice(TraceStore(sl.trace), sl, analyzer)
-    else:
-        state.feed(sl.table)
-    analyzer._flush()
+    state = ShardBatchState(analyzer, sl.start)
+    state.feed(sl)
     grans = []
     for gi, g in enumerate(analyzer.grans):
         if g.db.cold:  # pragma: no cover - invariant guard
@@ -593,11 +509,12 @@ def run_shards(slices: Sequence, granularities: Dict[str, int],
     """
     slices = list(slices)
     if jobs is None:
-        jobs = min(len(slices), multiprocessing.cpu_count() or 1)
+        jobs = min(len(slices), os.cpu_count() or 1)
     payload = [(sl, dict(granularities)) for sl in slices]
     if jobs <= 1 or len(slices) <= 1:
         results = [_run_shard(p) for p in payload]
     else:
+        import multiprocessing
         ctx = multiprocessing.get_context()
         with ctx.Pool(min(jobs, len(slices)),
                       initializer=_init_shard_worker,
@@ -613,34 +530,3 @@ def run_shards(slices: Sequence, granularities: Dict[str, int],
             if res.metrics:
                 registry.merge(res.metrics)
     return results
-
-
-def analyze_trace_sharded(trace: StoredTrace,
-                          granularities: Dict[str, int],
-                          shards: int,
-                          jobs: Optional[int] = None) -> Dict:
-    """Split → analyze → merge one recorded trace; returns a state dict."""
-    with _trace.span("shard.split", shards=shards):
-        slices = split_trace(trace, shards)
-    results = run_shards(slices, granularities, jobs)
-    with _trace.span("shard.merge", shards=len(results)):
-        return merge_shard_results(results, granularities, trace.accesses)
-
-
-def analyze_sharded(program, shards: int,
-                    granularities: Optional[Dict[str, int]] = None,
-                    jobs: Optional[int] = None, batch: bool = True,
-                    **params):
-    """Record → shard → merge one program run.
-
-    Returns ``(state, stats)``: a ``dump_state``-format dict
-    byte-identical to a sequential analysis (any engine) plus the
-    recording run's :class:`~repro.lang.executor.RunStats`.  Use
-    ``ReuseAnalyzer.from_state(state)`` for a results-only analyzer.
-    """
-    if granularities is None:
-        granularities = dict(_DEFAULT_GRANS)
-    with _trace.span("shard.record", program=program.name):
-        trace, stats = record_trace(program, batch=batch, **params)
-    state = analyze_trace_sharded(trace, granularities, shards, jobs=jobs)
-    return state, stats

@@ -1,20 +1,21 @@
-"""Columnar trace recordings: record once, split and replay anywhere.
+"""Columnar trace recordings: record once, cut and feed anywhere.
 
 The shard pipeline (:mod:`repro.core.shard`) analyzes one access stream
-in K time shards.  Every recording of that stream is columnar, in one
-fixed-width layout that lives either in memory or in a store directory
-that ``mmap`` serves back with zero serialization cost:
+in K time shards.  A program the static enumeration rejects (or a
+``batch=False`` run) is recorded once, and every recording is columnar,
+in one fixed-width layout that lives either in memory or in a store
+directory that ``mmap`` serves back with zero serialization cost:
 
-* **Writing.**  :class:`TraceStoreWriter` receives the op stream a
-  :class:`~repro.core.shard.StreamRecorder` produces and buffers it
-  column-wise in plain Python lists.  When the buffered estimate crosses
-  the spill bound (``spill_mb``), every column is cut into a compact
-  numpy chunk — appended to its file when the writer has a store
-  directory, kept in memory when it has none — and the buffers reset.
-  Affine ``rows`` ops stay *symbolic* (base/stride/count per reference,
-  never expanded to element lists), so a recording inherits the
-  recorder's run compression: a billion-access affine loop costs one
-  32-byte op record plus ~25 bytes per reference.
+* **Writing.**  :class:`StreamRecorder` turns an executor's events into
+  ops for a :class:`TraceStoreWriter`, which buffers them column-wise
+  in plain Python lists.  When the buffered estimate crosses the spill
+  bound (``spill_mb``), every column is cut into a compact numpy chunk
+  — appended to its file when the writer has a store directory, kept
+  in memory when it has none — and the buffers reset.  Affine ``rows``
+  ops stay *symbolic* (base/stride/count per reference, never expanded
+  to element lists), so a recording inherits the recorder's run
+  compression: a billion-access affine loop costs one 32-byte op
+  record plus ~25 bytes per reference.
 * **Layout.**  ``ops`` is an int64 array of shape ``(nops, 4)`` —
   ``(kind, a, b, c)`` with kinds enter/exit (``a`` = sid), batch (``a`` =
   offset into the batch side tables, ``b`` = accesses, ``c`` = period)
@@ -27,23 +28,21 @@ that ``mmap`` serves back with zero serialization cost:
 * **Digest.**  Each column is hashed incrementally as its chunks are
   cut, so the digest depends only on the recorded *content* — never on
   where the chunk boundaries fell, nor on whether the columns live in
-  memory or on disk.  It keys the shard partials of spilled traces (see
-  :meth:`~repro.tools.cache.AnalysisCache.trace_shard_key_for`) and
-  names the directory :func:`record_spilled` dedups a recording into.
-* **Splitting and replay.**  :func:`split_stored_trace` computes shard
-  slices as *op-index ranges* by scanning only the ops column, and
-  :func:`replay_slice` streams one slice through an analyzer,
-  materializing only the slice's own batch elements.  A slice of a
-  spilled trace names the store directory, so K workers share one
-  recording through the page cache and a trace larger than memory
-  analyzes without ever being resident at once; a slice of an in-memory
-  trace carries just its own window of the columns.
-
-The split rules keep the merged ``dump_state()`` byte-identical to the
-sequential engines: cuts fall at access counts ``i * n // K``, possibly
-mid-batch (the period survives only on row-aligned pieces) or mid-row
-(only the partial rows materialize), and a scope event on a cut opens
-the *next* shard.
+  memory or on disk.  It keys the shard partials of recorded traces
+  (see :meth:`~repro.tools.cache.AnalysisCache.trace_shard_key_for`)
+  and names the directory :func:`record_spilled` dedups a recording
+  into.
+* **Slices and windows.**  :func:`split_stored_trace` cuts a recording
+  between ops by the segment table's rule (shard ``i`` opens at the
+  first op boundary at or after ``i * n // K`` accesses; scope events
+  on a cut open the next shard), scanning only the ops column.  Each
+  :class:`StoredShardSlice` yields its windows as a segment table does
+  (:meth:`StoredShardSlice.windows`), materialising each from its own
+  column ranges only when the engine flushes it.  A slice of a spilled
+  trace names the store directory, so K workers share one recording
+  through the page cache and a trace larger than memory analyzes
+  without ever being resident at once; a slice of an in-memory trace
+  carries just its own window of the columns.
 """
 
 from __future__ import annotations
@@ -56,11 +55,13 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field, replace as _dc_replace
+from functools import partial
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.npengine import WindowArrays, _scatter_rows
 from repro.obs import metrics as _obs
 from repro.obs import trace as _trace
 
@@ -77,8 +78,8 @@ DEFAULT_SPILL_MB = 64.0
 OP_ENTER, OP_EXIT, OP_BATCH, OP_ROWS = 0, 1, 2, 3
 
 #: column name -> (file name, dtype).  Stores are uint8 (they never feed
-#: the analysis — both engines ignore them — but keep the stream
-#: replayable through any handler); everything else is int64.
+#: the analysis — both engines ignore them — but keep the recording
+#: complete); everything else is int64.
 _COLUMNS: Dict[str, Tuple[str, type]] = {
     "ops": ("ops.i64", np.int64),
     "batch_rids": ("batch_rids.i64", np.int64),
@@ -97,11 +98,12 @@ _OP_BYTES = 32
 _BATCH_ELEM_BYTES = 17   # rid + addr (int64) + store (uint8)
 _ROWS_ELEM_BYTES = 25    # rid + base + stride (int64) + store (uint8)
 
-#: Op records converted to Python at a time, and the least side-table
-#: elements replay converts at a time: both bound the Python objects a
-#: pass over a spilled trace holds.
+#: Op records converted to Python at a time: bounds the Python objects
+#: a pass over a spilled trace holds.
 _OP_BLOCK = 1 << 16
-_REPLAY_BLOCK = 1 << 16
+
+#: The recorder closes an open scalar segment at this many accesses.
+COALESCE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -324,6 +326,79 @@ def _joined(chunks: List[np.ndarray], dtype) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.empty(0, dtype)
 
 
+# ---------------------------------------------------------------------------
+# Recording
+# ---------------------------------------------------------------------------
+
+class StreamRecorder:
+    """Event handler that records the access stream as a columnar trace.
+
+    Every event goes to a :class:`TraceStoreWriter` (an in-memory one
+    unless the caller passes a writer with a store directory): scope
+    events, materialized chunks, and unmaterialized affine chunks,
+    exactly the ``access_rows`` protocol.  Scalar accesses between scope
+    events coalesce into one chunk, closed at :data:`COALESCE_CAP` so
+    the recorder's own buffering stays bounded too.  Chunk boundaries
+    are analysis-neutral, so the cap cannot change results.
+    """
+
+    def __init__(self, writer: Optional[TraceStoreWriter] = None) -> None:
+        self.writer = TraceStoreWriter() if writer is None else writer
+        self._add_scope = self.writer.add_scope
+        self._add_batch = self.writer.add_batch
+        self._add_rows = self.writer.add_rows
+        self._open: Optional[Tuple[list, list, list]] = None
+
+    def enter_scope(self, sid: int) -> None:
+        if self._open is not None:
+            self._close()
+        self._add_scope(OP_ENTER, sid)
+
+    def exit_scope(self, sid: int) -> None:
+        if self._open is not None:
+            self._close()
+        self._add_scope(OP_EXIT, sid)
+
+    def access(self, rid: int, addr: int, is_store: bool) -> None:
+        op = self._open
+        if op is None:
+            self._open = ([rid], [addr], [is_store])
+        else:
+            rids, addrs, stores = op
+            rids.append(rid)
+            addrs.append(addr)
+            stores.append(is_store)
+            if len(addrs) >= COALESCE_CAP:
+                self._close()
+
+    def access_batch(self, rids, addrs, stores, period: int = 0) -> None:
+        n = len(addrs)
+        if not n:
+            return
+        if self._open is not None:
+            self._close()
+        self._add_batch(rids, addrs, stores,
+                        period if period and not n % period else 0)
+
+    def access_rows(self, rids, stores, bases, strides, m: int) -> None:
+        if not m * len(bases):
+            return
+        if self._open is not None:
+            self._close()
+        self._add_rows(rids, stores, bases, strides, m)
+
+    def finish(self) -> StoredTrace:
+        """Close the open scalar segment and finalize the recording."""
+        self._close()
+        return self.writer.finalize()
+
+    def _close(self) -> None:
+        op = self._open
+        if op is not None:
+            self._add_batch(op[0], op[1], op[2], 0)
+            self._open = None
+
+
 class TraceStore:
     """Read-only view of one recording's columns.
 
@@ -346,7 +421,8 @@ class TraceStore:
         self._mmaps: List[mmap.mmap] = []
         self._obs_opens = _obs.counter("trace.mmap_opens")
 
-    def _col(self, name: str) -> np.ndarray:
+    def column(self, name: str) -> np.ndarray:
+        """One column by name (see the module's layout), mapped lazily."""
         arr = self._cols.get(name)
         if arr is None:
             fname, dtype = _COLUMNS[name]
@@ -368,35 +444,7 @@ class TraceStore:
 
     @property
     def ops(self) -> np.ndarray:
-        return self._col("ops")
-
-    @property
-    def batch_rids(self) -> np.ndarray:
-        return self._col("batch_rids")
-
-    @property
-    def batch_addrs(self) -> np.ndarray:
-        return self._col("batch_addrs")
-
-    @property
-    def batch_stores(self) -> np.ndarray:
-        return self._col("batch_stores")
-
-    @property
-    def rows_rids(self) -> np.ndarray:
-        return self._col("rows_rids")
-
-    @property
-    def rows_bases(self) -> np.ndarray:
-        return self._col("rows_bases")
-
-    @property
-    def rows_strides(self) -> np.ndarray:
-        return self._col("rows_strides")
-
-    @property
-    def rows_stores(self) -> np.ndarray:
-        return self._col("rows_stores")
+        return self.column("ops")
 
 
 # ---------------------------------------------------------------------------
@@ -408,18 +456,16 @@ class StoredShardSlice:
     """One contiguous time shard of a recorded trace (picklable).
 
     The op payload is the half-open op-record range ``[op_lo, op_hi)`` of
-    ``trace`` plus the number of accesses of op ``op_lo`` already
-    consumed by earlier shards (``skip`` — nonzero when the boundary
-    landed mid-batch or mid-row).  For a spilled trace, ``trace`` is the
-    store's handle — a few dozen bytes however large the trace — and a
-    worker mmaps the store and replays only its range.  For an in-memory
-    trace, ``trace`` is the slice's own window (see :func:`_window`): the
-    ops of its range and the side-table elements it replays, offsets
-    rebased, so a pickled slice ships only its own part of the columns.
+    ``trace``; both ends are op boundaries.  For a spilled trace,
+    ``trace`` is the store's handle — a few dozen bytes however large
+    the trace — and a worker mmaps the store and reads only its range.
+    For an in-memory trace, ``trace`` is the slice's own window (see
+    :func:`_window`): the ops of its range and their side-table
+    elements, offsets rebased, so a pickled slice ships only its own
+    part of the columns.
     """
 
     index: int
-    nshards: int
     #: global clock before the shard's first access
     start: int
     #: accesses in the shard
@@ -429,7 +475,6 @@ class StoredShardSlice:
     seed_clocks: Tuple[int, ...]
     op_lo: int
     op_hi: int
-    skip: int
     trace: StoredTrace
 
     @property
@@ -437,24 +482,122 @@ class StoredShardSlice:
         """Store directory of a spilled trace (None in memory)."""
         return self.trace.path
 
+    def windows(self, threshold: int
+                ) -> Iterator[Tuple[int, Callable[[], WindowArrays]]]:
+        """``(accesses, materialise)`` per window, in time order.
 
-def _op_records(ops: np.ndarray, lo: int, hi: int) -> Iterator[tuple]:
-    """``(index, kind, a, b, c)`` of the op records ``[lo, hi)``,
-    converted to Python ``_OP_BLOCK`` records at a time."""
-    return chain.from_iterable(
-        zip(range(base, hi), *ops[base:min(base + _OP_BLOCK, hi)].T.tolist())
-        for base in range(lo, hi, _OP_BLOCK))
+        One scan of the slice's op records tracks the scope stack from
+        the seeds; a snapshot opens at the first access op after each
+        scope event, and a window ends at the first op boundary where
+        ``threshold`` or more accesses are pending (the rule the engine's
+        ``append_*`` entry points apply).  A window's columns are read
+        only when it is materialised.
+        """
+        store = TraceStore(self.trace)
+        sids = list(self.seed_sids)
+        clocks = list(self.seed_clocks)
+        clock = self.start
+        pending = 0
+        segs: List[List[int]] = []
+        seg_snap: List[int] = []
+        snaps: List[Tuple[tuple, tuple]] = []
+        fresh = True
+        for op in _op_records(store.ops, self.op_lo, self.op_hi):
+            kind, a, b, c = op
+            if kind == OP_ENTER:
+                sids.append(a)
+                clocks.append(clock)
+                fresh = True
+                continue
+            if kind == OP_EXIT:
+                sids.pop()
+                clocks.pop()
+                fresh = True
+                continue
+            n = b * c if kind == OP_ROWS else b
+            if not n:
+                continue
+            if fresh:
+                snaps.append((tuple(sids), tuple(clocks)))
+                fresh = False
+            segs.append(op)
+            seg_snap.append(len(snaps) - 1)
+            clock += n
+            pending += n
+            if pending >= threshold:
+                yield pending, partial(_materialise, store, segs, seg_snap,
+                                       snaps)
+                pending = 0
+                segs, seg_snap, snaps = [], [], []
+                fresh = True
+        if pending:
+            yield pending, partial(_materialise, store, segs, seg_snap, snaps)
 
 
-def _window(store: TraceStore, op_lo: int, op_hi: int, skip: int,
-            cut: Optional[int], length: int) -> StoredTrace:
-    """In-memory slice payload: ops ``[op_lo, op_hi)`` plus the side-table
-    elements the slice replays, offsets rebased to those elements.
+def _op_records(ops: np.ndarray, lo: int, hi: int) -> Iterator[List[int]]:
+    """``[kind, a, b, c]`` of the op records ``[lo, hi)``, converted to
+    Python ``_OP_BLOCK`` records at a time."""
+    return chain.from_iterable(ops[base:min(base + _OP_BLOCK, hi)].tolist()
+                               for base in range(lo, hi, _OP_BLOCK))
 
-    ``skip`` accesses of the first op belong to earlier shards, and a
-    ``cut`` last op contributes only its accesses before ``cut``; a cut
-    batch op therefore ships only the slice's part of its payload.
-    """
+
+def _materialise(store: TraceStore, segs: List[List[int]],
+                 seg_snap: List[int],
+                 snaps: List[Tuple[tuple, tuple]]) -> WindowArrays:
+    """One window's access ops as arrays: batch payloads copied, affine
+    rows broadcast.  Side-table offsets grow in op order, so the
+    window's batch and rows elements are one range of each table."""
+    kind, off, b, c = np.array(segs, dtype=np.int64).reshape(-1, 4).T
+    rows = kind == OP_ROWS
+    seg_len = np.where(rows, b * c, b)
+    seg_per = np.where(rows, b, c)
+    seg_per[seg_len % np.maximum(seg_per, 1) != 0] = 0
+    seg_start = np.zeros(seg_len.size + 1, dtype=np.int64)
+    np.cumsum(seg_len, out=seg_start[1:])
+    A = np.empty(int(seg_start[-1]), dtype=np.int64)
+    R = np.empty_like(A)
+    read = 0
+    sel = np.flatnonzero(~rows)
+    if sel.size:
+        lo = int(off[sel[0]])
+        hi = int(off[sel[-1]] + b[sel[-1]])
+        at = (np.repeat(seg_start[sel] - off[sel] + lo, b[sel])
+              + np.arange(hi - lo, dtype=np.int64))
+        A[at] = store.column("batch_addrs")[lo:hi]
+        R[at] = store.column("batch_rids")[lo:hi]
+        read += (hi - lo) * _BATCH_ELEM_BYTES
+    sel = np.flatnonzero(rows)
+    if sel.size:
+        lo = int(off[sel[0]])
+        hi = int(off[sel[-1]] + b[sel[-1]])
+        bases, strides, rids = (store.column(name)[lo:hi] for name in (
+            "rows_bases", "rows_strides", "rows_rids"))
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        for i, k, m in zip(sel.tolist(), b[sel].tolist(), c[sel].tolist()):
+            groups.setdefault((k, m), []).append(i)
+        for (k, m), idxs in groups.items():
+            at = (off[idxs] - lo)[:, None] + np.arange(k, dtype=np.int64)
+            _scatter_rows(A, R, seg_start[idxs], bases[at], strides[at],
+                         rids[at], m)
+        read += (hi - lo) * _ROWS_ELEM_BYTES
+    if store.path is not None:
+        _obs.counter("trace.read_mb").inc(read / 1e6)
+    snap_sids = [s for s, _c in snaps]
+    snap_clocks = [c for _s, c in snaps]
+    return WindowArrays(
+        A, R, seg_len, seg_per,
+        np.array(seg_snap, dtype=np.int64),
+        np.array([s[-1] if s else -1 for s in snap_sids], dtype=np.int64),
+        np.array([c[-1] if c else -1 for c in snap_clocks], dtype=np.int64),
+        np.array([len(s) for s in snap_sids], dtype=np.int64),
+        np.fromiter(chain.from_iterable(snap_clocks), np.int64),
+        np.fromiter(chain.from_iterable(snap_sids), np.int64))
+
+
+def _window(store: TraceStore, op_lo: int, op_hi: int,
+            length: int) -> StoredTrace:
+    """In-memory slice payload: ops ``[op_lo, op_hi)`` plus their
+    side-table elements, offsets rebased to those elements."""
     ops = store.ops[op_lo:op_hi].copy()
     columns = {"ops": ops}
     for kind, table in ((OP_BATCH, "batch_"), (OP_ROWS, "rows_")):
@@ -462,213 +605,79 @@ def _window(store: TraceStore, op_lo: int, op_hi: int, skip: int,
         lo = hi = 0
         if sel.size:
             # side-table offsets grow in op order
-            first, last = int(sel[0]), int(sel[-1])
-            lo = int(ops[first, 1])
-            hi = int(ops[last, 1] + ops[last, 2])
-            if kind == OP_BATCH:
-                if first == 0:
-                    lo += skip
-                if cut is not None and last == len(ops) - 1:
-                    hi = int(ops[last, 1]) + cut
+            lo = int(ops[sel[0], 1])
+            hi = int(ops[sel[-1], 1] + ops[sel[-1], 2])
             ops[sel, 1] -= lo
         for name in _COLUMNS:
             if name.startswith(table):
-                columns[name] = store._col(name)[lo:hi]
+                columns[name] = store.column(name)[lo:hi]
     return StoredTrace(path=None, accesses=length, nops=len(ops),
                        digest=store.digest, columns=columns)
 
 
 def split_stored_trace(trace, nshards: int) -> List[StoredShardSlice]:
-    """Cut a recorded trace into K contiguous time shards.
+    """Cut a recorded trace into at most K contiguous time shards.
 
-    Shard boundaries are access-count cuts at ``i * n // K``; K is
-    clamped to the access count (each shard gets at least one access,
-    and an empty trace yields a single empty shard).  Scope events that
-    fall exactly on a cut go to the *following* shard, so a shard's seed
-    clocks are all strictly below its start clock.  Only the ops column
-    is scanned, so the pass reads ``nops * 32`` bytes however many
-    accesses the trace holds.
+    The rule is :meth:`~repro.static.segments.SegmentTable.slices`':
+    shard ``i`` opens at the first op boundary at or after ``i * n // K``
+    accesses, right after the last access op that starts before that
+    target.  So scope events on a cut open the next shard, and a shard's
+    seed clocks stay strictly below its start.  Cuts that land on one
+    boundary collapse: a trace gets at most ``min(K, access ops)``
+    shards, and an empty trace one empty shard.  A recorded op holds at
+    most ``max(CHUNK_ACCESSES, k)`` accesses (executor chunks, and the
+    recorder's :data:`COALESCE_CAP`), so each cut lands less than one
+    chunk past its target.  Only the ops column is read: per-op access
+    counts, one searchsorted, then one pass over the scope ops for the
+    seeds.
     """
     store = trace if isinstance(trace, TraceStore) else TraceStore(trace)
     ops = store.ops
     n = int(store.accesses)
-    k = max(1, min(int(nshards), n if n else 1))
-    cuts = [(i * n) // k for i in range(k + 1)]
+    k = max(1, int(nshards))
+    kind = ops[:, 0]
+    acc = np.where(kind == OP_ROWS, ops[:, 2] * ops[:, 3],
+                   np.where(kind == OP_BATCH, ops[:, 2], 0))
+    done = np.cumsum(acc)
+    access_ops = np.flatnonzero(acc)
+    first = np.unique(np.searchsorted(
+        done[access_ops] - acc[access_ops], [i * n // k for i in range(k)]))
+    first = first[first < max(access_ops.size, 1)]
+    # shard i opens right after access op first[i] - 1
+    cuts = np.append(0, access_ops + 1)[first].tolist() + [len(ops)]
+    starts = np.append(0, done[access_ops])[first].tolist() + [n]
+    # the scope stack at each cut: one pass over the scope ops before
+    # the last cut, _OP_BLOCK at a time
+    scope = np.flatnonzero(kind[:cuts[-2]] <= OP_EXIT)
+    sids: List[int] = []
+    clocks: List[int] = []
+    seeds: List[Tuple[tuple, tuple]] = []
+    for base in range(0, scope.size, _OP_BLOCK):
+        sel = scope[base:base + _OP_BLOCK]
+        for p, kd, sid, clk in zip(sel.tolist(), kind[sel].tolist(),
+                                   ops[sel, 1].tolist(), done[sel].tolist()):
+            while cuts[len(seeds)] <= p:
+                seeds.append((tuple(sids), tuple(clocks)))
+            if kd == OP_ENTER:
+                sids.append(sid)
+                clocks.append(clk)
+            else:
+                sids.pop()
+                clocks.pop()
+    seeds += [(tuple(sids), tuple(clocks))] * (len(cuts) - 1 - len(seeds))
     whole = (None if store.path is None else
              StoredTrace(path=store.path, accesses=n, nops=store.nops,
                          digest=store.digest))
     shards: List[StoredShardSlice] = []
-    sids: List[int] = []
-    clocks: List[int] = []
-    state = {"si": 0, "consumed": 0, "start": 0,
-             "seed_s": (), "seed_c": (), "op_lo": 0, "skip": 0}
-
-    def close(op_hi: int, next_lo: int, next_skip: int) -> None:
-        op_lo = state["op_lo"]
-        length = state["consumed"] - state["start"]
+    for i, (seed_sids, seed_clocks) in enumerate(seeds):
+        lo, hi, length = cuts[i], cuts[i + 1], starts[i + 1] - starts[i]
         src = whole
         if src is None:
-            cut = next_skip if next_lo < op_hi else None
-            src = _window(store, op_lo, op_hi, state["skip"], cut, length)
-            op_lo, op_hi = 0, op_hi - op_lo
-        shards.append(StoredShardSlice(
-            state["si"], k, state["start"], length,
-            state["seed_s"], state["seed_c"],
-            op_lo, op_hi, state["skip"], src))
-        state["si"] += 1
-        state["seed_s"] = tuple(sids)
-        state["seed_c"] = tuple(clocks)
-        state["start"] = state["consumed"]
-        state["op_lo"] = next_lo
-        state["skip"] = next_skip
-
-    def at_cut() -> bool:
-        return (state["si"] < k - 1
-                and state["consumed"] == cuts[state["si"] + 1])
-
-    nops = int(ops.shape[0])
-    for oi, kind, a, b, c in _op_records(ops, 0, nops):
-        if kind == OP_ENTER:
-            if at_cut():
-                close(oi, oi, 0)
-            sids.append(a)
-            clocks.append(state["consumed"])
-        elif kind == OP_EXIT:
-            if at_cut():
-                close(oi, oi, 0)
-            sids.pop()
-            clocks.pop()
-        else:
-            total = b * c if kind == OP_ROWS else b
-            off = 0
-            while off < total:
-                if at_cut():
-                    # a cut mid-op keeps op oi on both sides: the closing
-                    # shard ends past it, the next one re-enters at skip
-                    close(oi if off == 0 else oi + 1, oi, off)
-                room = (cuts[state["si"] + 1] if state["si"] < k - 1
-                        else n) - state["consumed"]
-                take = min(room, total - off)
-                state["consumed"] += take
-                off += take
-    close(nops, nops, 0)
+            src = _window(store, lo, hi, length)
+            lo, hi = 0, hi - lo
+        shards.append(StoredShardSlice(i, starts[i], length, seed_sids,
+                                       seed_clocks, lo, hi, src))
     return shards
-
-
-# ---------------------------------------------------------------------------
-# Replay
-# ---------------------------------------------------------------------------
-
-def _replay_partial(batch, rids, stores, bases, strides, row, jlo,
-                    jhi) -> None:
-    batch(list(rids[jlo:jhi]),
-          [bases[j] + row * strides[j] for j in range(jlo, jhi)],
-          list(stores[jlo:jhi]), 0)
-
-
-def _replay_rows_piece(batch, rows, rids, stores, bases, strides, k, off,
-                       take) -> None:
-    """Replay accesses [off, off+take) of a k-refs-per-iteration rows op.
-
-    Misaligned edges materialize only the partial rows; whole iterations
-    in between stay an unmaterialized ``rows`` op with shifted bases.
-    """
-    end = off + take
-    r0, j0 = divmod(off, k)
-    r1, j1 = divmod(end, k)
-    if j0:
-        jhi = k if r1 > r0 else j1
-        _replay_partial(batch, rids, stores, bases, strides, r0, j0, jhi)
-        if jhi < k:
-            return
-        r0 += 1
-    if r1 > r0:
-        rows(rids, stores,
-             tuple(b + r0 * s for b, s in zip(bases, strides)),
-             strides, r1 - r0)
-    if j1:
-        _replay_partial(batch, rids, stores, bases, strides, r1, 0, j1)
-
-
-def replay_slice(store: TraceStore, sl: StoredShardSlice, handler) -> None:
-    """Stream one slice of ``store`` through an event handler.
-
-    Op records convert to Python once each, in blocks, and the side
-    tables in blocks of at least ``_REPLAY_BLOCK`` elements (ops
-    reference them in ascending order), so a replay holds only a
-    bounded part of a spilled trace as Python objects.  Whole ops replay as recorded; an op cut by
-    a shard boundary replays only the slice's part of it — a batch piece
-    keeps the period only when row-aligned, and a rows piece
-    materializes only its partial rows.
-    """
-    enter = handler.enter_scope
-    leave = handler.exit_scope
-    batch = handler.access_batch
-    rows_fn = handler.access_rows
-    b_cols = (store.batch_rids, store.batch_addrs, store.batch_stores)
-    r_cols = (store.rows_rids, store.rows_stores, store.rows_bases,
-              store.rows_strides)
-    # converted side-table blocks [lo, hi): batch lists, rows tuples
-    # (handlers keep a rows op's vectors as tuples; slicing one is the
-    # only copy)
-    b_lo = b_hi = r_lo = r_hi = 0
-    b_rids = b_addrs = b_stores = r_rids = r_stores = r_bases = \
-        r_strides = ()
-    remaining = sl.length
-    skip = sl.skip
-    batch_read = rows_read = 0
-    for _oi, kind, a, b, c in _op_records(store.ops, sl.op_lo, sl.op_hi):
-        if kind == OP_ENTER:
-            enter(a)
-            continue
-        if kind == OP_EXIT:
-            leave(a)
-            continue
-        off, skip = skip, 0
-        if kind == OP_BATCH:
-            take = b - off
-            if take > remaining:
-                take = remaining
-            if take <= 0:
-                continue
-            lo = a + off
-            hi = lo + take
-            if hi > b_hi or lo < b_lo:
-                b_lo, b_hi = lo, max(hi, lo + _REPLAY_BLOCK)
-                b_rids, b_addrs, b_stores = (
-                    col[b_lo:b_hi].tolist() for col in b_cols)
-            lo -= b_lo
-            hi -= b_lo
-            batch_read += take
-            batch(b_rids[lo:hi], b_addrs[lo:hi], b_stores[lo:hi],
-                  c if c and off % c == 0 and take % c == 0 else 0)
-        else:
-            total = b * c
-            take = total - off
-            if take > remaining:
-                take = remaining
-            if take <= 0:
-                continue
-            end = a + b
-            if end > r_hi or a < r_lo:
-                r_lo, r_hi = a, max(end, a + _REPLAY_BLOCK)
-                r_rids, r_stores, r_bases, r_strides = (
-                    tuple(col[r_lo:r_hi].tolist()) for col in r_cols)
-            lo = a - r_lo
-            hi = end - r_lo
-            rows_read += b
-            if take == total:
-                rows_fn(r_rids[lo:hi], r_stores[lo:hi], r_bases[lo:hi],
-                        r_strides[lo:hi], c)
-            else:
-                _replay_rows_piece(batch, rows_fn, r_rids[lo:hi],
-                                   r_stores[lo:hi], r_bases[lo:hi],
-                                   r_strides[lo:hi], b, off, take)
-        remaining -= take
-    if store.path is not None:
-        _obs.counter("trace.read_mb").inc(
-            (batch_read * _BATCH_ELEM_BYTES
-             + rows_read * _ROWS_ELEM_BYTES) / 1e6)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ Namespaces: counters are dot-qualified by subsystem — ``analyzer.*``,
 ``batch.*``, ``sim.*``, ``cache.*``, ``sweep.*``, ``shard.*``, and
 ``trace.*`` (the spillable trace store: ``trace.spill_bytes`` written by
 the recorder, ``trace.mmap_opens`` per column a reader maps,
-``trace.read_mb`` replayed off the maps).  The
+``trace.read_mb`` materialised off the maps).  The
 ``resil.*`` family (``resil.retries``, ``resil.timeouts``,
 ``resil.pool_rebuilds``, ``resil.fallbacks``,
 ``resil.checkpoint_restored``, ``resil.checkpoint_dedup``,

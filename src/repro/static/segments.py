@@ -36,11 +36,12 @@ walk.  The table is exact, not an estimate: the materialised
   when its flush runs, one scatter per item.  No whole-program address
   array is built.
 * **Slices.**  :meth:`SegmentTable.slices` cuts the table into time
-  shards at segment boundaries for :mod:`repro.core.shard`; each slice
-  is a table of its own holding only its segments, occurrences and
-  snapshots (views of the parent's arrays), so K pickled slices cost
-  about one table.  :attr:`SegmentTable.digest` names a table's content
-  for the shard partials' cache keys.
+  shards at segment boundaries for :mod:`repro.core.shard` (a recorded
+  trace is cut between ops by the same rule); each slice is a table of
+  its own holding only its segments, occurrences and snapshots (views
+  of the parent's arrays), so K pickled slices cost about one table.
+  :attr:`SegmentTable.digest` names a table's content for the shard
+  partials' cache keys.
 
 Programs over :data:`~repro.static.itermodel.STREAM_MAX_POINTS`
 occurrences raise :class:`~repro.static.itermodel.StaticUnsupported`
@@ -540,6 +541,11 @@ class TableSlice:
     seed_sids: Tuple[int, ...]
     seed_clocks: Tuple[int, ...]
     table: SegmentTable
+
+    def windows(self, threshold: int
+                ) -> Iterator[Tuple[int, Callable[[], WindowArrays]]]:
+        """The slice's windows: its table's (:meth:`SegmentTable.windows`)."""
+        return self.table.windows(threshold)
 
 
 def build_segments(program: Program,

@@ -63,6 +63,10 @@ _CORRUPT_ERRORS = (OSError, pickle.UnpicklingError, EOFError, ValueError,
 #: Bump when the serialized payload layout or fingerprint recipe changes.
 SCHEMA_VERSION = 1
 
+#: Names the rule shard partials were cut by; change it with the rule, so
+#: partials of an older cut never merge with a newer one's.
+SHARD_CUT_RULE = "boundary-cuts:1"
+
 #: Header prefix of digest-verified (shared-mode) entries.  The payload
 #: pickle follows the newline; a pickle stream starts with b"\\x80" so
 #: the two formats can never be confused.
@@ -221,12 +225,13 @@ class AnalysisCache:
         ``digest`` is a recorded trace's or a segment table's content
         digest; either covers the program and run parameters (identical
         event streams hash identically, in memory or spilled), so the
-        key needs only the digest, the granularity-bearing config, and
-        the (requested shard count, index) pair: cut points depend only
-        on the content and the requested count, so a partial is
-        reusable by any later run cutting the same content the same
-        way.  The miss model never enters: partials are raw
-        pattern databases, applied at predict time.  The merged result
+        key needs only the digest, the granularity-bearing config, the
+        cut rule (:data:`SHARD_CUT_RULE`) and the (requested shard count,
+        index) pair: cut points depend only on the content, the rule
+        and the requested count, so a partial is reusable by any later
+        run cutting the same content the same way.  The miss model
+        never enters: partials are raw pattern databases, applied at
+        predict time.  The merged result
         is stored under the plain :meth:`key_for` address, which
         sequential runs of any engine share.
         """
@@ -234,6 +239,7 @@ class AnalysisCache:
         h.update(repr((
             SCHEMA_VERSION,
             f"trace-shard-{int(shards)}-{int(index)}",
+            SHARD_CUT_RULE,
             digest,
             repr(config),
         )).encode())

@@ -226,7 +226,7 @@ def _usage(path: str) -> Tuple[int, float, float]:
     """(bytes, last use, last write) over the files under ``path``.
 
     Every scan reads a store's ``meta.json``, so only the files a
-    replay reads say when the store was last used.
+    shard reads say when the store was last used.
     """
     size, used, written = 0, 0.0, 0.0
     for dirpath, _dirs, files in os.walk(path):

@@ -69,7 +69,7 @@ class AnalysisSession:
         self.shard_jobs = shard_jobs
         #: directory for the spilled columnar trace store; when set and
         #: the run records (a program the enumeration rejects, or
-        #: batch=False), the recording goes to disk and shards replay it
+        #: batch=False), the recording goes to disk and shards read it
         #: via mmap
         self.trace_store = trace_store
         self.spill_mb = spill_mb
@@ -430,7 +430,8 @@ class AnalysisSession:
         shard is fed its slice's windows: nothing is recorded.
         Otherwise the program is recorded once, spilled to a columnar
         store under :attr:`trace_store` when one is set (the shards then
-        replay mmap'd file ranges), and split into K slices.
+        read mmap'd file ranges), and cut between ops by the same rule;
+        its slices feed their windows the same way.
 
         The merged state matches a sequential run of any engine exactly,
         so it is stored under the same cache key the sequential path

@@ -86,7 +86,7 @@ class SweepTask:
     shards: int = 1
     #: directory for the task's spilled columnar trace store (analyze
     #: mode): a session that records writes the store there and its
-    #: shards replay the mmap'd store; a table-fed session writes none
+    #: shards read the mmap'd store; a table-fed session writes none
     trace_dir: Optional[str] = None
     #: in-memory spill buffer bound (MB) for the trace-store recording
     #: (needs ``trace_dir``)

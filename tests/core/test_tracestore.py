@@ -2,7 +2,7 @@
 
 Writer spill bounds, digest stability across flush placement, the
 on-disk format guards, one format in memory and on disk (columns,
-digests, slice geometry, replayed streams, slice pickles), dedup
+digests, slice geometry, window arrays, slice pickles), dedup
 recording, and the ``trace.*`` observability counters.  Merged
 byte-identity of spilled sharded analysis against the sequential
 engines lives in ``tests/integration/test_shard_equivalence``.
@@ -16,14 +16,14 @@ import pytest
 
 from repro.apps.kernels import irregular_gather, stream_triad
 from repro.apps.sweep3d import SweepParams, build_original
-from repro.core.shard import StreamRecorder, record_trace, split_trace
+from repro.core.shard import record_trace, split_trace
 from repro.core.tracestore import (
-    _COLUMNS, TRACESTORE_VERSION, StoredTrace, TraceStore,
-    TraceStoreWriter, load_trace, record_spilled, replay_slice,
-    split_stored_trace,
+    _COLUMNS, TRACESTORE_VERSION, StoredTrace, StreamRecorder, TraceStore,
+    TraceStoreWriter, load_trace, record_spilled, split_stored_trace,
 )
-from repro.lang import BatchExecutor
-from tests.helpers import OpCollector, replayed_ops
+from tests.helpers import (
+    collect_trace, same_windows, slice_windows, window_stream,
+)
 
 
 def _build():
@@ -73,8 +73,8 @@ class TestWriter:
         stored, stats = record_trace(stream_triad(512, 2),
                                      spill=str(tmp_path / "t"))
         store = TraceStore(stored.path)
-        assert len(store.batch_addrs) < stats.accesses
-        assert len(store.rows_bases) > 0
+        assert len(store.column("batch_addrs")) < stats.accesses
+        assert len(store.column("rows_bases")) > 0
 
     def test_spill_mb_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -119,8 +119,8 @@ class TestLoadGuards:
 
 
 def _geometry(sl) -> tuple:
-    return (sl.index, sl.nshards, sl.start, sl.length, sl.seed_sids,
-            sl.seed_clocks, sl.skip, sl.op_hi - sl.op_lo)
+    return (sl.index, sl.start, sl.length, sl.seed_sids, sl.seed_clocks,
+            sl.op_hi - sl.op_lo)
 
 
 class TestSplitGeometry:
@@ -134,7 +134,7 @@ class TestSplitGeometry:
         assert (mem.accesses, mem.nops) == (stored.accesses, stored.nops)
         store = TraceStore(stored.path)
         for name in _COLUMNS:
-            col, disk = mem.columns[name], getattr(store, name)
+            col, disk = mem.columns[name], store.column(name)
             assert col.dtype == disk.dtype and col.shape == disk.shape
             assert col.tobytes() == disk.tobytes()
 
@@ -150,55 +150,41 @@ class TestSplitGeometry:
         assert sum(sl.length for sl in got) == stored.accesses
         for sl_mem, sl_disk in zip(got, ref):
             assert sl_mem.path is None and sl_disk.path == stored.path
-            assert replayed_ops(sl_mem) == replayed_ops(sl_disk)
+            for threshold in (1 << 17, 7):
+                assert same_windows(slice_windows(sl_mem, threshold),
+                                    slice_windows(sl_disk, threshold))
 
-    def test_replay_reproduces_recorder_stream(self, tmp_path):
-        # the triad emits scope events and affine rows only, so the
-        # executor's own event stream is the recording's exact content
-        class Tee(OpCollector):
-            def __init__(self, recorder):
-                super().__init__()
-                self.recorder = recorder
-
-            def enter_scope(self, sid):
-                super().enter_scope(sid)
-                self.recorder.enter_scope(sid)
-
-            def exit_scope(self, sid):
-                super().exit_scope(sid)
-                self.recorder.exit_scope(sid)
-
-            def access_rows(self, rids, stores, bases, strides, m):
-                super().access_rows(rids, stores, bases, strides, m)
-                self.recorder.access_rows(rids, stores, bases, strides, m)
-
-            def access(self, rid, addr, is_store):
-                raise AssertionError("the triad has no scalar accesses")
-
-        for writer in (TraceStoreWriter(),
-                       TraceStoreWriter(str(tmp_path / "t"),
-                                        spill_mb=0.001)):
-            tee = Tee(StreamRecorder(writer))
-            BatchExecutor(stream_triad(257, 3), tee).run()
-            (sl,) = split_stored_trace(tee.recorder.finish(), 1)
-            assert replayed_ops(sl) == tee.ops
+    def test_windows_reproduce_executor_stream(self, tmp_path):
+        # affine rows (triad) and materialized batches (gather): a K = 1
+        # slice's windows hold the executor's whole (rid, addr) stream
+        for name, build in (("triad", lambda: stream_triad(257, 3)),
+                            ("gather", lambda: irregular_gather(512, 2048))):
+            want = [(rid, addr) for rid, addr, _st in collect_trace(build())]
+            for spill in (None, str(tmp_path / name)):
+                trace, _ = record_trace(build(), spill=spill,
+                                        spill_mb=0.001 if spill else None)
+                (sl,) = split_stored_trace(trace, 1)
+                for threshold in (1 << 17, 100):
+                    rids, addrs = window_stream(sl, threshold)
+                    assert list(zip(rids, addrs)) == want
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     @pytest.mark.parametrize("build", [_build,
                                        lambda: irregular_gather(512, 2048)],
                              ids=["sweep3d", "gather"])
     def test_in_memory_slice_pickles_only_its_window(self, build, k):
-        # the gather's few large batch ops are cut mid-op by every
-        # boundary: each side must ship only its own part of them
+        # each slice ships only its own ops and their payloads (the
+        # gather's two large batch ops go to one slice each)
         mem, _ = record_trace(build())
         whole = sum(col.nbytes for col in mem.columns.values())
         blobs = []
-        for sl in split_stored_trace(mem, k):
+        slices = split_stored_trace(mem, k)
+        for sl in slices:
             blobs.append(pickle.dumps(sl))
             back = pickle.loads(blobs[-1])
             assert back == sl
-            assert replayed_ops(back) == replayed_ops(sl)
-            if k >= 2:
+            assert same_windows(slice_windows(back), slice_windows(sl))
+            if len(slices) >= 2:
                 assert len(blobs[-1]) < whole
         # the slices together ship the trace about once, not K times
         assert sum(map(len, blobs)) < whole + 4096 * k
@@ -209,7 +195,7 @@ class TestSplitGeometry:
         mem, _ = record_trace(_build(), spill_mb=0.001)
         for sl in split_trace(mem, 3):
             assert sl.path is None
-            replay_slice(TraceStore(sl.trace), sl, _NullHandler())
+            assert sum(w.addrs.size for w in slice_windows(sl)) == sl.length
         assert os.listdir(str(tmp_path)) == []
         counters = obs_on.snapshot()["counters"]
         assert counters.get("trace.spill_bytes", 0) == 0
@@ -255,22 +241,8 @@ class TestObsCounters:
                                    spill_mb=0.001)
         store = TraceStore(stored.path)
         for sl in split_stored_trace(store, 2):
-            replay_slice(store, sl, _NullHandler())
+            slice_windows(sl)
         counters = obs_on.snapshot()["counters"]
         assert counters["trace.spill_bytes"] > 0
         assert counters["trace.mmap_opens"] >= 2
         assert counters["trace.read_mb"] > 0
-
-
-class _NullHandler:
-    def enter_scope(self, sid):
-        pass
-
-    def exit_scope(self, sid):
-        pass
-
-    def access_batch(self, rids, addrs, stores, period=0):
-        pass
-
-    def access_rows(self, rids, stores, bases, strides, m):
-        pass

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from hypothesis import strategies as st
 
+from repro.core.npengine import FLUSH_ACCESSES, WindowArrays
 from repro.core.tracestore import record_spilled
 from repro.lang import (
     MemoryLayout, Program, Var, assign, call, idx, load, loop, program,
@@ -101,44 +102,34 @@ def collect_trace(prog: Program) -> List[Tuple[int, int, bool]]:
     return [(e[1], e[2], e[3]) for e in rec.accesses()]
 
 
-class OpCollector:
-    """Event handler that keeps a stream as comparable op tuples.
-
-    ``("enter", sid)`` / ``("exit", sid)``, ``("batch", rids, addrs,
-    stores, period)`` with list payloads, and ``("rows", rids, stores,
-    bases, strides, m)`` with tuple vectors; store flags as bools.
-    """
-
-    def __init__(self) -> None:
-        self.ops: List[tuple] = []
-
-    def enter_scope(self, sid: int) -> None:
-        self.ops.append(("enter", sid))
-
-    def exit_scope(self, sid: int) -> None:
-        self.ops.append(("exit", sid))
-
-    def access_batch(self, rids, addrs, stores, period: int = 0) -> None:
-        self.ops.append(("batch", list(rids), list(addrs),
-                         [bool(s) for s in stores], period))
-
-    def access_rows(self, rids, stores, bases, strides, m: int) -> None:
-        self.ops.append(("rows", tuple(rids),
-                         tuple(bool(s) for s in stores), tuple(bases),
-                         tuple(strides), m))
+def slice_windows(sl, threshold: int = FLUSH_ACCESSES) -> list:
+    """Every window a shard slice feeds, materialised, in time order."""
+    return [materialise() for _n, materialise in sl.windows(threshold)]
 
 
-def replayed_ops(sl) -> List[tuple]:
-    """The op stream one shard slice replays."""
-    from repro.core.tracestore import TraceStore, replay_slice
-    got = OpCollector()
-    replay_slice(TraceStore(sl.trace), sl, got)
-    return got.ops
+def window_stream(sl, threshold: int = FLUSH_ACCESSES) -> Tuple[list, list]:
+    """The ``(rids, addrs)`` of a shard slice's windows, concatenated."""
+    rids: List[int] = []
+    addrs: List[int] = []
+    for win in slice_windows(sl, threshold):
+        rids.extend(win.rids.tolist())
+        addrs.extend(win.addrs.tolist())
+    return rids, addrs
+
+
+def same_windows(left: list, right: list) -> bool:
+    """Do two window lists hold equal arrays, slot by slot?"""
+    return len(left) == len(right) and all(
+        getattr(a, name).dtype == getattr(b, name).dtype
+        and getattr(a, name).tolist() == getattr(b, name).tolist()
+        for a, b in zip(left, right) for name in WindowArrays.__slots__)
 
 
 def record_ops(ops) -> "StoredTrace":
-    """An in-memory trace recorded from :class:`OpCollector`-style ops."""
-    from repro.core.shard import StreamRecorder
+    """An in-memory trace recorded from op tuples: ``("enter", sid)`` /
+    ``("exit", sid)``, ``("batch", rids, addrs, stores, period)`` and
+    ``("rows", rids, stores, bases, strides, m)``."""
+    from repro.core.tracestore import StreamRecorder
     rec = StreamRecorder()
     handlers = {"enter": rec.enter_scope, "exit": rec.exit_scope,
                 "batch": rec.access_batch, "rows": rec.access_rows}

@@ -7,11 +7,13 @@ footprints, and clock, *including dict insertion order*.  Exercised on
 the paper's two headline codes plus CG (irregular index vectors), every
 registry workload and generated kernels (against the scalar fenwick
 reference), on both feeds — segment-table slices, and recorded traces
-in memory or spilled — across shard counts that place boundaries
-mid-scope, mid-chunk, and inside run-compressed affine regions, and
-through every integration surface: session, cache, sweep driver, and
-CLI.
+in memory or spilled, both cut by one rule at segment or op boundaries
+— across shard counts that place boundaries mid-scope and between
+run-compressed affine regions, and through every integration surface:
+session, cache, sweep driver, and CLI.
 """
+
+import hashlib
 
 import os
 import pickle
@@ -27,14 +29,14 @@ from repro.apps.spcg import build_cg
 from repro.apps.sweep3d import SweepParams, build_original
 from repro.core import ReuseAnalyzer
 from repro.core.shard import (
-    analyze_sharded, analyze_trace_sharded, record_trace,
+    merge_shard_results, record_trace, run_shards, split_trace,
 )
 from repro.lang import BatchExecutor, Executor
 from repro.model import MachineConfig
 from repro.static import segments
 from repro.static.itermodel import StaticUnsupported
 from repro.static.segments import build_segments
-from repro.tools.cache import AnalysisCache
+from repro.tools.cache import SCHEMA_VERSION, AnalysisCache
 from repro.tools.session import AnalysisSession
 from tests.helpers import SMALLER, kernels
 
@@ -62,10 +64,16 @@ def workload(request):
     return trace, pickle.dumps(analyzer.dump_state())
 
 
+def _shard_trace(trace, k: int, jobs=None) -> dict:
+    """Split -> analyze -> merge one recorded trace into a state dict."""
+    results = run_shards(split_trace(trace, k), GRANS, jobs=jobs)
+    return merge_shard_results(results, GRANS, trace.accesses)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 7])
 def test_sharded_byte_identical(workload, k):
     trace, ref = workload
-    state = analyze_trace_sharded(trace, GRANS, k)
+    state = _shard_trace(trace, k)
     assert pickle.dumps(state) == ref
 
 
@@ -75,36 +83,48 @@ def _sequential_ref(build):
     return pickle.dumps(analyzer.dump_state())
 
 
-def test_boundaries_inside_run_compressed_regions():
-    # The triad is one long affine stream: with 7 shards every cut lands
-    # mid-row inside regions the numpy engine run-compresses, forcing the
-    # partial-row / whole-rows / partial-row split and merge.
+def test_cuts_between_run_compressed_ops():
+    # The triad is three long affine rows ops, each a region the numpy
+    # engine run-compresses: 7 shards collapse onto the three op
+    # boundaries, so each shard compresses one whole region.
     build = lambda: stream_triad(257, 3)
     trace, _ = record_trace(build())
-    state = analyze_trace_sharded(trace, GRANS, 7)
+    slices = split_trace(trace, 7)
+    assert [sl.length for sl in slices] == [771] * 3
+    state = _shard_trace(trace, 7)
     assert pickle.dumps(state) == _sequential_ref(build)
 
 
-def test_irregular_gather_sharded():
+def test_irregular_gather_sharded(monkeypatch):
+    # over the point budget, the session records the gather and cuts
+    # the recording
+    monkeypatch.setattr(segments, "STREAM_MAX_POINTS", 10)
     build = lambda: irregular_gather(512, 2048)
-    state, _stats = analyze_sharded(build(), 5, granularities=GRANS)
-    assert pickle.dumps(state) == _sequential_ref(build)
+    session = AnalysisSession(build(), shards=5).run()
+    assert session.executor_ran == "batch"
+    assert pickle.dumps(session.analyzer.dump_state()) == \
+        _sequential_ref(build)
 
 
-def test_more_shards_than_accesses():
+def test_more_shards_than_accesses(monkeypatch):
+    # the triad's one nest occurrence is over a budget of zero
+    monkeypatch.setattr(segments, "STREAM_MAX_POINTS", 0)
     build = lambda: stream_triad(4, 1)
-    state, stats = analyze_sharded(build(), 10 ** 4, granularities=GRANS)
+    session = AnalysisSession(build(), shards=10 ** 4).run()
+    assert session.executor_ran == "batch"
+    state = session.analyzer.dump_state()
     assert pickle.dumps(state) == _sequential_ref(build)
-    assert state["clock"] == stats.accesses
+    assert state["clock"] == session.stats.accesses
 
 
 def test_scalar_executor_recording():
     # batch=False records through the scalar Executor (per-access calls,
     # coalesced by the recorder) — same merged bytes.
     build = lambda: build_original(SweepParams(n=5, mm=3, nm=2, noct=1))
-    state, _ = analyze_sharded(build(), 3, granularities=GRANS,
-                               batch=False)
-    assert pickle.dumps(state) == _sequential_ref(build)
+    session = AnalysisSession(build(), shards=3, batch=False).run()
+    assert session.executor_ran == "scalar"
+    assert pickle.dumps(session.analyzer.dump_state()) == \
+        _sequential_ref(build)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -145,8 +165,8 @@ def test_generated_kernels_sharded(prog):
         # one per slice the first run cut
         os.unlink(cache._path(cache.key_for(prog, {}, first.config, "sa",
                                             first.engine)))
-        cut = (max(1, min(3, first.stats.accesses)) if table is None
-               else len(table.slices(3)))
+        cut = len(split_trace(record_trace(prog)[0], 3) if table is None
+                  else table.slices(3))
         hits = cache.hits
         third = AnalysisSession(prog, shards=3, cache=cache).run()
         assert not third.from_cache
@@ -155,10 +175,11 @@ def test_generated_kernels_sharded(prog):
 
 
 @pytest.mark.parametrize("name", workload_names())
-def test_registry_workload_table_fed(name, tmp_path):
+def test_registry_workload_table_fed(name, tmp_path, monkeypatch):
     """Every registry workload cuts its segment table: each K equals the
     sequential state, in memory and with a trace store set, and a store
-    set for a table-fed run stays empty."""
+    set for a table-fed run stays empty.  Over the point budget the same
+    sessions record instead, and the recorded feed matches too."""
     prog = build_workload(name, **SMALLER[name])
     ref = pickle.dumps(AnalysisSession(prog).run().analyzer.dump_state())
     store = str(tmp_path / "ts")
@@ -170,6 +191,17 @@ def test_registry_workload_table_fed(name, tmp_path):
             assert session.fallback is None and session.trace_path is None
             assert pickle.dumps(session.analyzer.dump_state()) == ref
     assert not os.path.exists(store)
+    # over a budget of zero, every session records
+    monkeypatch.setattr(segments, "STREAM_MAX_POINTS", 0)
+    for k in (1, 2, 3, 5, 7):
+        for trace_store in (None, store):
+            session = AnalysisSession(
+                prog, shards=k, trace_store=trace_store,
+                spill_mb=0.001 if trace_store else None).run()
+            assert session.executor_ran == "batch"
+            assert session.fallback is None
+            assert (session.trace_path is None) == (trace_store is None)
+            assert pickle.dumps(session.analyzer.dump_state()) == ref
 
 
 def test_table_fed_pool_matches_sequential():
@@ -196,25 +228,31 @@ class TestSpilledEquivalence:
         build = BUILDERS[app]
         stored, _ = record_trace(build(), spill=str(tmp_path / "t"),
                                  spill_mb=0.001)
-        state = analyze_trace_sharded(stored, GRANS, k)
+        state = _shard_trace(stored, k)
         assert pickle.dumps(state) == _sequential_ref(build)
 
-    def test_spilled_boundaries_inside_affine_rows(self, tmp_path):
-        # 7 shards over the triad put every cut mid-affine-row; on the
-        # stored path the partial rows materialize straight off the mmap
+    def test_spilled_cuts_between_affine_row_ops(self, tmp_path):
+        # 7 shards over the triad collapse onto its three rows ops; on
+        # the stored path each shard broadcasts its rows off the mmap
         build = lambda: stream_triad(257, 3)
         stored, _ = record_trace(build(), spill=str(tmp_path / "t"),
                                  spill_mb=0.001)
-        state = analyze_trace_sharded(stored, GRANS, 7)
+        assert len(split_trace(stored, 7)) == 3
+        state = _shard_trace(stored, 7)
         assert pickle.dumps(state) == _sequential_ref(build)
 
-    def test_spilled_boundaries_inside_run_regions(self, tmp_path):
-        # gather batches are run-compressed periodic regions; cuts land
-        # mid-region and the period must drop on the partial pieces
+    def test_spilled_cuts_between_run_region_ops(self, tmp_path):
+        # gather batches are run-compressed periodic regions; the cuts
+        # fall between them, so each shard keeps its batch's period
         build = lambda: irregular_gather(512, 2048)
         stored, _ = record_trace(build(), spill=str(tmp_path / "t"),
                                  spill_mb=0.001)
-        state = analyze_trace_sharded(stored, GRANS, 5)
+        slices = split_trace(stored, 5)
+        assert [sl.length for sl in slices] == [6144, 6144]
+        for sl in slices:
+            for win in (w() for _n, w in sl.windows(1 << 17)):
+                assert win.seg_per.tolist() == [3]
+        state = _shard_trace(stored, 5)
         assert pickle.dumps(state) == _sequential_ref(build)
 
 
@@ -281,6 +319,37 @@ class TestSessionIntegration:
                                 cache=cache).run()
         assert cache.hits == hits
         assert pickle.dumps(other.analyzer.dump_state()) == ref
+
+    def test_partials_of_the_mid_op_rule_are_never_merged(self, tmp_path,
+                                                           monkeypatch):
+        # Recorded traces were once cut at exact access counts, even
+        # inside an op, under keys of the digest, K and the index alone.
+        # Partials stored under those keys describe other cuts: a run
+        # must neither hit them nor change its bytes.
+        monkeypatch.setattr(segments, "STREAM_MAX_POINTS", 10)
+        prog = BUILDERS["sweep3d"]()
+        ref = _sequential_ref(BUILDERS["sweep3d"])
+        cache = AnalysisCache(str(tmp_path))
+        config = AnalysisSession(prog).config
+        trace, _ = record_trace(prog)
+        results = run_shards(split_trace(trace, 3), GRANS)
+        for res in results:
+            res.grans[0]["raw"][(0, -1, -1)] = {0: 10 ** 6}
+            res.grans[0]["key_first"][(0, -1, -1)] = res.start + 1
+            res.grans[0]["bin_first"][((0, -1, -1), 0)] = res.start + 1
+        for index in range(3):
+            old_key = hashlib.sha256(repr((
+                SCHEMA_VERSION, f"trace-shard-3-{index}", trace.digest,
+                repr(config))).encode()).hexdigest()
+            cache.put(old_key, results[min(index, len(results) - 1)])
+        assert not os.path.exists(cache._path(cache.key_for(
+            prog, {}, config, "sa", "numpy")))
+        hits = cache.hits
+        session = AnalysisSession(prog, shards=3, shard_jobs=1,
+                                  cache=cache).run()
+        assert session.executor_ran == "batch" and not session.from_cache
+        assert cache.hits == hits
+        assert pickle.dumps(session.analyzer.dump_state()) == ref
 
     def test_session_trace_store_matches_sequential(self, tmp_path,
                                                     monkeypatch):

@@ -23,7 +23,9 @@ from hypothesis import given, settings
 
 from repro.apps.registry import build_workload, workload_names
 from repro.core.analyzer import ReuseAnalyzer
-from repro.core.shard import analyze_sharded
+from repro.core.shard import (
+    merge_shard_results, record_trace, run_shards, split_trace,
+)
 from repro.lang import (
     MemoryLayout, Var, assign, idx, load, loop, program, routine, stmt,
     store,
@@ -219,7 +221,14 @@ def _check_nested(prog, refs_per_iter):
     assert len(prog.refs) == refs_per_iter
     assert Executor(prog, _Recorder()).run().accesses == 8 * refs_per_iter
     assert check_feed(prog)
-    state, _stats = analyze_sharded(prog, 3, granularities=GRANS)
+    # sharded: table slices, and a recording cut between ops
+    table_fed = AnalysisSession(prog, shards=3).run()
+    assert table_fed.executor_ran == "enumerated"
+    assert pickle.dumps(table_fed.analyzer.dump_state()) == \
+        _walked_state(prog)
+    trace, _stats = record_trace(prog)
+    state = merge_shard_results(run_shards(split_trace(trace, 3), GRANS),
+                                GRANS, trace.accesses)
     assert pickle.dumps(state) == _walked_state(prog)
 
 

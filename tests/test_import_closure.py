@@ -50,6 +50,21 @@ def test_session_loads_only_the_analysis_path():
     assert sorted(loaded.intersection(NOT_ON_THE_ANALYSIS_PATH)) == []
 
 
+def test_table_fed_sharded_run_loads_no_trace_store_or_pool():
+    # a table-fed run records nothing and, in process, starts no pool
+    loaded = set(_fresh(
+        "import json, sys\n"
+        "from repro.apps.registry import build_workload\n"
+        "from repro.tools.session import AnalysisSession\n"
+        "session = AnalysisSession(build_workload('fig1'), shards=2,\n"
+        "                          shard_jobs=1).run()\n"
+        "assert session.executor_ran == 'enumerated'\n"
+        "print(json.dumps(sorted(sys.modules)))\n"))
+    assert "repro.core.shard" in loaded
+    assert "repro.core.tracestore" not in loaded
+    assert [m for m in loaded if m.split(".")[0] == "multiprocessing"] == []
+
+
 def test_every_export_resolves():
     result = _fresh(
         "import importlib, json, pkgutil\n"
