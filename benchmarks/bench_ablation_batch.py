@@ -8,11 +8,14 @@ quantifies the repo's answer to that cost:
 * **scalar**: the per-access `Executor` + `ReuseAnalyzer.access` path
   (the fenwick engine's inlined closure — the reference every batched
   result is checked against),
-* **numpy**: `BatchExecutor` feeding the buffered array engine
-  (`engine="numpy"`), the one batched implementation: it resolves whole
-  flush windows with vectorised run compression, bit-parallel
+* **numpy**: the walked path a session takes for a program the static
+  enumeration rejects: one `BatchExecutor` walk recorded into a
+  columnar trace (`record_trace`), then fed whole to the array engine
+  (`engine="numpy"`), the one batched implementation: it resolves
+  whole windows with vectorised run compression, bit-parallel
   count-smaller distance queries, and bulk Fenwick updates (sessions
-  send batched `fenwick` runs through it too),
+  send batched `fenwick` runs through it too; registry workloads feed
+  it from their segment tables instead, see `perfbench/`),
 * **parallel**: the batched pipeline fanned across a mesh sweep by
   `run_sweep` worker processes (always >= 2 workers, so the parallel
   machinery itself is exercised even on small hosts; the per-job rate in
@@ -21,7 +24,8 @@ quantifies the repo's answer to that cost:
 * **sharded**: ONE trace time-sliced into K=4 shards by the *recorded*
   feed (`repro.core.shard`: `record_trace` -> `split_trace` ->
   `run_shards` on a worker pool -> `merge_shard_results`), compared
-  against the sequential numpy engine on the same >= 200k-access trace.
+  against the sequential walked numpy path (the numpy row) on the same
+  >= 200k-access trace.
   This is the fallback `AnalysisSession(shards=K)` takes only for
   programs the static enumeration rejects; Sweep3D, like every registry
   workload, is cut from its segment table instead (the table slices'
@@ -62,15 +66,15 @@ quantifies the repo's answer to that cost:
   independent of the iteration count *and* of the enumeration's
   symbolic-term count.
 
-* **count-smaller**: the numpy flush's distance kernel on its own
+* **count-smaller**: the numpy window's distance kernel on its own
   (`_count_smaller_left`), on a seeded random permutation of one full
-  flush window (2**17 elements, every position queried):
+  window (2**17 elements, every position queried):
   `count_smaller_ms` is the median of >= 5 calls.  Recorded, not gated;
   the smoke form checks a 4,097-element input against brute force.
 
 A further pipeline, **numpy+obs**, re-runs the numpy path with the
 observability subsystem enabled (metrics registry + trace spans), to
-bound the cost of instrumentation: counters must tick at chunk
+bound the cost of instrumentation: counters must tick at window
 granularity (not per access), must cost only a few percent of the numpy
 runtime, and must not perturb a single histogram bin.
 
@@ -121,7 +125,9 @@ import pytest
 
 from repro.apps.sweep3d import SweepParams, build_original
 from repro.core import ReuseAnalyzer
-from repro.lang import BatchExecutor, Executor
+from repro.core.npengine import NumpyBatchState
+from repro.core.shard import record_trace, split_trace
+from repro.lang import Executor
 from repro.model import MachineConfig
 from repro.obs import metrics as obs_metrics
 from repro.tools import SweepTask, default_jobs, run_sweep
@@ -151,15 +157,25 @@ def _canonical_state(state):
     return pickle.dumps((state["clock"], tuple(canon)))
 
 
-def _run_variant(executor_cls, params, engine):
+def _walk_and_feed(program, analyzer):
+    """The walked numpy path: record one ``BatchExecutor`` walk, then
+    feed the whole recording to ``analyzer``'s windows; returns the
+    walk's stats."""
+    trace, stats = record_trace(program)
+    (whole,) = split_trace(trace, 1)
+    NumpyBatchState(analyzer).feed(whole)
+    return stats
+
+
+def _run_variant(params, engine):
     """One full analyzer run; returns (seconds, stats, analyzer).
 
-    The timed region includes the analyzer's final flush, so buffered
-    engines pay for every access they deferred.
+    ``fenwick`` is the scalar reference (``Executor`` driving the
+    per-access engine); ``numpy`` is the walked path, recording and
+    feed both inside the timed region.
     """
     program = build_original(params)
     analyzer = ReuseAnalyzer(CFG.granularities(), engine=engine)
-    executor = executor_cls(program, analyzer)
     # A GC cycle landing inside one variant but not its comparator is the
     # single biggest source of ratio noise; collect first, pause during.
     gc.collect()
@@ -167,8 +183,10 @@ def _run_variant(executor_cls, params, engine):
     gc.disable()
     try:
         t0 = time.perf_counter()
-        stats = executor.run()
-        analyzer._flush()
+        if engine == "numpy":
+            stats = _walk_and_feed(program, analyzer)
+        else:
+            stats = Executor(program, analyzer).run()
         elapsed = time.perf_counter() - t0
     finally:
         if gc_was_enabled:
@@ -186,8 +204,7 @@ def _run_obs_variant(params):
     obs_metrics.set_enabled(True)
     try:
         with obs_metrics.scoped() as reg:
-            elapsed, stats, analyzer = _run_variant(BatchExecutor, params,
-                                                    "numpy")
+            elapsed, stats, analyzer = _run_variant(params, "numpy")
             events = reg.counter("analyzer.batch_events").value
             calls = reg.counter("analyzer.batch_calls").value
     finally:
@@ -215,9 +232,9 @@ def _timed_variants(params, repeats):
         obs_info["calls"] = calls
         return elapsed, stats, analyzer
 
-    run_numpy = lambda: _run_variant(BatchExecutor, params, "numpy")
+    run_numpy = lambda: _run_variant(params, "numpy")
     variants = {
-        "scalar": lambda: _run_variant(Executor, params, "fenwick"),
+        "scalar": lambda: _run_variant(params, "fenwick"),
         "numpy": run_numpy,
         "obs": run_obs,
     }
@@ -264,7 +281,7 @@ SMOKE_STATIC_TRIAD_N = 20_000
 
 
 def _run_static_leg(params, triad_n, repeats):
-    """Time the static engine against the numpy reference.
+    """Time the static engine against the walked numpy reference.
 
     Two measurements: ``static_us_per_analysis`` on the same Sweep3D
     mesh the throughput rows use (the realistic per-analysis cost of an
@@ -291,8 +308,7 @@ def _run_static_leg(params, triad_n, repeats):
     gc.disable()
     try:
         t0 = time.perf_counter()
-        triad_stats = BatchExecutor(triad_prog, analyzer).run()
-        analyzer._flush()
+        triad_stats = _walk_and_feed(triad_prog, analyzer)
         dynamic_t = time.perf_counter() - t0
     finally:
         if gc_was_enabled:
@@ -390,13 +406,13 @@ def _run_closedform_leg(triad_n, repeats):
     }
 
 
-#: the count-smaller kernel leg: one full numpy flush window of ranks
+#: the count-smaller kernel leg: one full numpy window of ranks
 COUNT_SMALLER_N = 1 << 17
 SMOKE_COUNT_SMALLER_N = 4097
 
 
 def _run_count_smaller_leg(smoke, repeats):
-    """Time the numpy flush's count-smaller kernel in isolation.
+    """Time the numpy window's count-smaller kernel in isolation.
 
     Every position of a seeded random permutation is queried, as the
     intra-window pass queries nearly every access.  The smoke form
@@ -505,7 +521,7 @@ def _experiment(smoke=False):
     with open(manifest_path, encoding="utf-8") as fh:
         sweep_manifest = json.load(fh)
 
-    # Sharded leg: the SAME trace the numpy row analyzed sequentially,
+    # Sharded leg: the SAME trace the numpy row recorded and fed whole,
     # cut into SHARD_K time shards across a worker pool; best-of timing
     # like the other variants (one warm run first).
     cpus = os.cpu_count() or 1
@@ -717,13 +733,12 @@ def test_ablation_batch_throughput(benchmark, record, request):
     # closure >= 3x scalar, numpy >= 2x that closure).
     assert r["numpy_vs_scalar"] >= 6.0
     # Observability must be near-free.  What keeps it so is chunk-level
-    # metering: assert the mechanism directly (Sweep3D's short inner
-    # loops average ~30 accesses per counter tick; a regression to
-    # per-access metering drops this to 1).  The wall-clock bound is a
-    # coarse tripwire only: measured overhead is ~0-5%, but allocator
-    # layout luck can inflate a whole session's obs runs by ~15% on
-    # shared machines, while a real mechanism regression (per-access
-    # metering) costs 50%+.
+    # metering: assert the mechanism directly (counters tick once per
+    # fed window; a regression to per-access metering drops this to 1).
+    # The wall-clock bound is a coarse tripwire only: measured overhead
+    # is ~0-5%, but allocator layout luck can inflate a whole session's
+    # obs runs by ~15% on shared machines, while a real mechanism
+    # regression (per-access metering) costs 50%+.
     assert r["obs_events_counted"] / max(r["obs_batch_calls"], 1) >= 16
     assert r["obs_overhead_pct"] < 25.0
     # Sharding pays off only when the shards actually run concurrently:

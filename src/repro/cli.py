@@ -504,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="level for the detailed reports")
     analyze.add_argument("--engine", default="numpy",
                          choices=("fenwick", "treap", "numpy", "static"),
-                         help="reuse-distance engine (numpy = buffered "
+                         help="reuse-distance engine (numpy = windowed "
                               "array path, the default; fenwick = the "
                               "per-access reference, whose batched runs "
                               "also go through the numpy path; results "

@@ -16,6 +16,11 @@ that, per memory access and per block granularity:
 Multiple granularities run simultaneously off the same clock and scope
 stack: cache levels share the line granularity, the TLB uses the page
 granularity (reuse distance in distinct pages).
+
+The array engine (``engine="numpy"``) does the same work a window at a
+time: :class:`repro.core.npengine.NumpyBatchState` is fed windows of a
+segment table or a recording, not events, and resolves them into this
+analyzer's block tables, engines and pattern databases.
 """
 
 from __future__ import annotations
@@ -73,11 +78,12 @@ class ReuseAnalyzer:
     engine:
         ``"fenwick"`` (default: the per-access reference, a binary indexed
         tree walked by an inlined closure), ``"treap"`` (the paper's
-        balanced tree), or ``"numpy"`` (the buffered array engine, see
-        :mod:`repro.core.npengine`, and the one batched implementation:
+        balanced tree), or ``"numpy"`` (an ndarray Fenwick tree that
+        :class:`~repro.core.npengine.NumpyBatchState` feeds a window at a
+        time, the one batched implementation:
         :class:`~repro.tools.session.AnalysisSession` runs every batched
-        fenwick or numpy analysis through it).  All three produce
-        identical results.
+        fenwick or numpy analysis through it; handed events, it runs the
+        generic per-access loop).  All three produce identical results.
     table:
         ``"flat"`` (default, dict) or ``"hierarchical"`` (the paper's
         three-level block table).  Both produce identical results.
@@ -139,48 +145,6 @@ class ReuseAnalyzer:
         if (engine == "fenwick" and table == "flat"
                 and len(self.grans) in (1, 2)):
             self.access = _specialized_access(self)
-        elif engine == "numpy":
-            # Buffered array path: accesses accumulate across calls and
-            # scope events; the clock advances eagerly on append, results
-            # are resolved in vectorised flushes (see repro.core.npengine).
-            self._install_numpy_state(_npengine.NumpyBatchState(self))
-
-    def _install_numpy_state(self, state) -> None:
-        """Route the event-handler entry points through a buffered state.
-
-        Called by ``__init__`` for ``engine="numpy"``; a subclassed state
-        (such as :mod:`repro.core.shard`'s) is swapped in the same way.
-        """
-        self._np_state = state
-        self._flush = state.flush
-        self.access = state.scalar_access
-        self.access_batch = state.append_batch
-        self.access_rows = state.append_rows
-        stack = self.stack
-
-        # Scope events invalidate the state's cached stack snapshot
-        # and close any open scalar segment (inlined from
-        # NumpyBatchState.on_scope_event: these run once per loop
-        # entry/exit, a measurable share of the batched hot path).
-        # The closures live on the analyzer, so they reach it weakly: a
-        # dropped analyzer is then freed by reference counting.
-        def enter_scope(sid, _stack=stack, _state=state,
-                        _self=weakref.proxy(self)):
-            if _state._open_addrs is not None:
-                _state._close_open()
-            _state._cur_snap = -1
-            _stack._sids.append(sid)
-            _stack._clocks.append(_self.clock)
-
-        def exit_scope(sid, _stack=stack, _state=state):
-            if _state._open_addrs is not None:
-                _state._close_open()
-            _state._cur_snap = -1
-            _stack._sids.pop()
-            _stack._clocks.pop()
-
-        self.enter_scope = enter_scope
-        self.exit_scope = exit_scope
 
     # -- event handler protocol -------------------------------------------
 
@@ -233,10 +197,9 @@ class ReuseAnalyzer:
         ``period`` (optional) declares that the chunk is row-structured:
         ``rids``/``stores`` repeat with period ``period`` and the chunk
         holds a whole number of rows (one row per loop iteration).  This
-        generic per-element loop ignores the hint; the numpy engine's
-        buffered window (installed in ``__init__``) uses it for run
-        compression.  Semantically identical to calling :meth:`access`
-        per element.
+        generic per-element loop ignores the hint (the numpy engine's
+        windows carry their own row periods).  Semantically identical to
+        calling :meth:`access` per element.
         """
         self._obs_batch_calls.inc()
         self._obs_batch_events.inc(len(addrs))
@@ -246,15 +209,7 @@ class ReuseAnalyzer:
 
     # -- results -------------------------------------------------------------
 
-    def _flush(self) -> None:
-        """Resolve buffered work before a result read (no-op by default).
-
-        The numpy engine replaces this with its buffer flush in
-        ``__init__``; the per-access engines have nothing pending.
-        """
-
     def granularity(self, name: str) -> GranularityState:
-        self._flush()
         for g in self.grans:
             if g.name == name:
                 return g
@@ -279,7 +234,6 @@ class ReuseAnalyzer:
         deliberately excluded: a restored analyzer answers result queries
         but cannot resume the event stream.
         """
-        self._flush()
         return {
             "version": STATE_VERSION,
             "clock": self.clock,
@@ -301,7 +255,6 @@ class ReuseAnalyzer:
         Granularity names and block sizes must match.  Pattern dicts are
         mutated in place so the specialized closures stay valid.
         """
-        self._flush()
         version = state.get("version")
         if version != STATE_VERSION:
             raise ValueError(
@@ -336,7 +289,6 @@ class ReuseAnalyzer:
         return analyzer.load_state(state)
 
     def __repr__(self) -> str:
-        self._flush()
         parts = ", ".join(
             f"{g.name}:{g.block_size}B×{len(g.table)}" for g in self.grans
         )

@@ -80,7 +80,8 @@ class ContextReuseAnalyzer(ReuseAnalyzer):
 
     ``engine`` is ``"fenwick"`` or ``"treap"``: every access, batched or
     not, goes through the context-aware :meth:`access`.  The numpy
-    engine's buffered window keys patterns without a context, so
+    engine resolves windows of a segment table or a recording, which
+    carry no routine-entry events to build contexts from, so
     ``"numpy"`` is rejected.
     """
 
@@ -88,8 +89,9 @@ class ContextReuseAnalyzer(ReuseAnalyzer):
                  granularities: Optional[Dict[str, int]] = None,
                  engine: str = "fenwick") -> None:
         if engine == "numpy":
-            raise ValueError("engine='numpy' resolves distances in a "
-                             "buffered window that records no calling "
+            raise ValueError("engine='numpy' resolves distances in "
+                             "windows fed from a segment table or a "
+                             "recording, which carry no calling "
                              "context; use 'fenwick' or 'treap'")
         super().__init__(granularities, engine=engine, table="flat")
         self.cct = CallingContextTree()

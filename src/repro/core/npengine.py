@@ -1,12 +1,19 @@
-"""NumPy array engine: buffered, vectorised reuse-distance analysis.
+"""NumPy array engine: windowed, vectorised reuse-distance analysis.
 
-``engine="numpy"`` drops a third distance engine behind the analyzer's
-``access``/``access_batch`` entry points.  Instead of walking the Fenwick
-tree once per access, it buffers incoming chunks (plus their scope-stack
-snapshots) and, once :data:`FLUSH_ACCESSES` accesses are pending, resolves
-the whole buffer with array operations:
+``engine="numpy"`` puts an ndarray Fenwick tree behind the analyzer
+(:class:`NumpyFenwickEngine`, which keeps the scalar ``first``/``reuse``
+protocol too), and :class:`NumpyBatchState` resolves whole windows of
+accesses with array operations instead of walking the tree once per
+access.  Its one input is :meth:`NumpyBatchState.feed`: a window source
+yields windows of about :data:`FLUSH_ACCESSES` accesses, each cut at a
+segment or op boundary, with their row periods and scope-stack
+snapshots, and materialised (:class:`WindowArrays`) only when its turn
+comes.  The sources are the static enumeration's segment table
+(:mod:`repro.static.segments`) and a recorded trace
+(:mod:`repro.core.tracestore`), whole or cut into shard slices.  Per
+window:
 
-1. **Steady-row run compression.**  Chunks arrive with a row ``period``
+1. **Steady-row run compression.**  Segments carry a row ``period``
    (accesses per loop iteration).  Consecutive identical block rows are a
    loop's steady state: copies 1 and 2 of each run are kept, copies 3..m
    are dropped, and every access in the copy-2 row carries weight ``m-1``
@@ -15,10 +22,10 @@ the whole buffer with array operations:
    keeps ~15% of the stream.
 2. **Occurrence structure in one argsort.**  A stable argsort of the
    (compressed) block stream yields, per access, the previous occurrence
-   of its block inside the buffer (``pc``), plus each distinct block's
+   of its block inside the window (``pc``), plus each distinct block's
    first and last occurrence.
-3. **Intra-buffer distances as count-smaller-to-the-left.**  For a reuse
-   at buffer position ``i`` with previous occurrence ``pc(i)``, the reuse
+3. **Intra-window distances as count-smaller-to-the-left.**  For a reuse
+   at window position ``i`` with previous occurrence ``pc(i)``, the reuse
    distance satisfies ``d(i) = #{j < i : pc(j) < pc(i)} - pc(i) - 1``:
    an access ``j`` in the window is its block's first occurrence there
    exactly when ``pc(j) < pc(i)``, and every ``j <= pc(i)`` counts
@@ -27,43 +34,37 @@ the whole buffer with array operations:
    the far part, and two bitset passes (a prefix sum of one-hot words
    along each row, then popcounts below a threshold) within a position
    chunk and within a rank bucket.
-4. **Cross-buffer reuses via bulk Fenwick prefix sums.**  Only each
-   block's *first* buffer occurrence can reach back before the buffer;
+4. **Cross-window reuses via bulk Fenwick prefix sums.**  Only each
+   block's *first* window occurrence can reach back before the window;
    those walk the ndarray-backed Fenwick tree in a vectorised log-loop,
    corrected by a second count-smaller pass for blocks first touched
-   earlier in the buffer.
-5. **Whole-buffer histogram binning.**  Distances are binned with the
+   earlier in the window.
+5. **Whole-window histogram binning.**  Distances are binned with the
    exact/log-subbin scheme from :mod:`repro.core.histogram` in one
    vectorised pass, then accumulated per ``(rid, src, carry)`` pattern
    through a mixed-radix key and ``np.unique``.
 
-A segment table built from the static enumeration
-(:mod:`repro.static.segments`), or a slice of one or of a recorded trace
-(:mod:`repro.core.tracestore`), can stand in for the buffer:
-:meth:`NumpyBatchState.feed` resolves it window by window through the
-same pipeline, materialising each window only when it flushes.
-
 The results are byte-identical to the fenwick and treap engines (the
 test suite cross-checks all three); only the evaluation order changes.
-Because accesses are buffered, the logical clock is advanced *eagerly* on
-append (scope events and run manifests observe correct clocks) and every
-result query (`db`, `dump_state`, ...) triggers a flush first.
+An analyzer built with ``engine="numpy"`` and handed events one by one
+runs the generic per-access loop on :class:`NumpyFenwickEngine`'s scalar
+protocol: correct, but none of the above.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.core.histogram import bin_of_array
 from repro.obs import metrics as _obs
 
-#: Accesses buffered before one vectorised flush.  Large enough to
-#: amortise the O(n log n) per-flush machinery, small enough that the
-#: working arrays stay cache-resident.
+#: Accesses per window: a source cuts each window at the first segment
+#: or op boundary past this many.  Large enough to amortise the
+#: O(n log n) per-window machinery, small enough that the working
+#: arrays stay cache-resident.
 FLUSH_ACCESSES = 1 << 17
 
 
@@ -73,7 +74,7 @@ class NumpyFenwickEngine:
     Implements the same scalar ``first``/``reuse``/``ensure`` protocol as
     :class:`repro.core.fenwick.FenwickEngine` (the engine-equivalence
     tests drive it that way), plus the bulk query/update operations the
-    buffered batch path uses: vectorised prefix sums and mark updates
+    windowed pipeline uses: vectorised prefix sums and mark updates
     over arrays of times.
     """
 
@@ -294,19 +295,6 @@ def _count_smaller_left(ranks: np.ndarray, query_pos: np.ndarray) -> np.ndarray:
     return out[query_pos].astype(np.int64)
 
 
-class _AffineRows:
-    """Unmaterialised chunk: ``m`` iterations of an affine access row."""
-
-    __slots__ = ("bases", "strides", "m", "rids")
-
-    def __init__(self, bases: Tuple[int, ...], strides: Tuple[int, ...],
-                 m: int, rids: Tuple[int, ...]) -> None:
-        self.bases = bases
-        self.strides = strides
-        self.m = m
-        self.rids = rids
-
-
 def _scatter_rows(A: np.ndarray, R: np.ndarray, starts: np.ndarray,
                   bases: np.ndarray, strides: np.ndarray, rids: np.ndarray,
                   m: int) -> None:
@@ -356,21 +344,17 @@ class WindowArrays:
 
 
 class NumpyBatchState:
-    """Cross-call access buffer plus the vectorised flush pipeline.
+    """The vectorised pipeline over one analyzer's tables and engines.
 
-    Two feeds reach the same pipeline: the executor's ``append_*`` calls,
-    buffered here chunk by chunk, and a prebuilt window source (a segment
-    table, or a shard slice of one or of a recording) handed to
-    :meth:`feed`.  :meth:`flush` materialises whichever is pending into
-    :class:`WindowArrays` and resolves it in :meth:`_resolve`.
+    Its one input is :meth:`feed`: a window source (a segment table,
+    or a shard slice of one or of a recording) whose windows are
+    materialised into :class:`WindowArrays` one at a time and resolved
+    in :meth:`_resolve` into the analyzer's block tables, engines and
+    pattern databases.
     """
 
     def __init__(self, analyzer) -> None:
-        # The analyzer holds this state (and its bound methods); a weak
-        # back-reference keeps the pair free of cycles, so a dropped
-        # analyzer goes by reference counting.
-        self.analyzer = weakref.proxy(analyzer)
-        self.stack = analyzer.stack
+        self.analyzer = analyzer
         self.flush_threshold = FLUSH_ACCESSES
         self._grans = []
         for g in analyzer.grans:
@@ -385,127 +369,6 @@ class NumpyBatchState:
         self._obs_flush_latency = _obs.timer("analyzer.np_flush_latency")
         self._obs_csl_latency = _obs.timer(
             "analyzer.np_count_smaller_latency")
-        self._reset()
-
-    def _reset(self) -> None:
-        self._chunks: List[object] = []
-        self._chunk_rids: List[object] = []
-        self._seg_len: List[int] = []
-        self._seg_per: List[int] = []
-        self._seg_snap: List[int] = []
-        # Snapshots, flattened as they are created, so the flush can build
-        # its search arrays with one C-level np.array call each.
-        self._snap_depths: List[int] = []
-        self._snap_top_sid: List[int] = []
-        self._snap_top_clock: List[int] = []
-        self._flat_clock_list: List[int] = []
-        self._flat_sid_list: List[int] = []
-        self._cur_snap = -1
-        self._open_rids: Optional[list] = None
-        self._open_addrs: Optional[list] = None
-        self._open_snap = -1
-        self._n = 0
-        #: a fed window awaiting its flush (see feed)
-        self._pending = None
-
-    # -- buffering ---------------------------------------------------------
-
-    def _snap_id(self) -> int:
-        """Id of the current scope-stack snapshot.
-
-        Snapshots are append-only: scope entry clocks make consecutive
-        stacks almost always distinct, so deduplication would buy little
-        and cost a tuple hash per chunk.  The ``_cur_snap`` cache already
-        collapses the common case (many chunks between scope events).
-        """
-        sid = self._cur_snap
-        if sid < 0:
-            stack = self.stack
-            sids = stack._sids
-            clocks = stack._clocks
-            sid = len(self._snap_depths)
-            self._snap_depths.append(len(sids))
-            self._snap_top_sid.append(sids[-1] if sids else -1)
-            self._snap_top_clock.append(clocks[-1] if clocks else -1)
-            self._flat_sid_list.extend(sids)
-            self._flat_clock_list.extend(clocks)
-            self._cur_snap = sid
-        return sid
-
-    def on_scope_event(self) -> None:
-        self._close_open()
-        self._cur_snap = -1
-
-    def _close_open(self) -> None:
-        addrs = self._open_addrs
-        if addrs is None:
-            return
-        self._chunk_rids.append(self._open_rids)
-        self._chunks.append(addrs)
-        self._seg_len.append(len(addrs))
-        self._seg_per.append(0)
-        self._seg_snap.append(self._open_snap)
-        self._open_addrs = None
-        self._open_rids = None
-
-    def scalar_access(self, rid: int, addr: int, is_store: bool) -> None:
-        addrs = self._open_addrs
-        if addrs is None:
-            self._open_snap = self._snap_id()
-            self._open_rids = [rid]
-            self._open_addrs = [addr]
-        else:
-            self._open_rids.append(rid)
-            addrs.append(addr)
-        self.analyzer.clock += 1
-        self._n += 1
-        if self._n >= self.flush_threshold:
-            self.flush()
-
-    def append_batch(self, rids, addrs, stores, period: int = 0) -> None:
-        n = len(addrs)
-        if not n:
-            return
-        self._obs_calls.inc()
-        self._obs_events.inc(n)
-        if self._open_addrs is not None:
-            self._close_open()
-        snap = self._cur_snap
-        if snap < 0:
-            snap = self._snap_id()
-        self._chunk_rids.append(list(rids))
-        self._chunks.append(list(addrs))
-        self._seg_len.append(n)
-        self._seg_per.append(period if period and not n % period else 0)
-        self._seg_snap.append(snap)
-        self.analyzer.clock += n
-        self._n += n
-        if self._n >= self.flush_threshold:
-            self.flush()
-
-    def append_rows(self, rids, stores, bases, strides, m: int) -> None:
-        """Affine-row chunk from ``BatchExecutor`` (kept unmaterialised)."""
-        k = len(bases)
-        n = m * k
-        if not n:
-            return
-        self._obs_calls.inc()
-        self._obs_events.inc(n)
-        if self._open_addrs is not None:
-            self._close_open()
-        snap = self._cur_snap
-        if snap < 0:
-            snap = self._snap_id()
-        self._chunk_rids.append(None)
-        self._chunks.append(
-            _AffineRows(tuple(bases), tuple(strides), m, tuple(rids)))
-        self._seg_len.append(n)
-        self._seg_per.append(k)
-        self._seg_snap.append(snap)
-        self.analyzer.clock += n
-        self._n += n
-        if self._n >= self.flush_threshold:
-            self.flush()
 
     # -- flush hooks (overridden by the sharded engine) --------------------
 
@@ -529,7 +392,7 @@ class NumpyBatchState:
 
     def _on_first_touch(self, gi, cold, uniq, first_c, q_cold, Rc,
                         t_c, kept_idx, pos_seg, win) -> None:
-        """Handle blocks first touched in this buffer with no table entry.
+        """Handle blocks first touched in this window with no table entry.
 
         For a standalone analysis these are cold misses: count them per
         rid in first-event order (matching the scalar engines' dict
@@ -560,80 +423,28 @@ class NumpyBatchState:
         self._obs_csl_latency.observe(time.perf_counter() - t0)
         return out
 
-    def flush(self) -> None:
-        self._close_open()
-        n = self._n
-        if not n:
-            return
-        t_flush = time.perf_counter()
-        self._obs_flushes.inc()
-        self._obs_flushed.inc(n)
-        window = self._pending
-        self._pending = None
-        self._resolve(self._materialise() if window is None
-                      else window(), self.analyzer.clock)
-        self._reset()
-        self._obs_flush_latency.observe(time.perf_counter() - t_flush)
-
     def feed(self, source) -> None:
-        """Resolve a prebuilt feed window by window.
+        """Resolve a window source, window by window.
 
         ``source`` is anything with a ``windows(threshold)`` method that
-        yields ``(accesses, materialise)`` pairs: a segment table or one
-        of its slices (:mod:`repro.static.segments`), or a recorded
-        trace's slice (:class:`repro.core.tracestore.StoredShardSlice`).
-        Each window goes through :meth:`flush` like a buffered one, cut
-        at the same threshold, and is materialised only when its flush
-        runs.
+        yields ``(accesses, materialise)`` pairs, each window ending at
+        the first segment or op boundary past ``threshold`` accesses: a
+        segment table or one of its slices (:mod:`repro.static.segments`),
+        or a recorded trace's slice
+        (:class:`repro.core.tracestore.StoredShardSlice`).  Each window
+        is materialised only when its turn comes, and the analyzer's
+        clock advances past it before it is resolved.
         """
-        self.flush()
-        for n, window in source.windows(self.flush_threshold):
+        analyzer = self.analyzer
+        for n, materialise in source.windows(self.flush_threshold):
+            t_flush = time.perf_counter()
             self._obs_calls.inc()
             self._obs_events.inc(n)
-            self._pending = window
-            self._n = n
-            self.analyzer.clock += n
-            self.flush()
-
-    def _materialise(self) -> WindowArrays:
-        """The buffered chunks as one window's arrays.
-
-        Affine chunks go through :func:`_scatter_rows` once per (row
-        length, iteration count) group, so per-segment Python work is a
-        single list append.
-        """
-        n = self._n
-        seg_len = np.array(self._seg_len, dtype=np.int64)
-        nseg = seg_len.size
-        seg_start = np.zeros(nseg + 1, dtype=np.int64)
-        np.cumsum(seg_len, out=seg_start[1:])
-        A = np.empty(n, dtype=np.int64)
-        R = np.empty(n, dtype=np.int64)
-        groups: Dict[Tuple[int, int], List[int]] = {}
-        chunks = self._chunks
-        chunk_rids = self._chunk_rids
-        for i, chunk in enumerate(chunks):
-            if type(chunk) is _AffineRows:
-                groups.setdefault((len(chunk.bases), chunk.m), []).append(i)
-            else:
-                s = seg_start[i]
-                e = seg_start[i + 1]
-                A[s:e] = chunk
-                R[s:e] = chunk_rids[i]
-        for (k, m), idxs in groups.items():
-            _scatter_rows(
-                A, R, seg_start[idxs],
-                np.array([chunks[i].bases for i in idxs], dtype=np.int64),
-                np.array([chunks[i].strides for i in idxs], dtype=np.int64),
-                np.array([chunks[i].rids for i in idxs], dtype=np.int64), m)
-        return WindowArrays(
-            A, R, seg_len, np.array(self._seg_per, dtype=np.int64),
-            np.array(self._seg_snap, dtype=np.int64),
-            np.array(self._snap_top_sid, dtype=np.int64),
-            np.array(self._snap_top_clock, dtype=np.int64),
-            np.array(self._snap_depths, dtype=np.int64),
-            np.array(self._flat_clock_list, dtype=np.int64),
-            np.array(self._flat_sid_list, dtype=np.int64))
+            self._obs_flushes.inc()
+            self._obs_flushed.inc(n)
+            analyzer.clock += n
+            self._resolve(materialise(), analyzer.clock)
+            self._obs_flush_latency.observe(time.perf_counter() - t_flush)
 
     def _resolve(self, win: WindowArrays, end: int) -> None:
         """Distances, carries and histograms of one materialised window
@@ -648,7 +459,7 @@ class NumpyBatchState:
         nseg = seg_len.size
 
         # Per-segment attributes; per-position values are gathered through
-        # ``pos_seg`` only where needed (query-sized, not buffer-sized).
+        # ``pos_seg`` only where needed (query-sized, not window-sized).
         pos_seg = np.repeat(np.arange(nseg, dtype=np.int64), seg_len)
         seg_top_sid = win.snap_top_sid[seg_snap]
         seg_top_clock = win.snap_top_clock[seg_snap]
@@ -799,7 +610,7 @@ class NumpyBatchState:
                 dtype=np.int64)
 
             parts = []
-            # ---- intra-buffer reuses ----
+            # ---- intra-window reuses ----
             qi = np.flatnonzero(pc >= 0)
             if qi.size:
                 # Rank-transform pc without sorting: previous-occurrence
@@ -820,18 +631,18 @@ class NumpyBatchState:
                               carries(kept_idx[qi], t_adj[pcq]),
                               bin_of_array(d_intra), w_i, qi))
 
-            # ---- cross-buffer reuses (first occurrences found in the
-            # block table): bulk Fenwick prefix on the pre-buffer tree ----
+            # ---- cross-window reuses (first occurrences found in the
+            # block table): bulk Fenwick prefix on the pre-window tree ----
             q_found = np.flatnonzero(found_u)
             if q_found.size:
                 fp = first_c[q_found]
                 tpre = prev_t_u[q_found]
                 pre_prefix = eng.bulk_prefix(tpre)
-                # Correction: blocks whose first buffer occurrence is
-                # earlier and whose pre-buffer mark was either removed
+                # Correction: blocks whose first window occurrence is
+                # earlier and whose pre-window mark was either removed
                 # from below t_prev (found, older) or never existed
                 # (cold) — a count-smaller over uniques ordered by first
-                # occurrence, valued by pre-buffer time (cold -> 0).
+                # occurrence, valued by pre-window time (cold -> 0).
                 of = np.argsort(first_c)
                 vals = np.where(found_u, prev_t_u, 0)[of]
                 ord2 = np.argsort(vals, kind="stable")

@@ -23,7 +23,7 @@ results back into output byte-identical to a sequential run:
    scopes, with their global entry clocks, all below the shard's start).
 3. **Analyze.**  Each shard's slice yields its windows as a segment
    table does, and one ``feed`` resolves them in a
-   :class:`ShardBatchState`, the buffered numpy state of a
+   :class:`ShardBatchState`, the numpy window state of a
    :class:`ReuseAnalyzer`; the seeds reach it through the windows' scope
    snapshots.  Global clocks are preserved (the shard starts at its
    global start clock), so every reuse whose previous touch lies
@@ -120,7 +120,7 @@ def split_trace(trace, nshards: int) -> List["StoredShardSlice"]:
 # ---------------------------------------------------------------------------
 
 class ShardBatchState(NumpyBatchState):
-    """Buffered numpy state that defers boundary classification.
+    """Numpy window state that defers boundary classification.
 
     Two deviations from the sequential state, both hook overrides:
 

@@ -1,10 +1,13 @@
 """Columnar trace recordings: record once, cut and feed anywhere.
 
-The shard pipeline (:mod:`repro.core.shard`) analyzes one access stream
-in K time shards.  A program the static enumeration rejects (or a
-``batch=False`` run) is recorded once, and every recording is columnar,
-in one fixed-width layout that lives either in memory or in a store
-directory that ``mmap`` serves back with zero serialization cost:
+The numpy engine takes its input as windows
+(:meth:`~repro.core.npengine.NumpyBatchState.feed`).  A program the
+static enumeration rejects (or a ``batch=False`` run) has no segment
+table to cut them from, so it is recorded once, and its recording is
+fed instead: whole at K=1, or cut into the K time shards of
+:mod:`repro.core.shard`.  Every recording is columnar, in one
+fixed-width layout that lives either in memory or in a store directory
+that ``mmap`` serves back with zero serialization cost:
 
 * **Writing.**  :class:`StreamRecorder` turns an executor's events into
   ops for a :class:`TraceStoreWriter`, which buffers them column-wise
@@ -38,7 +41,7 @@ directory that ``mmap`` serves back with zero serialization cost:
   on a cut open the next shard), scanning only the ops column.  Each
   :class:`StoredShardSlice` yields its windows as a segment table does
   (:meth:`StoredShardSlice.windows`), materialising each from its own
-  column ranges only when the engine flushes it.  A slice of a spilled
+  column ranges only when the engine resolves it.  A slice of a spilled
   trace names the store directory, so K workers share one recording
   through the page cache and a trace larger than memory analyzes
   without ever being resident at once; a slice of an in-memory trace
@@ -489,9 +492,9 @@ class StoredShardSlice:
         One scan of the slice's op records tracks the scope stack from
         the seeds; a snapshot opens at the first access op after each
         scope event, and a window ends at the first op boundary where
-        ``threshold`` or more accesses are pending (the rule the engine's
-        ``append_*`` entry points apply).  A window's columns are read
-        only when it is materialised.
+        ``threshold`` or more accesses are pending (the rule a segment
+        table's windows follow).  A window's columns are read only when
+        it is materialised.
         """
         store = TraceStore(self.trace)
         sids = list(self.seed_sids)
@@ -597,7 +600,13 @@ def _materialise(store: TraceStore, segs: List[List[int]],
 def _window(store: TraceStore, op_lo: int, op_hi: int,
             length: int) -> StoredTrace:
     """In-memory slice payload: ops ``[op_lo, op_hi)`` plus their
-    side-table elements, offsets rebased to those elements."""
+    side-table elements, offsets rebased to those elements (a slice of
+    every op shares the columns as they are)."""
+    if op_lo == 0 and op_hi == store.nops:
+        return StoredTrace(path=None, accesses=length, nops=op_hi,
+                           digest=store.digest,
+                           columns={name: store.column(name)
+                                    for name in _COLUMNS})
     ops = store.ops[op_lo:op_hi].copy()
     columns = {"ops": ops}
     for kind, table in ((OP_BATCH, "batch_"), (OP_ROWS, "rows_")):

@@ -13,7 +13,8 @@ addresses are produced:
 * **affine** — a body of plain statements whose subscripts are affine in
   the loop variable: every reference walks an arithmetic address
   sequence, materialized as ``range`` objects (C-level iteration) or
-  handed over unmaterialized to row-aware handlers (``access_rows``);
+  handed over unmaterialized to row-aware handlers (``access_rows``,
+  which the recorder implements);
 * **gather** — everything else: indirect (``Load``) subscripts, scalar
   assignments, non-affine subscripts.  The body compiles to one
   generated function that runs the chunk's iterations, evaluating the
@@ -22,11 +23,12 @@ addresses are produced:
   does.
 
 ``period`` is the number of accesses per loop iteration: chunks always hold
-a whole number of iterations, so row-aware handlers (the numpy engine's
-buffered window, which compresses repeated rows) can exploit the
-iteration structure.  Handlers without ``access_batch`` get a per-access
-fallback loop, so any event consumer works unmodified and sees the
-identical event stream.
+a whole number of iterations, so a recording
+(:class:`~repro.core.tracestore.StreamRecorder`) keeps the iteration
+structure that the numpy engine's run compression exploits when the
+recording is fed to it.  Handlers without ``access_batch`` get a
+per-access fallback loop, so any event consumer works unmodified and
+sees the identical event stream.
 
 Loops that contain a nested loop or a call keep the scalar walk, statement
 by statement (their innermost loops are batched in turn).  The two paths
@@ -45,7 +47,7 @@ from repro.lang.ast import (
     ScalarAssign, Stmt, Sub, Var,
 )
 from repro.lang.executor import Executor, RunStats
-from repro.lang.events import EventHandler
+from repro.lang.events import EventHandler, _batch_fallback
 from repro.obs import metrics as _obs
 
 #: Target accesses per access_batch call; chunks are rounded to whole
@@ -220,17 +222,10 @@ class BatchExecutor(Executor):
                  chunk_accesses: int = CHUNK_ACCESSES) -> None:
         super().__init__(program, handler, *extra_handlers)
         self._chunk = max(1, chunk_accesses)
-        batch = getattr(self.handler, "access_batch", None)
-        if batch is None:
-            access = self.handler.access
-
-            def batch(rids, addrs, stores, period=0, _access=access):
-                for i, rid in enumerate(rids):
-                    _access(rid, addrs[i], stores[i])
-
-        self._access_batch = batch
-        # Row-aware handlers (the analyzer's array engine) can take the
-        # affine row description itself — reference pattern, per-reference
+        self._access_batch = (getattr(self.handler, "access_batch", None)
+                              or _batch_fallback(self.handler.access))
+        # Row-aware handlers (the trace recorder) can take the affine row
+        # description itself — reference pattern, per-reference
         # base/stride, iteration count — instead of a materialized address
         # list, skipping the per-chunk interleave entirely.  Semantically
         # identical: access_rows(rids, stores, bases, strides, m) covers

@@ -53,8 +53,9 @@ MAX_POINTS = 1 << 23
 
 #: Ceiling on the occurrences the exact engine's segment table orders
 #: (:mod:`repro.static.segments`): it holds a few dozen bytes per
-#: occurrence, so past this a ``BatchExecutor`` walk, which streams, is
-#: the leaner feed.  The paper points need at most 119,764 (GTC micell 6).
+#: occurrence, so past this a recorded ``BatchExecutor`` walk, which
+#: keeps affine rows symbolic, is the feed.  The paper points need at
+#: most 119,764 (GTC micell 6).
 STREAM_MAX_POINTS = 1 << 20
 
 

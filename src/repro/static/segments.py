@@ -5,10 +5,10 @@ classes: every dynamic occurrence of a symbolic innermost loop (a
 ``"nest"``) or of a straight-line statement (a ``"stmts"`` item), each
 with its root path of iteration digits.  :class:`SegmentTable` orders
 those occurrences in time and cuts them into the segments the numpy
-engine's flush pipeline consumes (:class:`~repro.core.npengine.
-WindowArrays`), so the exact engine runs without a ``BatchExecutor``
-walk.  The table is exact, not an estimate: the materialised
-``(rid, addr)`` stream equals an executor's recording element by element.
+engine's windows consume (:class:`~repro.core.npengine.WindowArrays`),
+so the exact engine runs without an executor walk.  The table is exact,
+not an estimate: the materialised ``(rid, addr)`` stream equals an
+executor's recording element by element.
 
 * **Order and clocks.**  One sort of every occurrence by its chain
   digits, outer level first (as ``StaticProfiler._flatten`` orders
@@ -31,10 +31,11 @@ walk.  The table is exact, not an estimate: the materialised
   are cut at whole rows (or, without a period, every
   ``CHUNK_ACCESSES``).  Segment boundaries never change results.
 * **Windows.**  :meth:`SegmentTable.windows` cuts at segment boundaries
-  once ``threshold`` accesses are pending, the rule the engine's
-  ``append_*`` entry points apply, and each window is materialised only
-  when its flush runs, one scatter per item.  No whole-program address
-  array is built.
+  once ``threshold`` accesses are pending, the rule a recording's
+  windows follow too, and each window is materialised only when the
+  engine resolves it, one scatter per item.  No whole-program address
+  array is built.  A simulator can ride the same windows (see
+  :class:`~repro.tools.session.AnalysisSession`).
 * **Slices.**  :meth:`SegmentTable.slices` cuts the table into time
   shards at segment boundaries for :mod:`repro.core.shard` (a recorded
   trace is cut between ops by the same rule); each slice is a table of
@@ -45,8 +46,8 @@ walk.  The table is exact, not an estimate: the materialised
 
 Programs over :data:`~repro.static.itermodel.STREAM_MAX_POINTS`
 occurrences raise :class:`~repro.static.itermodel.StaticUnsupported`
-like any program the enumeration rejects; the caller then walks it with
-``BatchExecutor``.
+like any program the enumeration rejects; the caller then records a
+``BatchExecutor`` walk (:mod:`repro.core.tracestore`) and feeds that.
 """
 
 from __future__ import annotations

@@ -183,18 +183,30 @@ def compare_states(dynamic_state: Dict, static_state: Dict,
     return reports
 
 
+def _numpy_source(program: Program, params: Dict[str, int]):
+    """The windows a session's numpy run feeds: the program's segment
+    table, or its recording when the enumeration rejects it."""
+    from repro.static.itermodel import StaticUnsupported
+    from repro.static.segments import build_segments
+    try:
+        return build_segments(program, params)
+    except StaticUnsupported:
+        from repro.core.shard import record_trace, split_trace
+        trace, _stats = record_trace(program, **params)
+        return split_trace(trace, 1)[0]
+
+
 def validate_program(program: Program,
                      granularities: Optional[Dict[str, int]] = None,
                      params: Optional[Dict[str, int]] = None,
-                     engine: str = "numpy",
                      tolerance: float = TOLERANCE,
                      min_share: float = MIN_SHARE,
                      closed_form_spec: Optional[Dict] = None
                      ) -> ValidationReport:
     """Run both engines on ``program`` and compare their histograms.
 
-    The dynamic side executes the program under a reference engine
-    (``numpy`` by default — byte-identical to fenwick and much faster);
+    The dynamic side is exact: the numpy engine fed the windows a
+    session's run feeds it (byte-identical to fenwick and much faster);
     the static side predicts without executing.  Timings for both land
     in the report, so it doubles as the speedup measurement.
 
@@ -204,7 +216,7 @@ def validate_program(program: Program,
     one — a mismatch fails the report regardless of band errors.
     """
     from repro.core.analyzer import ReuseAnalyzer
-    from repro.lang.batch import BatchExecutor
+    from repro.core.npengine import NumpyBatchState
     from repro.model.config import MachineConfig
     from repro.static.profile import static_profile
 
@@ -212,10 +224,10 @@ def validate_program(program: Program,
         granularities = MachineConfig.scaled_itanium2().granularities()
     params = dict(params or {})
 
-    analyzer = ReuseAnalyzer(granularities, engine=engine)
+    analyzer = ReuseAnalyzer(granularities, engine="numpy")
     t0 = time.perf_counter()
-    BatchExecutor(program, analyzer).run(**params)
-    # dump_state() runs the numpy engine's deferred flush: time through it
+    # timed through the last window's resolution
+    NumpyBatchState(analyzer).feed(_numpy_source(program, params))
     dynamic_state = analyzer.dump_state()
     dynamic_s = time.perf_counter() - t0
 
@@ -249,7 +261,6 @@ def validate_program(program: Program,
 
 
 def validate_workload(name: str, params: Optional[Dict[str, int]] = None,
-                      engine: str = "numpy",
                       tolerance: float = TOLERANCE,
                       min_share: float = MIN_SHARE,
                       closed_form: bool = False) -> ValidationReport:
@@ -257,7 +268,7 @@ def validate_workload(name: str, params: Optional[Dict[str, int]] = None,
     from repro.apps.registry import build_workload
     program = build_workload(name, **(params or {}))
     report = validate_program(
-        program, engine=engine, tolerance=tolerance, min_share=min_share,
+        program, tolerance=tolerance, min_share=min_share,
         closed_form_spec=({"workload": name, "params": dict(params or {})}
                           if closed_form else None))
     report.workload = name
@@ -266,7 +277,6 @@ def validate_workload(name: str, params: Optional[Dict[str, int]] = None,
 
 
 def run_matrix(matrix: Optional[Sequence[Tuple[str, Dict[str, int]]]] = None,
-               engine: str = "numpy",
                tolerance: float = TOLERANCE,
                min_share: float = MIN_SHARE,
                closed_form: bool = False) -> List[ValidationReport]:
@@ -275,7 +285,7 @@ def run_matrix(matrix: Optional[Sequence[Tuple[str, Dict[str, int]]]] = None,
     for name, params in (matrix if matrix is not None
                          else VALIDATION_MATRIX):
         reports.append(validate_workload(
-            name, params, engine=engine, tolerance=tolerance,
+            name, params, tolerance=tolerance,
             min_share=min_share, closed_form=closed_form))
     return reports
 

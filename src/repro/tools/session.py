@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import time
+from functools import lru_cache, partial
 from typing import Dict, List, Optional
 
 from repro.core.analyzer import ReuseAnalyzer
@@ -69,8 +70,8 @@ class AnalysisSession:
         self.shard_jobs = shard_jobs
         #: directory for the spilled columnar trace store; when set and
         #: the run records (a program the enumeration rejects, or
-        #: batch=False), the recording goes to disk and shards read it
-        #: via mmap
+        #: batch=False), the recording goes to disk and the windows are
+        #: read from it via mmap
         self.trace_store = trace_store
         self.spill_mb = spill_mb
         if self.shards < 1:
@@ -162,6 +163,8 @@ class AnalysisSession:
         Every run leaves a :class:`~repro.obs.manifest.RunManifest` in
         :attr:`manifest` (phase wall times, event totals, cache outcome;
         plus this run's metric delta when observability is enabled).
+        A dynamic run then hands the C heap's free pages back to the OS
+        (:func:`_release_freed_heap`).
         """
         if self._ran:
             raise RuntimeError("AnalysisSession.run() may only be called once")
@@ -192,8 +195,10 @@ class AnalysisSession:
                                  engine=self.engine, shards=self.shards)
                     if self.engine == "static":
                         self._run_static(params, phases, key)
-                    elif self.shards > 1 or self.trace_store is not None:
-                        self._run_sharded(params, phases, key)
+                    elif (self.shards > 1 or self.trace_store is not None
+                          or self.engine == "numpy"
+                          or (self.engine == "fenwick" and self.batch)):
+                        self._run_numpy(params, phases, key)
                     else:
                         self._run_sequential(params, phases, key,
                                              self.engine, self.batch)
@@ -203,6 +208,8 @@ class AnalysisSession:
                             and self.trace_store is None):
                         raise
                     self._degrade(exc, params, phases, key)
+                if self.engine_ran != "static":
+                    _release_freed_heap()
             sp.set(accesses=self.stats.accesses)
         self._build_manifest(params, phases, obs_before)
         return self
@@ -217,63 +224,113 @@ class AnalysisSession:
                         phases: Dict[str, float],
                         key: Optional[str], engine: str,
                         batch: bool) -> None:
-        """Execute the program once into a fresh analyzer.
+        """Walk the program once into a per-access engine.
 
-        The numpy engine's buffered window is the one batched
-        implementation, so a batched ``fenwick`` run builds the numpy
-        analyzer (byte-identical, and faster on every registry point,
-        from 192 accesses up).  Its input comes from the static
-        enumeration (:mod:`repro.static.segments`) when the program has
-        one and no simulator needs the event stream; otherwise from a
-        ``BatchExecutor`` walk.  Scalar runs and ``treap`` keep their
-        engine and executor.  The window's last flush runs inside the
-        ``execute`` phase, so neither the cache store nor the first
-        result read pays for it.
+        Only the per-access paths run here: the scalar fenwick
+        reference (``batch=False``, or a degraded run) and ``treap`` on
+        either executor.  A simulator takes the same events.
         """
-        if batch and engine == "fenwick":
-            engine = "numpy"
         self.analyzer = ReuseAnalyzer(self.config.granularities(),
                                       engine=engine)
+        handlers = [self.analyzer]
+        if self.sim is not None:
+            handlers.append(self.sim)
+        executor_cls = BatchExecutor if batch else Executor
+        self.executor_ran = "batch" if batch else "scalar"
         t0 = time.perf_counter()
-        with _trace.span("execute", engine=engine) as esp:
-            table = None
-            if engine == "numpy" and batch and self.sim is None:
-                table = self._segment_table(params)
-            if table is not None:
-                self.executor_ran = "enumerated"
-                esp.set(executor="enumerated")
-                self.stats = table.stats
-                self.analyzer._np_state.feed(table)
-                del table
-            else:
-                handlers = [self.analyzer]
-                if self.sim is not None:
-                    handlers.append(self.sim)
-                executor_cls = BatchExecutor if batch else Executor
-                self.executor_ran = "batch" if batch else "scalar"
-                esp.set(executor=executor_cls.__name__)
-                self.stats = executor_cls(self.program,
-                                          *handlers).run(**params)
-            self.analyzer._flush()
+        with _trace.span("execute", engine=engine,
+                         executor=executor_cls.__name__) as esp:
+            self.stats = executor_cls(self.program, *handlers).run(**params)
             esp.set(accesses=self.stats.accesses)
         phases["execute"] = time.perf_counter() - t0
+        self._finish(engine, phases, key, None)
+
+    def _run_numpy(self, params: Dict[str, int],
+                   phases: Dict[str, float], key: Optional[str]) -> None:
+        """Feed the numpy window from one source, whole or in K shards.
+
+        The numpy engine's window is the one batched implementation, so
+        a batched ``fenwick`` run, any ``numpy`` run and any sharded or
+        spilled run come here (byte-identical, and faster than the
+        per-access engines on every registry point from 192 accesses
+        up).  The run's source is built once: the static enumeration's
+        segment table (:mod:`repro.static.segments`) when the run is
+        batched and the enumeration accepts the program, else a
+        recording of one executor walk (:meth:`_record`).
+
+        At K=1 the source is fed whole into one analyzer, and a
+        simulator rides the same windows (:class:`_Simulated`).  The
+        last window resolves inside the ``execute`` phase, so neither
+        the cache store nor the first result read pays for it.  At K>1
+        the source is cut into slices (:meth:`_run_shards`).
+        """
+        from repro.core.npengine import NumpyBatchState
+        from repro.core.shard import split_trace
+        t0 = time.perf_counter()
+        table = self._segment_table(params) if self.batch else None
+        if table is not None:
+            self.executor_ran = "enumerated"
+            self.stats = table.stats
+            src = table
+        else:
+            src = self._record(params)
+        if self.shards > 1:
+            phases["enumerate" if table is not None else "record"] = (
+                time.perf_counter() - t0)
+            self._run_shards(src, phases, key)
+            return
+        with _trace.span("execute", engine="numpy",
+                         executor=self.executor_ran) as esp:
+            source = table if table is not None else split_trace(src, 1)[0]
+            if self.sim is not None:
+                source = _Simulated(source, self.sim)
+            self.analyzer = ReuseAnalyzer(self.config.granularities(),
+                                          engine="numpy")
+            NumpyBatchState(self.analyzer).feed(source)
+            esp.set(accesses=self.stats.accesses)
+        phases["execute"] = time.perf_counter() - t0
+        self._finish("numpy", phases, key, None)
+
+    def _finish(self, engine: str, phases: Dict[str, float],
+                key: Optional[str], state: Optional[Dict]) -> None:
+        """Mark the run done and store its state (the analyzer's
+        unless given) under ``key``."""
         self.engine_ran = engine
         self._ran = True
-        logger.info("%s executed: %d accesses",
-                    self.program.name, self.stats.accesses)
+        logger.info("%s analyzed by %s: %d accesses",
+                    self.program.name, engine, self.stats.accesses)
         if key is not None:
             t0 = time.perf_counter()
             with _trace.span("cache.store"):
-                self.cache.put(
-                    key, {"analyzer_state":
-                          self.analyzer.dump_state(),
-                          "stats": self.stats})
+                self.cache.put(key, {
+                    "analyzer_state": (self.analyzer.dump_state()
+                                       if state is None else state),
+                    "stats": self.stats})
             phases["cache_store"] = time.perf_counter() - t0
+
+    def _record(self, params: Dict[str, int]):
+        """Record one executor walk as a columnar trace: into a
+        digest-named store under :attr:`trace_store` when one is set
+        (shards then read it via mmap), else in memory."""
+        from repro.core.shard import record_trace
+        with _trace.span("record", program=self.program.name) as rsp:
+            if self.trace_store is not None:
+                from repro.core.tracestore import record_spilled
+                trace, self.stats = record_spilled(
+                    self.program, self.trace_store, batch=self.batch,
+                    spill_mb=self.spill_mb, **params)
+                self.trace_path = trace.path
+            else:
+                trace, self.stats = record_trace(
+                    self.program, batch=self.batch, **params)
+            rsp.set(accesses=trace.accesses)
+        self.executor_ran = "batch" if self.batch else "scalar"
+        return trace
 
     def _segment_table(self, params: Dict[str, int]):
         """The numpy window's input built from the static enumeration,
-        or None when the enumeration rejects the program (it then runs
-        on ``BatchExecutor``; a rejection is not a failure)."""
+        or None when the enumeration rejects the program (it is then
+        recorded; a rejection is not a failure)."""
         from repro.static.itermodel import StaticUnsupported
         from repro.static.segments import build_segments
         t0 = time.perf_counter()
@@ -323,16 +380,7 @@ class AnalysisSession:
                 esp.set(accesses=self.stats.accesses)
         self._hold(state)
         phases["static_estimate"] = time.perf_counter() - t0
-        self.engine_ran = "static"
-        self._ran = True
-        logger.info("%s estimated statically: %d accesses modelled",
-                    self.program.name, self.stats.accesses)
-        if key is not None:
-            t0 = time.perf_counter()
-            with _trace.span("cache.store"):
-                self.cache.put(key, {"analyzer_state": state,
-                                     "stats": self.stats})
-            phases["cache_store"] = time.perf_counter() - t0
+        self._finish("static", phases, key, state)
 
     def _closed_form_state(self) -> Optional[Dict]:
         """Evaluate the closed-form derivation for this session's bounds.
@@ -417,63 +465,36 @@ class AnalysisSession:
         self.stats = None
         t0 = time.perf_counter()
         with _trace.span("session.fallback", source=came_from):
-            self._run_sequential(params, phases, key, engine, batch)
+            if self.engine == "static":
+                self._run_numpy(params, phases, key)
+            else:
+                self._run_sequential(params, phases, key, engine, batch)
         phases["fallback"] = time.perf_counter() - t0
 
-    def _run_sharded(self, params: Dict[str, int],
-                     phases: Dict[str, float], key: Optional[str]) -> None:
-        """Analyze K time shards of one run and merge them byte-identically.
+    def _run_shards(self, src, phases: Dict[str, float],
+                    key: Optional[str]) -> None:
+        """Analyze K time shards of the run's source and merge them.
 
-        When the enumeration accepts the program (a batched run whose
-        segment table builds, as in :meth:`_run_sequential`), the table
-        is cut into at most K slices at segment boundaries and each
-        shard is fed its slice's windows: nothing is recorded.
-        Otherwise the program is recorded once, spilled to a columnar
-        store under :attr:`trace_store` when one is set (the shards then
-        read mmap'd file ranges), and cut between ops by the same rule;
-        its slices feed their windows the same way.
-
-        The merged state matches a sequential run of any engine exactly,
-        so it is stored under the same cache key the sequential path
-        uses — sharded and unsharded runs share cache entries.  Per-shard
-        partial results are additionally cached under keys derived from
-        the table's or the trace's content digest and K, so a re-run
-        with the same K resumes from partials even if the merged entry
-        is missing, and any program with identical content shares them.
+        ``src`` (a segment table or a recording) is cut into at most K
+        slices at segment or op boundaries, and each shard feeds its
+        slice's windows.  The merged state matches a sequential run
+        of any engine exactly, so it is stored under the same cache key
+        the sequential path uses: sharded and unsharded runs share cache
+        entries.  Per-shard partial results are additionally cached
+        under keys derived from the source's content digest and K, so a
+        re-run with the same K resumes from partials even if the merged
+        entry is missing, and any program with identical content shares
+        them.
         """
         from repro.core.shard import (
-            merge_shard_results, record_trace, run_shards, split_trace,
+            merge_shard_results, run_shards, split_trace,
         )
         t0 = time.perf_counter()
-        table = self._segment_table(params) if self.batch else None
-        if table is not None:
-            self.executor_ran = "enumerated"
-            self.stats = table.stats
-            accesses = table.accesses
-            phases["enumerate"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            slices = table.slices(self.shards)
-            digest = table.digest if self.cache is not None else None
-        else:
-            with _trace.span("shard.record",
-                             program=self.program.name) as rsp:
-                if self.trace_store is not None:
-                    from repro.core.tracestore import record_spilled
-                    trace, self.stats = record_spilled(
-                        self.program, self.trace_store, batch=self.batch,
-                        spill_mb=self.spill_mb, **params)
-                    self.trace_path = trace.path
-                else:
-                    trace, self.stats = record_trace(
-                        self.program, batch=self.batch, **params)
-                rsp.set(accesses=trace.accesses)
-            self.executor_ran = "batch" if self.batch else "scalar"
-            accesses = trace.accesses
-            digest = trace.digest
-            phases["record"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            with _trace.span("shard.split", shards=self.shards):
-                slices = split_trace(trace, self.shards)
+        with _trace.span("shard.split", shards=self.shards):
+            slices = (src.slices(self.shards)
+                      if self.executor_ran == "enumerated"
+                      else split_trace(src, self.shards))
+        digest = src.digest if self.cache is not None else None
         grans = self.config.granularities()
         results = [None] * len(slices)
         shard_keys: List[Optional[str]] = [None] * len(slices)
@@ -499,20 +520,11 @@ class AnalysisSession:
         phases["shard_analyze"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         with _trace.span("shard.merge", shards=len(results)):
-            state = merge_shard_results(results, grans, accesses)
+            state = merge_shard_results(results, grans, src.accesses)
         self._hold(state)
         phases["shard_merge"] = time.perf_counter() - t0
         # every shard runs the numpy window (repro.core.shard)
-        self.engine_ran = "numpy"
-        self._ran = True
-        logger.info("%s analyzed across %d shards: %d accesses",
-                    self.program.name, len(results), self.stats.accesses)
-        if key is not None:
-            t0 = time.perf_counter()
-            with _trace.span("cache.store"):
-                self.cache.put(key, {"analyzer_state": state,
-                                     "stats": self.stats})
-            phases["cache_store"] = time.perf_counter() - t0
+        self._finish("numpy", phases, key, state)
 
     def _build_manifest(self, params: Dict[str, int],
                         phases: Dict[str, float], obs_before) -> None:
@@ -627,6 +639,59 @@ class AnalysisSession:
     def export_html(self, path: str) -> str:
         from repro.tools.htmlreport import write_html
         return write_html(self, path)
+
+
+@lru_cache(maxsize=1)
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None where the C library has none."""
+    try:
+        import ctypes
+        return getattr(ctypes.CDLL(None), "malloc_trim", None)
+    except (OSError, TypeError):
+        return None
+
+
+def _release_freed_heap() -> None:
+    """Hand the C heap's free pages back to the OS after a dynamic run.
+
+    Once glibc has freed one large array it raises its mmap threshold
+    (up to 32 MiB), so a run's segment table, recording and window
+    arrays come from the heap, and freed heap pages stay resident while
+    any live block sits above them.  How much stayed resident after a
+    run then hung on the runs before it (40-70 MiB of free heap between
+    the paper kernels' runs), and so did the peak of whatever the
+    process did next.  After the trim only live blocks stay resident;
+    the next run faults its pages in again.  A static estimate keeps
+    its heap: its working set is several times larger, and faulting it
+    in again cost a tenth of its time.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
+class _Simulated:
+    """A window source whose windows also drive a simulator.
+
+    Each window feeds :meth:`HierarchySim.access_batch` as the engine
+    materialises it, so the simulator sees the accesses in time order.
+    Windows carry no store flags; the simulator reads none.
+    """
+
+    def __init__(self, source, sim: HierarchySim) -> None:
+        self.source = source
+        self.sim = sim
+
+    def windows(self, threshold: int):
+        for n, materialise in self.source.windows(threshold):
+            yield n, partial(self._simulate, materialise)
+
+    def _simulate(self, materialise):
+        win = materialise()
+        n = win.addrs.size
+        self.sim.access_batch(win.rids.tolist(), win.addrs.tolist(),
+                              [False] * n, 0)
+        return win
 
 
 def analyze(program: Program, config: Optional[MachineConfig] = None,

@@ -1,10 +1,10 @@
-"""Equivalence of ``access_batch`` against the scalar ``access`` path.
+"""Equivalence of chunked delivery against the scalar ``access`` path.
 
 The batched pipeline's contract is exact: for any chunking of any access
-stream — flat or row-periodic, through the numpy engine's buffered window
-or the generic per-element loop — the resulting pattern databases, cold
-counts, footprints, and clock must be byte-identical to feeding the same
-stream one access at a time.
+stream — flat or row-periodic, through the generic per-element
+``access_batch`` loop or recorded and fed to the numpy engine's windows
+— the resulting pattern databases, cold counts, footprints, and clock
+must be byte-identical to feeding the same stream one access at a time.
 """
 
 import random
@@ -12,6 +12,8 @@ import random
 import pytest
 
 from repro.core import ReuseAnalyzer
+from repro.core.npengine import FLUSH_ACCESSES
+from tests.helpers import fed_analyzer, record_ops
 
 GRANS_ONE = {"line": 64}
 GRANS_TWO = {"line": 64, "page": 512}
@@ -90,26 +92,44 @@ def _feed_scalar(analyzer, events):
                 analyzer.access(rid, addrs[i], stores[i])
 
 
-def _feed_batched(analyzer, events, split=False):
+def _batched_ops(events, split=False):
+    """``events`` as ``tests.helpers.record_ops`` op tuples, one
+    ``batch`` op per chunk; ``split`` delivers row chunks in two
+    row-aligned ops, so runs cross the seam."""
     rng = random.Random(99)
+    ops = []
     for kind, *payload in events:
         if kind == "scope":
-            for sid, enter in payload[0]:
-                if enter:
-                    analyzer.enter_scope(sid)
-                else:
-                    analyzer.exit_scope(sid)
+            ops += [("enter" if enter else "exit", sid)
+                    for sid, enter in payload[0]]
+            continue
+        rids, addrs, stores, period = payload
+        if split and len(rids) > period > 0:
+            cut = period * rng.randrange(1, len(rids) // period + 1)
+            ops.append(("batch", rids[:cut], addrs[:cut], stores[:cut],
+                        period))
+            ops.append(("batch", rids[cut:], addrs[cut:], stores[cut:],
+                        period))
         else:
-            rids, addrs, stores, period = payload
-            if split and len(rids) > period > 0:
-                # Deliver in two row-aligned calls: runs cross the seam.
-                cut = period * rng.randrange(1, len(rids) // period + 1)
-                analyzer.access_batch(rids[:cut], addrs[:cut],
-                                      stores[:cut], period)
-                analyzer.access_batch(rids[cut:], addrs[cut:],
-                                      stores[cut:], period)
-            else:
-                analyzer.access_batch(rids, addrs, stores, period)
+            ops.append(("batch", rids, addrs, stores, period))
+    return ops
+
+
+def _batched(engine, grans, ops, table="flat", threshold=FLUSH_ACCESSES):
+    """An analyzer after ``ops``: handed to a per-access engine's
+    ``enter_scope``/``exit_scope``/``access_batch``, or recorded and fed
+    to the numpy engine's windows at ``threshold``."""
+    if engine == "numpy":
+        return fed_analyzer(record_ops(ops), grans, threshold, table=table)
+    analyzer = ReuseAnalyzer(dict(grans), engine=engine, table=table)
+    for op in ops:
+        if op[0] == "enter":
+            analyzer.enter_scope(op[1])
+        elif op[0] == "exit":
+            analyzer.exit_scope(op[1])
+        else:
+            analyzer.access_batch(*op[1:])
+    return analyzer
 
 
 @pytest.mark.parametrize("grans", [GRANS_ONE, GRANS_TWO],
@@ -118,19 +138,23 @@ def _feed_batched(analyzer, events, split=False):
     ("fenwick", "flat"),          # generic batch loop, inlined access
     ("fenwick", "hierarchical"),  # generic batch loop
     ("treap", "flat"),            # generic batch loop
-    ("numpy", "flat"),            # buffered array engine
-    ("numpy", "hierarchical"),    # buffered array engine, 3-level table
+    ("numpy", "flat"),            # recorded, fed to the numpy windows
+    ("numpy", "hierarchical"),    # the same, 3-level table
 ], ids=["fenwick-flat", "fenwick-hier", "treap-flat", "numpy-flat",
         "numpy-hier"])
 @pytest.mark.parametrize("periodic", [False, True],
                          ids=["flat-chunks", "row-chunks"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batch_equals_scalar(grans, engine, table, periodic, seed):
+    # the numpy engine takes windows, not events: its scalar side is the
+    # per-access fenwick reference
     events = _random_trace(seed, periodic=periodic)
-    scalar = ReuseAnalyzer(dict(grans), engine=engine, table=table)
-    batched = ReuseAnalyzer(dict(grans), engine=engine, table=table)
+    scalar = ReuseAnalyzer(dict(grans),
+                           engine="fenwick" if engine == "numpy" else engine,
+                           table=table)
     _feed_scalar(scalar, events)
-    _feed_batched(batched, events, split=periodic)
+    batched = _batched(engine, grans, _batched_ops(events, split=periodic),
+                       table=table)
     assert batched.clock == scalar.clock
     assert batched.dump_state() == scalar.dump_state()
 
@@ -141,18 +165,16 @@ def test_batch_equals_scalar(grans, engine, table, periodic, seed):
 def test_three_way_engine_equivalence(seed, flush_threshold):
     """fenwick, treap, and numpy produce byte-identical pattern databases.
 
-    The numpy analyzer is additionally driven at a tiny flush threshold so
-    buffered windows end mid-run, mid-scope, and mid-chunk — every seam the
-    array engine's cross-buffer distance logic has to stitch.
+    The numpy analyzer is additionally fed at a tiny window threshold so
+    windows end mid-run and mid-scope, at every op boundary — every seam
+    the array engine's cross-window distance logic has to stitch.
     """
-    events = _random_trace(seed, periodic=bool(seed % 2))
-    dumps = {}
-    for engine in ("fenwick", "treap", "numpy"):
-        analyzer = ReuseAnalyzer(dict(GRANS_TWO), engine=engine)
-        if engine == "numpy" and flush_threshold is not None:
-            analyzer._np_state.flush_threshold = flush_threshold
-        _feed_batched(analyzer, events, split=True)
-        dumps[engine] = analyzer.dump_state()
+    ops = _batched_ops(_random_trace(seed, periodic=bool(seed % 2)),
+                       split=True)
+    threshold = flush_threshold or FLUSH_ACCESSES
+    dumps = {engine: _batched(engine, GRANS_TWO, ops,
+                              threshold=threshold).dump_state()
+             for engine in ("fenwick", "treap", "numpy")}
     assert dumps["treap"] == dumps["fenwick"]
     assert dumps["numpy"] == dumps["fenwick"]
 
@@ -160,8 +182,8 @@ def test_three_way_engine_equivalence(seed, flush_threshold):
 @pytest.mark.parametrize("chunk", [1, 3, 17, 1000])
 def test_numpy_chunk_boundaries_are_invisible(chunk):
     """One stream, many chunkings: identical databases regardless of where
-    access_batch calls split it (including splits inside steady-state runs
-    and straddling internal flushes)."""
+    the recorded ops split it (including splits inside steady-state runs
+    and windows that end between them)."""
     rng = random.Random(42)
     rids, addrs, stores = [], [], []
     row = [(0x4000 + 64 * b, rng.randrange(4)) for b in range(3)]
@@ -176,35 +198,32 @@ def test_numpy_chunk_boundaries_are_invisible(chunk):
             rids.append(rng.randrange(4))
             addrs.append(rng.randrange(0, 2048, 8))
             stores.append(rng.random() < 0.5)
-    reference = ReuseAnalyzer(dict(GRANS_TWO), engine="numpy")
-    reference.access_batch(rids, addrs, stores, 0)
-    expected = reference.dump_state()
-    analyzer = ReuseAnalyzer(dict(GRANS_TWO), engine="numpy")
-    analyzer._np_state.flush_threshold = 29   # force mid-stream flushes
-    for lo in range(0, len(rids), chunk):
-        hi = lo + chunk
-        analyzer.access_batch(rids[lo:hi], addrs[lo:hi], stores[lo:hi], 0)
+    expected = _batched("numpy", GRANS_TWO,
+                        [("batch", rids, addrs, stores, 0)]).dump_state()
+    ops = [("batch", rids[lo:lo + chunk], addrs[lo:lo + chunk],
+            stores[lo:lo + chunk], 0) for lo in range(0, len(rids), chunk)]
+    # windows of 29 accesses or more: many of them, cut between ops
+    analyzer = _batched("numpy", GRANS_TWO, ops, threshold=29)
     assert analyzer.dump_state() == expected
 
 
-#: The two batched implementations behind ``access_batch``: the generic
-#: per-element loop (the default analyzer, fenwick) and the numpy
-#: engine's buffered window, which uses the period hint for run
-#: compression.  Each case below runs on both.
+#: The two batched implementations: the generic per-element
+#: ``access_batch`` loop (the default analyzer, fenwick) and the numpy
+#: engine's windows, fed a recording of the same ops, which use the
+#: period for run compression.  Each case below runs on both.
 BATCH_ENGINES = ("fenwick", "numpy")
 
 
 def test_period_zero_disables_row_mode():
     # Same stream once with the row hint, once without: identical results.
     events = _random_trace(7, periodic=True)
+    unhinted_events = [
+        (kind, *payload[:-1], 0) if kind == "chunk" else (kind, *payload)
+        for kind, *payload in events]
     for engine in BATCH_ENGINES:
-        hinted = ReuseAnalyzer(dict(GRANS_TWO), engine=engine)
-        unhinted = ReuseAnalyzer(dict(GRANS_TWO), engine=engine)
-        _feed_batched(hinted, events)
-        _feed_batched(unhinted, [
-            (kind, *payload[:-1], 0) if kind == "chunk" else (kind, *payload)
-            for kind, *payload in events
-        ])
+        hinted = _batched(engine, GRANS_TWO, _batched_ops(events))
+        unhinted = _batched(engine, GRANS_TWO,
+                            _batched_ops(unhinted_events))
         assert hinted.dump_state() == unhinted.dump_state(), engine
 
 
@@ -212,23 +231,22 @@ def test_reuse_predating_batch():
     # t_prev earlier than every scope entry on the stack: the carry
     # search falls back to the outermost scope.
     addr = 0x1000
+    scalar = ReuseAnalyzer(dict(GRANS_ONE))
+    scalar.access(0, addr, False)        # touch before any scope exists
+    scalar.enter_scope(1)
+    scalar.enter_scope(2)
+    scalar.access(0, addr, False)
+    scalar.access(0, addr + 8, False)
+    ops = [("batch", [0], [addr], [False], 0), ("enter", 1), ("enter", 2),
+           ("batch", [0, 0], [addr, addr + 8], [False, False], 0)]
     for engine in BATCH_ENGINES:
-        analyzer = ReuseAnalyzer(dict(GRANS_ONE), engine=engine)
-        scalar = ReuseAnalyzer(dict(GRANS_ONE))
-        for an in (analyzer, scalar):
-            an.access(0, addr, False)        # touch before any scope exists
-            an.enter_scope(1)
-            an.enter_scope(2)
-        analyzer.access_batch([0, 0], [addr, addr + 8], [False, False], 0)
-        scalar.access(0, addr, False)
-        scalar.access(0, addr + 8, False)
+        analyzer = _batched(engine, GRANS_ONE, ops)
         assert analyzer.dump_state() == scalar.dump_state(), engine
 
 
 def test_empty_batch_is_noop():
     for engine in BATCH_ENGINES:
-        analyzer = ReuseAnalyzer(dict(GRANS_TWO), engine=engine)
-        analyzer.access_batch([], [], [], 4)
+        analyzer = _batched(engine, GRANS_TWO, [("batch", [], [], [], 4)])
         assert analyzer.clock == 0
         assert analyzer.dump_state()["grans"][0]["raw"] == {}
 
@@ -240,15 +258,14 @@ def test_long_run_multiplication_exact():
     k, reps = 3, 50
     addrs_row = [0x2000, 0x2008, 0x2040]   # two lines, duplicate block
     rids_row = [1, 2, 3]
+    scalar = ReuseAnalyzer(dict(GRANS_TWO))
+    scalar.enter_scope(5)
+    for _ in range(reps):
+        for rid, addr in zip(rids_row, addrs_row):
+            scalar.access(rid, addr, False)
+    ops = [("enter", 5), ("batch", rids_row * reps, addrs_row * reps,
+                          [False] * (k * reps), k)]
     for engine in BATCH_ENGINES:
-        batched = ReuseAnalyzer(dict(GRANS_TWO), engine=engine)
-        scalar = ReuseAnalyzer(dict(GRANS_TWO))
-        for an in (batched, scalar):
-            an.enter_scope(5)
-        batched.access_batch(rids_row * reps, addrs_row * reps,
-                             [False] * (k * reps), k)
-        for _ in range(reps):
-            for rid, addr in zip(rids_row, addrs_row):
-                scalar.access(rid, addr, False)
+        batched = _batched(engine, GRANS_TWO, ops)
         assert batched.dump_state() == scalar.dump_state(), engine
         assert batched.clock == k * reps

@@ -11,14 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.scopestack import ScopeStack
-
-
-def oracle_carrying(frames, t_prev):
-    """Linear top-down scan, as Section II describes it."""
-    for sid, clock in reversed(frames):
-        if clock < t_prev:
-            return sid
-    return frames[0][0] if frames else -1
+from tests.helpers import oracle_carrying
 
 
 # An action is: 0 = enter a scope, 1 = exit, 2 = memory access.

@@ -21,8 +21,8 @@ from repro.core.shard import (
     run_shards, split_trace,
 )
 from repro.core.tracestore import (
-    COALESCE_CAP, OP_BATCH, OP_ENTER, OP_EXIT, OP_ROWS, StreamRecorder,
-    TraceStore,
+    COALESCE_CAP, OP_BATCH, OP_ENTER, OP_EXIT, OP_ROWS, StoredShardSlice,
+    StreamRecorder, TraceStore,
 )
 from repro.lang import (
     BatchExecutor, MemoryLayout, Var, load, loop, program, routine, stmt,
@@ -30,7 +30,9 @@ from repro.lang import (
 from repro.lang.batch import CHUNK_ACCESSES
 from repro.model import MachineConfig
 from repro.static.segments import build_segments
-from tests.helpers import record_ops, slice_windows
+from tests.helpers import (
+    fed_analyzer, record_ops, scalar_state, slice_windows,
+)
 
 GRANS = MachineConfig.scaled_itanium2().granularities()
 
@@ -55,8 +57,7 @@ def _slice_ops(sl) -> list:
 class TestRecording:
     def test_recorded_stats_match_direct_run(self):
         build = lambda: build_original(SweepParams(n=6, mm=3, nm=2, noct=1))
-        analyzer = ReuseAnalyzer(GRANS, engine="numpy")
-        direct = BatchExecutor(build(), analyzer).run()
+        direct = BatchExecutor(build(), ReuseAnalyzer(GRANS)).run()
         trace, stats = record_trace(build())
         assert vars(stats) == vars(direct)
         assert trace.accesses == direct.accesses
@@ -264,13 +265,11 @@ class TestShardAnalysis:
 
     def test_merge_single_shard_equals_sequential(self):
         build = lambda: stream_triad(128, 2)
-        analyzer = ReuseAnalyzer(GRANS, engine="numpy")
-        BatchExecutor(build(), analyzer).run()
         trace, _ = record_trace(build())
         (sl,) = split_trace(trace, 1)
         state = merge_shard_results([analyze_shard(sl, GRANS)], GRANS,
                                     trace.accesses)
-        assert pickle.dumps(state) == pickle.dumps(analyzer.dump_state())
+        assert pickle.dumps(state) == scalar_state(build(), GRANS)
 
     def test_results_merge_in_any_order(self):
         trace, _ = record_trace(stream_triad(128, 2))
@@ -325,22 +324,15 @@ class TestShardAnalysis:
         # A shard that exits a seeded scope must not attribute later
         # boundary reuses to it: a snapshot entry is a live seed only
         # while its entry clock is below the shard's start.
+        touch = lambda addr: ("batch", [0], [addr], [False], 0)
+        trace = record_ops([touch(0), ("exit", 2), touch(4096),
+                            ("enter", 3), touch(8192), ("exit", 3),
+                            ("exit", 1), touch(12288)])
+        sl = StoredShardSlice(0, 10, 4, (1, 2), (0, 5), 0, trace.nops, trace)
         analyzer = ReuseAnalyzer(GRANS, engine="numpy")
-        state = ShardBatchState(analyzer, 10)
-        analyzer._install_numpy_state(state)
         analyzer.clock = 10
-        analyzer.stack._sids.extend([1, 2])
-        analyzer.stack._clocks.extend([0, 5])
-        touch = lambda addr: analyzer.access_batch([0], [addr], [False])
-        touch(0)
-        analyzer.exit_scope(2)
-        touch(4096)
-        analyzer.enter_scope(3)
-        touch(8192)
-        analyzer.exit_scope(3)
-        analyzer.exit_scope(1)
-        touch(12288)
-        analyzer._flush()
+        state = ShardBatchState(analyzer, 10)
+        state.feed(sl)
         for boundary in state.unresolved:
             # (seed depth, bottom sid) per first touch, in time order
             assert [(e[1], e[3], e[4]) for e in boundary] == [
@@ -406,9 +398,7 @@ class TestTableSlices:
 
 
 def _fed(table) -> bytes:
-    analyzer = ReuseAnalyzer(GRANS, engine="numpy")
-    analyzer._np_state.feed(table)
-    return pickle.dumps(analyzer.dump_state())
+    return pickle.dumps(fed_analyzer(table, GRANS).dump_state())
 
 
 @pytest.mark.parametrize("shards", [0, -3])

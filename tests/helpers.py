@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pickle
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -100,6 +101,103 @@ def collect_trace(prog: Program) -> List[Tuple[int, int, bool]]:
     rec = TraceRecorder()
     run_program(prog, rec)
     return [(e[1], e[2], e[3]) for e in rec.accesses()]
+
+
+def oracle_carrying(frames, t_prev):
+    """Linear top-down scan, as Section II describes it: the first frame
+    entered before ``t_prev``, else the outermost one."""
+    for sid, clock in reversed(frames):
+        if clock < t_prev:
+            return sid
+    return frames[0][0] if frames else -1
+
+
+def oracle_state(events, granularities: Dict[str, int]) -> dict:
+    """``dump_state()`` of a naive O(N^2) analysis of a
+    :class:`~repro.lang.TraceRecorder` event list.
+
+    Per granularity and access: the reuse distance counts the distinct
+    blocks touched since the block's previous touch by an explicit
+    scan, the source scope is the innermost scope at that touch, the
+    carrying scope is :func:`oracle_carrying`'s, and the bin is
+    :func:`repro.core.histogram.bin_of`'s; plus cold counts per rid,
+    the footprint and the clock.
+    """
+    from repro.core.analyzer import STATE_VERSION
+    from repro.core.histogram import bin_of
+    grans = []
+    clock = 0
+    for name, size in granularities.items():
+        frames: List[Tuple[int, int]] = []
+        touched: List[int] = []
+        last: Dict[int, Tuple[int, int]] = {}
+        raw: Dict[tuple, Dict[int, int]] = {}
+        cold: Dict[int, int] = {}
+        clock = 0
+        for event in events:
+            if event[0] == "enter":
+                frames.append((event[1], clock))
+                continue
+            if event[0] == "exit":
+                frames.pop()
+                continue
+            _kind, rid, addr, _store = event
+            clock += 1
+            block = addr // size
+            prev = last.get(block)
+            if prev is None:
+                cold[rid] = cold.get(rid, 0) + 1
+            else:
+                t_prev, src = prev
+                # accesses t_prev + 1 .. clock - 1 sit at these indices
+                distance = len(set(touched[t_prev:clock - 1]))
+                key = (rid, src, oracle_carrying(frames, t_prev))
+                bins = raw.setdefault(key, {})
+                b = bin_of(distance)
+                bins[b] = bins.get(b, 0) + 1
+            touched.append(block)
+            last[block] = (clock, frames[-1][0] if frames else -1)
+        grans.append({"name": name, "block_size": size, "raw": raw,
+                      "cold": cold, "blocks": len(last)})
+    return {"version": STATE_VERSION, "clock": clock, "grans": grans}
+
+
+def fed_analyzer(source, granularities: Dict[str, int],
+                 threshold: int = FLUSH_ACCESSES, table: str = "flat"):
+    """A numpy analyzer fed ``source``'s windows at ``threshold``: a
+    segment table, a shard slice, or a recording (fed whole)."""
+    from repro.core.analyzer import ReuseAnalyzer
+    from repro.core.npengine import NumpyBatchState
+    from repro.core.shard import split_trace
+    from repro.core.tracestore import StoredTrace
+    if isinstance(source, StoredTrace):
+        (source,) = split_trace(source, 1)
+    analyzer = ReuseAnalyzer(dict(granularities), engine="numpy",
+                             table=table)
+    state = NumpyBatchState(analyzer)
+    state.flush_threshold = threshold
+    state.feed(source)
+    return analyzer
+
+
+def walked_state(prog, granularities: Dict[str, int],
+                 threshold: int = FLUSH_ACCESSES, **params) -> bytes:
+    """Pickled state of the walked numpy path: a recorded
+    ``BatchExecutor`` walk of ``prog``, fed at ``threshold``."""
+    from repro.core.shard import record_trace
+    trace, _stats = record_trace(prog, **params)
+    return pickle.dumps(fed_analyzer(trace, granularities,
+                                     threshold).dump_state())
+
+
+def scalar_state(prog, granularities: Dict[str, int], **params) -> bytes:
+    """Pickled state of the scalar fenwick reference: the scalar
+    ``Executor`` driving the per-access fenwick engine."""
+    from repro.core.analyzer import ReuseAnalyzer
+    from repro.lang import Executor
+    analyzer = ReuseAnalyzer(dict(granularities))
+    Executor(prog, analyzer).run(**params)
+    return pickle.dumps(analyzer.dump_state())
 
 
 def slice_windows(sl, threshold: int = FLUSH_ACCESSES) -> list:

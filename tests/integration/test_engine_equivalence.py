@@ -4,8 +4,9 @@ The array engine's acceptance bar is byte-identity, not statistical
 agreement: for every application in the suite the ``numpy`` analyzer must
 produce exactly the pattern databases, cold counts, footprints, and clock
 that the scalar ``fenwick`` engine does — through the full batched
-pipeline, not just synthetic traces.  Sweep3D and GTC are the paper's two
-headline codes; CG adds an irregular (index-vector) access pattern.
+pipeline (a recorded walk fed to the windows), not just synthetic
+traces.  Sweep3D and GTC are the paper's two headline codes; CG adds an
+irregular (index-vector) access pattern.
 """
 
 import pytest
@@ -14,8 +15,11 @@ from repro.apps.gtc import GTCParams, build_gtc
 from repro.apps.spcg import build_cg
 from repro.apps.sweep3d import SweepParams, build_original
 from repro.core import ReuseAnalyzer
+from repro.core.npengine import FLUSH_ACCESSES
+from repro.core.shard import record_trace
 from repro.lang import BatchExecutor
 from repro.model import MachineConfig
+from tests.helpers import fed_analyzer
 
 CFG = MachineConfig.scaled_itanium2()
 
@@ -28,11 +32,15 @@ BUILDERS = [
 ]
 
 
-def _run(build, engine, flush_threshold=None):
-    analyzer = ReuseAnalyzer(CFG.granularities(), engine=engine)
-    if flush_threshold is not None:
-        analyzer._np_state.flush_threshold = flush_threshold
-    stats = BatchExecutor(build(), analyzer).run()
+def _run(build, engine, flush_threshold=FLUSH_ACCESSES):
+    """The fenwick engine walked by ``BatchExecutor``, or the walked
+    numpy path: the same walk recorded, then fed to the windows."""
+    if engine == "numpy":
+        trace, stats = record_trace(build())
+        analyzer = fed_analyzer(trace, CFG.granularities(), flush_threshold)
+    else:
+        analyzer = ReuseAnalyzer(CFG.granularities(), engine=engine)
+        stats = BatchExecutor(build(), analyzer).run()
     return analyzer.dump_state(), vars(stats)
 
 
@@ -48,8 +56,8 @@ def test_numpy_byte_identical_to_fenwick(name, build):
 @pytest.mark.parametrize("name,build", BUILDERS,
                          ids=[n for n, _b in BUILDERS])
 def test_numpy_small_flush_windows(name, build):
-    # Force many buffer flushes inside one run: windows end mid-loop and
-    # mid-run, exercising the cross-buffer distance/carry stitching on a
+    # Force many windows inside one run: windows end mid-loop and
+    # mid-run, exercising the cross-window distance/carry stitching on a
     # real access stream rather than a synthetic one.  On the irregular
     # kernels run compression keeps most accesses, so each flush's
     # count-smaller prefix table is at its largest.

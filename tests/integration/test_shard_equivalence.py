@@ -57,7 +57,7 @@ BUILDERS = {
 def workload(request):
     """(recorded trace, pickled sequential reference state) per app."""
     build = BUILDERS[request.param]
-    analyzer = ReuseAnalyzer(GRANS, engine="numpy")
+    analyzer = ReuseAnalyzer(GRANS)
     stats = BatchExecutor(build(), analyzer).run()
     trace, rec_stats = record_trace(build())
     assert vars(rec_stats) == vars(stats)
@@ -78,7 +78,8 @@ def test_sharded_byte_identical(workload, k):
 
 
 def _sequential_ref(build):
-    analyzer = ReuseAnalyzer(GRANS, engine="numpy")
+    """The fenwick reference: per-access engine, ``BatchExecutor`` walk."""
+    analyzer = ReuseAnalyzer(GRANS)
     BatchExecutor(build(), analyzer).run()
     return pickle.dumps(analyzer.dump_state())
 
@@ -380,13 +381,28 @@ class TestSessionIntegration:
         assert seq.from_cache
         assert pickle.dumps(seq.analyzer.dump_state()) == ref
 
-    def test_trace_store_without_sharding(self, tmp_path):
+    def test_trace_store_without_sharding(self, tmp_path, monkeypatch):
         build = BUILDERS["sweep3d"]
         session = AnalysisSession(build(), trace_store=str(tmp_path),
                                   spill_mb=0.01)
         session.run()
         assert pickle.dumps(session.analyzer.dump_state()) == \
             _sequential_ref(build)
+        # a K=1 recording is fed whole off its store: one cache entry,
+        # the state, and no shard partial
+        monkeypatch.setattr(segments, "STREAM_MAX_POINTS", 10)
+        cache = AnalysisCache(str(tmp_path / "cache"))
+        session = AnalysisSession(build(), trace_store=str(tmp_path / "ts"),
+                                  spill_mb=0.01, cache=cache).run()
+        assert session.executor_ran == "batch"
+        assert os.path.isdir(session.trace_path)
+        assert pickle.dumps(session.analyzer.dump_state()) == \
+            _sequential_ref(build)
+        entries = [name for _root, _dirs, files
+                   in os.walk(str(tmp_path / "cache"))
+                   for name in files if name.endswith(".pkl")]
+        assert entries == [os.path.basename(cache._path(cache.key_for(
+            session.program, {}, session.config, "sa", "numpy")))]
 
     def test_trace_store_rejects_simulation(self):
         with pytest.raises(ValueError):

@@ -7,15 +7,15 @@ import pytest
 
 from repro.apps.kernels import fig1_interchange, stream_triad
 from repro.apps.spcg import build_cg
-from repro.core import ReuseAnalyzer
 from repro.core.npengine import NumpyBatchState
-from repro.lang import BatchExecutor
+from repro.core.shard import record_trace
 from repro.model import MachineConfig
 from repro.obs import metrics as obs_metrics
 from repro.obs.manifest import RunManifest
 from repro.testing import faults
 from repro.testing.faults import FaultSpec
 from repro.tools import AnalysisCache, AnalysisSession, program_fingerprint
+from tests.helpers import fed_analyzer
 
 
 class TestSessionManifest:
@@ -149,7 +149,7 @@ class TestExecutorRan:
         ({"engine": "fenwick", "batch": False}, "scalar"),
         ({"engine": "numpy", "batch": False}, "scalar"),
         ({"engine": "treap"}, "batch"),
-        ({"simulate": True}, "batch"),
+        ({"simulate": True}, "enumerated"),
         ({"engine": "static"}, None),
         ({"shards": 2, "shard_jobs": 1}, "enumerated"),
     ], ids=["default", "fenwick-batched", "fenwick-scalar", "numpy-scalar",
@@ -176,19 +176,19 @@ class TestExecutorRan:
 
 
 class TestNumpyFlush:
-    """The numpy engine buffers accesses; its last window is resolved
-    inside ``execute``, and every flush and kernel call is timed."""
+    """The numpy engine resolves its input a window at a time; the last
+    window is resolved inside ``execute``, and every window and kernel
+    call is timed."""
 
     def test_execute_phase_includes_last_flush(self, monkeypatch, tmp_path):
         delay = 0.2
-        flush = NumpyBatchState.flush
+        resolve = NumpyBatchState._resolve
 
-        def slow_flush(self):
-            if self._n:
-                time.sleep(delay)
-            flush(self)
+        def slow_resolve(self, win, end):
+            time.sleep(delay)
+            resolve(self, win, end)
 
-        monkeypatch.setattr(NumpyBatchState, "flush", slow_flush)
+        monkeypatch.setattr(NumpyBatchState, "_resolve", slow_resolve)
         session = AnalysisSession(fig1_interchange(8, 8),
                                   cache=AnalysisCache(str(tmp_path))).run()
         session.totals()
@@ -209,12 +209,10 @@ class TestNumpyFlush:
         assert timers["analyzer.np_count_smaller_latency"]["count"] >= 1
 
     def test_timers_count_every_flush(self, obs_on):
+        trace, _stats = record_trace(fig1_interchange(16, 16))
         before = obs_metrics.snapshot()
-        analyzer = ReuseAnalyzer(
-            MachineConfig.scaled_itanium2().granularities(), engine="numpy")
-        analyzer._np_state.flush_threshold = 97   # several flushes
-        BatchExecutor(fig1_interchange(16, 16), analyzer).run()
-        analyzer.dump_state()
+        fed_analyzer(trace, MachineConfig.scaled_itanium2().granularities(),
+                     threshold=97)   # several windows
         d = obs_metrics.delta(before, obs_metrics.snapshot())
         flushes = d["counters"]["analyzer.np_flushes"]
         flush_t = d["timers"]["analyzer.np_flush_latency"]

@@ -8,12 +8,13 @@ workload, wherever the enumeration accepts the program:
 * the ``(rid, addr)`` stream materialised from the segment table equals
   a ``BatchExecutor`` recording element by element;
 * the enumeration's ``RunStats`` equal the executor's field by field;
-* the table-fed numpy state pickles to the same bytes as the
-  ``BatchExecutor``-fed one, at the default flush threshold and at 7
-  (a window every few segments), and as the scalar fenwick reference.
+* the table-fed numpy state pickles to the same bytes as the walked
+  one (a recorded ``BatchExecutor`` walk fed to the same windows), at
+  the default window threshold and at 7 (a window every few segments),
+  and as the scalar fenwick reference.
 
-Where it rejects the program, the session walks it with
-``BatchExecutor`` instead, quietly and with the same state.
+Where it rejects the program, the session records a ``BatchExecutor``
+walk and feeds that instead, quietly and with the same state.
 """
 
 import pickle
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 
 from repro.apps.registry import build_workload, workload_names
 from repro.core.analyzer import ReuseAnalyzer
+from repro.core.npengine import FLUSH_ACCESSES, NumpyBatchState
 from repro.core.shard import (
     merge_shard_results, record_trace, run_shards, split_trace,
 )
@@ -34,11 +36,14 @@ from repro.lang.ast import FloorDiv, Max, Mod
 from repro.lang.batch import BatchExecutor
 from repro.lang.executor import Executor
 from repro.model.config import MachineConfig
+from repro.sim.hierarchy import HierarchySim
 from repro.static import itermodel, segments
 from repro.static.itermodel import StaticUnsupported
 from repro.static.segments import build_segments
-from repro.tools.session import AnalysisSession
-from tests.helpers import SMALLER, kernels
+from repro.tools.session import AnalysisSession, _Simulated
+from tests.helpers import (
+    SMALLER, fed_analyzer, kernels, scalar_state, walked_state,
+)
 
 GRANS = MachineConfig.scaled_itanium2().granularities()
 STAT_FIELDS = ("accesses", "loads", "stores", "ops", "loop_entries",
@@ -69,24 +74,17 @@ def _stats(stats):
     return {name: getattr(stats, name) for name in STAT_FIELDS}
 
 
-def _walked_state(prog, threshold=None):
-    analyzer = ReuseAnalyzer(GRANS, engine="numpy")
-    if threshold is not None:
-        analyzer._np_state.flush_threshold = threshold
-    BatchExecutor(prog, analyzer).run()
-    return pickle.dumps(analyzer.dump_state())
+def _walked_state(prog, threshold=FLUSH_ACCESSES):
+    return walked_state(prog, GRANS, threshold)
 
 
-def _fed_state(table, threshold=None):
-    analyzer = ReuseAnalyzer(GRANS, engine="numpy")
-    if threshold is not None:
-        analyzer._np_state.flush_threshold = threshold
-    analyzer._np_state.feed(table)
+def _fed_state(table, threshold=FLUSH_ACCESSES):
+    analyzer = fed_analyzer(table, GRANS, threshold)
     assert analyzer.clock == table.stats.accesses
     return pickle.dumps(analyzer.dump_state())
 
 
-def check_feed(prog, thresholds=(None, 7), reference=True):
+def check_feed(prog, thresholds=(FLUSH_ACCESSES, 7), reference=True):
     """Run every check on ``prog``; returns whether it was enumerated."""
     rec = _Recorder()
     walked = BatchExecutor(prog, rec).run()
@@ -97,21 +95,19 @@ def check_feed(prog, thresholds=(None, 7), reference=True):
         assert session.executor_ran == "batch"
         assert session.fallback is None
         assert pickle.dumps(session.analyzer.dump_state()) == \
-            _walked_state(prog)
+            scalar_state(prog, GRANS)
         return False
     rids, addrs = table.stream()
     assert rids.tolist() == rec.rids
     assert addrs.tolist() == rec.addrs
     assert _stats(table.stats) == _stats(walked)
     for threshold in thresholds:
-        if threshold is not None and len(rec.rids) > 50 * threshold ** 3:
+        if len(rec.rids) > 50 * threshold ** 3:
             continue  # thousands of windows: the default one suffices
         assert _fed_state(table, threshold) == \
             _walked_state(prog, threshold), threshold
     if reference:
-        scalar = ReuseAnalyzer(GRANS, engine="fenwick")
-        Executor(prog, scalar).run()
-        assert pickle.dumps(scalar.dump_state()) == _fed_state(table)
+        assert scalar_state(prog, GRANS) == _fed_state(table)
     return True
 
 
@@ -258,7 +254,7 @@ def test_load_nested_in_a_scalar_assign():
 
 @pytest.mark.parametrize("name", workload_names())
 def test_registry_workload_at_defaults(name):
-    assert check_feed(build_workload(name), thresholds=(None,),
+    assert check_feed(build_workload(name), thresholds=(FLUSH_ACCESSES,),
                       reference=False)
 
 
@@ -290,11 +286,26 @@ def test_program_over_the_point_budget_walks(monkeypatch):
         pickle.dumps(clean.analyzer.dump_state())
 
 
-def test_simulated_session_walks():
-    prog = build_workload("sweep3d", **SMALLER["sweep3d"])
-    clean = AnalysisSession(prog).run()
-    simulated = AnalysisSession(prog, simulate=True).run()
-    assert simulated.executor_ran == "batch"
-    assert simulated.sim.totals()
-    assert pickle.dumps(simulated.analyzer.dump_state()) == \
-        pickle.dumps(clean.analyzer.dump_state())
+def test_simulated_session_rides_the_table():
+    # the simulator is fed the table's windows as the engine resolves
+    # them: its totals equal a BatchExecutor walk's, standalone (the
+    # session's) and filtered
+    for name, params in (("sweep3d", {"mesh": 6}),
+                         ("gtc", {"micell": 2, "mpsi": 8, "mtheta": 12,
+                                  "mzeta": 4}),
+                         ("cg", {"grid": 16}), ("fig1", {})):
+        prog = build_workload(name, **params)
+        clean = AnalysisSession(prog).run()
+        simulated = AnalysisSession(prog, simulate=True).run()
+        assert simulated.executor_ran == "enumerated"
+        walked = HierarchySim(simulated.config)
+        BatchExecutor(prog, walked).run()
+        assert simulated.sim.totals() == walked.totals(), name
+        assert pickle.dumps(simulated.analyzer.dump_state()) == \
+            pickle.dumps(clean.analyzer.dump_state())
+        filtered = HierarchySim(simulated.config, mode="filtered")
+        NumpyBatchState(ReuseAnalyzer(GRANS, engine="numpy")).feed(
+            _Simulated(build_segments(prog), filtered))
+        walked = HierarchySim(simulated.config, mode="filtered")
+        BatchExecutor(prog, walked).run()
+        assert filtered.totals() == walked.totals(), name

@@ -40,17 +40,15 @@ class TestTriadExact:
 
     def test_raw_dicts_identical(self):
         from repro.apps.registry import build_workload
-        from repro.core.analyzer import ReuseAnalyzer
-        from repro.lang.batch import BatchExecutor
+        from repro.core.shard import record_trace
         from repro.model.config import MachineConfig
         from repro.static.profile import static_profile
+        from tests.helpers import fed_analyzer
 
         grans = MachineConfig.scaled_itanium2().granularities()
         program = build_workload("triad", n=64, steps=2)
 
-        analyzer = ReuseAnalyzer(grans, engine="numpy")
-        BatchExecutor(program, analyzer).run()
-        dynamic = analyzer.dump_state()
+        dynamic = fed_analyzer(record_trace(program)[0], grans).dump_state()
         static, stats = static_profile(program, grans)
 
         assert stats.accesses == dynamic["clock"]
@@ -123,23 +121,22 @@ class TestReportShape:
         assert all(isinstance(b, BandReport) for b in report.bands)
 
     def test_dynamic_clock_includes_deferred_flush(self, monkeypatch):
-        """The numpy engine resolves a small trace in one flush, run by
-        ``dump_state()`` after the executor returns; the dynamic time
-        must include it."""
+        """The numpy engine resolves a small run in one window, the
+        last thing the dynamic side does; the dynamic time must include
+        it."""
         import re
         import time
 
         from repro.core.npengine import NumpyBatchState
 
         delay = 0.2
-        flush = NumpyBatchState.flush
+        resolve = NumpyBatchState._resolve
 
-        def slow_flush(self):
-            if self._n:
-                time.sleep(delay)
-            flush(self)
+        def slow_resolve(self, win, end):
+            time.sleep(delay)
+            resolve(self, win, end)
 
-        monkeypatch.setattr(NumpyBatchState, "flush", slow_flush)
+        monkeypatch.setattr(NumpyBatchState, "_resolve", slow_resolve)
         report = validate_workload("triad", {"n": 64, "steps": 2})
         assert report.dynamic_s >= delay
         assert re.search(r" \d+\.\dx\]", report.render())
