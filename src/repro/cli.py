@@ -13,8 +13,9 @@ Commands
     Run an analyze-mode parameter sweep (one task per ``--mesh`` /
     ``--micell`` value) under the fault-tolerant driver: bounded retries
     (``--retries``), per-task deadlines (``--timeout``), and a durable
-    checkpoint journal (``--checkpoint`` + ``--resume``) that restarts a
-    killed sweep from the last completed task.  ``--shards K`` analyzes
+    checkpoint directory (``--checkpoint`` + ``--resume``), one record
+    file per completed task, that restarts a killed sweep from the last
+    completed task.  ``--shards K`` analyzes
     each task as K time shards inside the task's worker.
 ``stats <manifest.json>``
     Pretty-print a manifest saved by ``analyze --manifest-out`` or
@@ -57,8 +58,8 @@ Examples
     python -m repro analyze sweep3d --profile --manifest-out run.json
     python -m repro stats run.json
     python -m repro sweep sweep3d --mesh 6 8 10 --jobs 2
-    python -m repro sweep sweep3d --mesh 6 8 10 --checkpoint sweep.ckpt
-    python -m repro sweep sweep3d --mesh 6 8 10 --checkpoint sweep.ckpt --resume
+    python -m repro sweep sweep3d --mesh 6 8 10 --checkpoint ck/
+    python -m repro sweep sweep3d --mesh 6 8 10 --checkpoint ck/ --resume
     python -m repro serve --state-dir /tmp/repro-svc --workers 2
     python -m repro gc --state-dir /tmp/repro-svc --keep-days 14 --max-gb 2
 """
@@ -238,34 +239,34 @@ def _sweep_tasks(args) -> list:
 
 
 def cmd_sweep(args) -> int:
-    import os
-
-    from repro.tools.resilience import RetryPolicy
+    from repro.tools.resilience import RetryPolicy, SweepCheckpoint
     from repro.tools.sweep import run_sweep
 
     if args.manifest_out:
         obs.set_enabled(True)
     if args.resume and not args.checkpoint:
-        raise SystemExit("--resume requires --checkpoint PATH")
+        raise SystemExit("--resume requires --checkpoint DIR")
+    if args.closed_form and args.engine != "static":
+        raise SystemExit("--closed-form requires --engine static")
+    try:
+        tasks = _sweep_tasks(args)
+        if args.checkpoint:
+            SweepCheckpoint(args.checkpoint)  # refuses a non-directory
+    except ValueError as exc:
+        # an impossible option combination, or a checkpoint path that is
+        # not a directory, is a usage error raised before any task runs
+        print(f"repro sweep: error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     if args.checkpoint:
         exists = os.path.exists(args.checkpoint)
         if exists and not args.resume:
             raise SystemExit(
                 f"checkpoint {args.checkpoint!r} already exists; pass "
-                "--resume to continue it or remove the file to start over")
+                "--resume to continue it or remove it to start over")
         if args.resume and not exists:
             raise SystemExit(
                 f"nothing to resume: checkpoint {args.checkpoint!r} "
                 "does not exist")
-    if args.closed_form and args.engine != "static":
-        raise SystemExit("--closed-form requires --engine static")
-    try:
-        tasks = _sweep_tasks(args)
-    except ValueError as exc:
-        # an impossible option combination is a usage error, raised
-        # before any task runs
-        print(f"repro sweep: error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
     policy = RetryPolicy(retries=args.retries, timeout=args.timeout)
     print(f"sweeping {len(tasks)} {args.app} task(s) "
           f"(jobs={args.jobs}, retries={args.retries}"
@@ -585,10 +586,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "failures only)")
     sweep.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="per-task wall-clock deadline in seconds")
-    sweep.add_argument("--checkpoint", metavar="PATH",
-                       help="durable journal of completed tasks")
+    sweep.add_argument("--checkpoint", metavar="DIR",
+                       help="directory of completed tasks' record files, "
+                            "one per task")
     sweep.add_argument("--resume", action="store_true",
-                       help="continue an existing --checkpoint journal")
+                       help="continue an existing --checkpoint directory")
     sweep.add_argument("--manifest-out", metavar="PATH",
                        help="save the sweep roll-up manifest as JSON")
 

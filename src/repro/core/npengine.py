@@ -363,8 +363,6 @@ class NumpyBatchState:
                                 g.db.raw, g.db.cold, flat))
         self._obs_calls = analyzer._obs_batch_calls
         self._obs_events = analyzer._obs_batch_events
-        self._obs_flushes = _obs.counter("analyzer.np_flushes")
-        self._obs_flushed = _obs.counter("analyzer.np_flushed_events")
         self._obs_kept = _obs.counter("analyzer.np_kept_events")
         self._obs_flush_latency = _obs.timer("analyzer.np_flush_latency")
         self._obs_csl_latency = _obs.timer(
@@ -440,8 +438,6 @@ class NumpyBatchState:
             t_flush = time.perf_counter()
             self._obs_calls.inc()
             self._obs_events.inc(n)
-            self._obs_flushes.inc()
-            self._obs_flushed.inc(n)
             analyzer.clock += n
             self._resolve(materialise(), analyzer.clock)
             self._obs_flush_latency.observe(time.perf_counter() - t_flush)

@@ -27,9 +27,9 @@ the recorder, ``trace.mmap_opens`` per column a reader maps,
 ``trace.read_mb`` materialised off the maps).  The
 ``resil.*`` family (``resil.retries``, ``resil.timeouts``,
 ``resil.pool_rebuilds``, ``resil.fallbacks``,
-``resil.checkpoint_restored``, ``resil.checkpoint_dedup``,
-``resil.deadline_unsupported``) plus ``cache.quarantined`` record
-fault-recovery events; they are counted *parent-side* by the sweep
+``resil.checkpoint_restored`` per task read back from a sweep's record
+directory, ``resil.deadline_unsupported``) plus ``cache.quarantined``
+record fault-recovery events; they are counted *parent-side* by the sweep
 scheduler / session (not in workers), so they survive retried-and-
 discarded attempts and worker deaths, and sweep manifests surface them
 in a dedicated resilience table (see docs/architecture.md, "Fault

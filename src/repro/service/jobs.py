@@ -221,8 +221,11 @@ class JobStore:
         service.json          listener host/port/pid (written by server)
 
     ``job.json`` is the source of truth for *state*; the store rewrites
-    it whole at every transition.  ``fsync`` is opt-in for the same
-    reason it is in :class:`~repro.tools.resilience.SweepCheckpoint`.
+    it whole at every transition, as
+    :class:`~repro.tools.resilience.SweepCheckpoint` writes one record
+    file per sweep task.  ``fsync`` is opt-in for both: the atomic
+    rename already keeps a record whole when its writer is killed, and
+    the flush adds only durability across a power cut.
     """
 
     def __init__(self, state_dir: str, fsync: bool = False) -> None:

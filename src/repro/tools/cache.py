@@ -131,11 +131,9 @@ class AnalysisCache:
         Cache directory.  Defaults to ``$REPRO_CACHE_DIR`` or
         ``~/.cache/repro``.
     fsync:
-        Fsync every entry before the atomic rename.  Off by default
-        (the cache is a recomputable artifact, so losing an entry to a
-        power cut only costs a recompute); sweeps that checkpoint
-        against cache addresses turn it on so a journalled address
-        always refers to durable bytes.
+        Fsync every entry before the atomic rename.  Off by default:
+        the cache is a recomputable artifact, so losing an entry to a
+        power cut only costs a recompute.
     shared:
         Read-mostly concurrent mode.  Writers serialize through an
         advisory lock file and write digest-prefixed entries; readers
@@ -260,8 +258,8 @@ class AnalysisCache:
     def put_blob(self, digest: str, data: bytes) -> bool:
         """Store raw bytes under their sha256 digest; True on a dedup hit.
 
-        Identical bytes land at one address however many checkpoint
-        lines or job records reference them.  A hit is not rewritten,
+        Identical bytes land at one address however many job records
+        reference them.  A hit is not rewritten,
         but its mtime is refreshed: reusing a blob counts as writing it
         for the time pin of :func:`repro.tools.gc.collect`.  Both run
         under the writer lock, which the GC pass holds while it decides

@@ -27,9 +27,9 @@ that is safe:
 Steps 3 and 4 decide and delete under the cache's writer lock, so a
 concurrent :meth:`~repro.tools.cache.AnalysisCache.put_blob` either
 re-stamps a blob before the pass looks at it or writes it anew after.
-Sweep checkpoints that journal ``cache:`` payload refs into a state
-dir's cache are not in the pin set: collect there only once such sweeps
-are complete or discarded.
+A sweep checkpoint's records are files in a directory of their own,
+not blobs (see :class:`~repro.tools.resilience.SweepCheckpoint`), so
+no pass needs to pin them.
 """
 
 from __future__ import annotations

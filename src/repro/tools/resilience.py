@@ -19,9 +19,9 @@ shared vocabulary the execution stack speaks:
   attempts used, wall seconds burned;
 * :func:`deadline` — a SIGALRM-based per-task wall-clock limit raising
   :class:`DeadlineExceeded` (classified transient, so it retries);
-* :class:`SweepCheckpoint` — a durable JSONL journal of completed sweep
-  units plus a content-addressed payload store, so a killed sweep
-  restarts from where it died with byte-identical results.
+* :class:`SweepCheckpoint` — a directory of atomically written record
+  files, one per completed sweep task, so a killed sweep restarts from
+  where it died with byte-identical results.
 
 Everything here steers *scheduling only*: a retried or resumed unit
 re-runs the same deterministic analysis, so pattern databases stay
@@ -32,7 +32,6 @@ test matrix enforces.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import pickle
@@ -47,12 +46,13 @@ from enum import Enum
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.obs import metrics as _obs
-from repro.tools.atomicio import atomic_write_bytes, atomic_write_text
+from repro.tools.atomicio import atomic_write_bytes
 
 logger = logging.getLogger("repro.tools.resilience")
 
-#: Bump when the checkpoint journal layout changes.
-CHECKPOINT_VERSION = 1
+#: The checkpoint record format's tag, hashed into every unit digest:
+#: bumping it leaves every record of the old format unread.
+CHECKPOINT_VERSION = 2
 
 
 class DeadlineExceeded(Exception):
@@ -327,62 +327,39 @@ def retry_call(fn: Callable[[], Any], policy: RetryPolicy,
 # ---------------------------------------------------------------------------
 
 class SweepCheckpoint:
-    """Durable journal of completed sweep units + payload store.
+    """One record file per completed sweep task.
 
-    Layout: the journal at ``path`` is JSONL — a header line
-    ``{"kind": "sweep-checkpoint", "version": 1}`` followed by one line
-    per completed unit: ``{"unit": <digest>, "spec": <human label>,
-    "payload": <ref>}``.  Payloads (pickled unit results) are
-    *content-addressed* by the sha256 of their bytes, which bounds
-    journal growth: retried or repeated units producing identical bytes
-    share one stored payload however many journal lines reference it.
-    With a :class:`~repro.tools.cache.AnalysisCache` attached the bytes
-    go to the cache's blob store and the ref is ``"cache:<sha256>"``;
-    otherwise they land as ``<sha256>.pkl`` in the sidecar directory
-    ``path + ".d"``.  Either way the payload is durable *before* the
-    journal line is appended, so a crash between the two leaves at
-    worst an unreferenced payload — never a journal line pointing at a
-    missing or partial result.  A truncated final line (the crash
-    landed mid-append) is skipped on load.
-
-    Resume is strict: a unit (one sweep task) is restored only when its
-    digest — over the builder's identity, arguments, mode, engine, shard
-    count and analysis knobs — matches, so editing the sweep definition
-    silently invalidates stale journal entries instead of replaying
-    them.  Restored payloads are the pickled task outcomes themselves,
-    which is what makes a resumed sweep's outputs byte-identical to an
-    uninterrupted run.
+    ``path`` is a directory holding ``<unit_digest>.pkl`` per completed
+    task: its pickled outcome, written by
+    :func:`~repro.tools.atomicio.atomic_write_bytes` (fsynced first
+    when ``fsync``), so a record is whole or absent and a re-recorded
+    task replaces its own file.  A task is restored only from the
+    record its digest names, so editing the sweep definition leaves
+    stale records unread.  A missing record re-runs its task, and so
+    does an unreadable one, with a warning.  Restored records are the
+    task outcomes themselves, which is what makes a resumed sweep's
+    outputs byte-identical to an uninterrupted run.
     """
 
-    #: A journal holding more than ``COMPACT_FACTOR`` lines per live
-    #: unit is rewritten in place (see :meth:`compact`).
-    COMPACT_FACTOR = 2
-
-    def __init__(self, path: str, fsync: bool = False,
-                 cache=None) -> None:
-        self.path = str(path)
-        self.payload_dir = self.path + ".d"
+    def __init__(self, path: str, fsync: bool = False) -> None:
+        self.path = os.path.normpath(str(path))
+        if os.path.exists(self.path) and not os.path.isdir(self.path):
+            raise ValueError(
+                f"checkpoint {self.path!r} is not a directory (a journal "
+                "written before per-task record files?); remove it or "
+                "name a new directory")
         self.fsync = bool(fsync)
-        #: optional AnalysisCache whose blob store holds the payloads
-        self.cache = cache
-        #: journal occupancy, tracked lazily: non-header lines on disk
-        #: and distinct unit digests they cover.  None until the first
-        #: load()/record() scans the file.
-        self._lines: Optional[int] = None
-        self._live: Optional[Dict[str, str]] = None
-
-    # -- unit digests ----------------------------------------------------
 
     @staticmethod
     def unit_digest(task: Any) -> str:
-        """Content address of one sweep task.
+        """Content address of one sweep task: its record's file name.
 
         Hashes the *recipe*, not the program (rebuilding the program
         just to hash it would cost as much as the analysis it guards):
-        builder module/qualname, args/kwargs reprs, mode, engine, miss
-        model, params, config repr and shard count.  Any edit to the
-        sweep definition changes the digest and the stale journal entry
-        is ignored.
+        the record format's :data:`CHECKPOINT_VERSION`, builder
+        module/qualname, args/kwargs reprs, mode, engine, miss model,
+        params, config repr and shard count.  Any edit to the sweep
+        definition changes the digest, and the stale record is not read.
         """
         builder = task.builder
         h = hashlib.sha256()
@@ -395,179 +372,33 @@ class SweepCheckpoint:
             sorted(task.params.items()),
             sorted(task.measure_kwargs.items()),
             repr(task.config), task.batch, task.shards,
-            # the unit kind and index sweeps hashed when a sharded task
-            # ran as one pool unit per shard: a whole task still hashes
-            # ("task", 0), so journals written then keep resuming
-            "task", 0,
         )).encode())
         return h.hexdigest()
 
-    # -- journal ---------------------------------------------------------
+    def _record_path(self, digest: str) -> str:
+        return os.path.join(self.path, digest + ".pkl")
 
-    def load(self) -> Dict[str, str]:
-        """Digest -> payload filename for every intact journal line."""
-        done: Dict[str, str] = {}
-        self._lines = 0
-        self._live = done
+    def record(self, digest: str, outcome: Any) -> None:
+        """Atomically write one completed task's outcome."""
+        atomic_write_bytes(self._record_path(digest),
+                           pickle.dumps(outcome,
+                                        protocol=pickle.HIGHEST_PROTOCOL),
+                           fsync=self.fsync)
+
+    def restore(self, digest: str) -> Optional[Any]:
+        """The recorded outcome, or None when there is no readable one."""
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        except FileNotFoundError:
-            return done
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                # a crash mid-append truncates the final line; anything
-                # after it cannot exist, so stop rather than guess
-                logger.warning("checkpoint %s: skipping truncated "
-                               "journal line", self.path)
-                break
-            if row.get("kind") == "sweep-checkpoint":
-                if row.get("version") != CHECKPOINT_VERSION:
-                    logger.warning(
-                        "checkpoint %s: version %r != %d; ignoring",
-                        self.path, row.get("version"), CHECKPOINT_VERSION)
-                    self._lines = None
-                    self._live = None
-                    return {}
-                continue
-            unit, payload = row.get("unit"), row.get("payload")
-            if unit and payload:
-                self._lines += 1
-                done[unit] = payload
-        # load() aliases the caller's mapping as the live view; keep a
-        # private copy so caller mutations cannot skew compaction
-        self._live = dict(done)
-        return done
-
-    def restore(self, digest: str, payload_name: str) -> Optional[Any]:
-        """Unpickle one journalled payload; None when damaged/missing.
-
-        Accepts every ref form the journal has ever used: the
-        content-addressed sidecar files, ``"cache:<sha256>"`` blob refs
-        (needs the same cache attached; without one the unit is
-        recomputed), and the legacy unit-digest-named files older
-        journals wrote.
-        """
-        if payload_name.startswith("cache:"):
-            content = payload_name[len("cache:"):]
-            data = (self.cache.get_blob(content)
-                    if self.cache is not None else None)
-            if data is None:
-                logger.warning("checkpoint payload %s missing from the "
-                               "cache blob store; unit %s will be "
-                               "recomputed", payload_name, digest[:12])
-                return None
-            try:
-                return pickle.loads(data)
-            except (pickle.UnpicklingError, EOFError, ValueError,
-                    AttributeError, ImportError) as exc:
-                logger.warning("checkpoint payload %s undecodable "
-                               "(%s: %s); unit %s will be recomputed",
-                               payload_name, type(exc).__name__, exc,
-                               digest[:12])
-                return None
-        path = os.path.join(self.payload_dir, payload_name)
-        try:
-            with open(path, "rb") as fh:
+            with open(self._record_path(digest), "rb") as fh:
                 return pickle.load(fh)
+        except FileNotFoundError:
+            return None
         except (OSError, pickle.UnpicklingError, EOFError, ValueError,
                 AttributeError, ImportError) as exc:
-            logger.warning("checkpoint payload %s unreadable (%s: %s); "
-                           "unit %s will be recomputed", payload_name,
-                           type(exc).__name__, exc, digest[:12])
+            logger.warning("checkpoint record %s unreadable (%s: %s); "
+                           "its task will re-run",
+                           self._record_path(digest), type(exc).__name__,
+                           exc)
             return None
-
-    def record(self, digest: str, spec: str, payload: Any) -> None:
-        """Durably journal one completed unit (payload first, then line).
-
-        The payload's bytes are stored under their own sha256 — to the
-        attached cache's blob store when there is one, else to the
-        sidecar directory — and an already-present address is not
-        rewritten (``resil.checkpoint_dedup`` counts the skips).  The
-        journal line is appended with ``O_APPEND`` (atomic for single
-        short writes on POSIX) and optionally fsynced, so concurrent
-        readers and a post-crash resume always see a prefix of intact
-        lines.
-        """
-        data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        content = hashlib.sha256(data).hexdigest()
-        if self.cache is not None:
-            if self.cache.put_blob(content, data):
-                _obs.counter("resil.checkpoint_dedup").inc()
-            ref = "cache:" + content
-        else:
-            ref = content + ".pkl"
-            final = os.path.join(self.payload_dir, ref)
-            if os.path.exists(final):
-                _obs.counter("resil.checkpoint_dedup").inc()
-            else:
-                atomic_write_bytes(final, data, fsync=self.fsync)
-        line = json.dumps({"unit": digest, "spec": spec, "payload": ref})
-        new = not os.path.exists(self.path)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            if new:
-                fh.write(json.dumps({"kind": "sweep-checkpoint",
-                                     "version": CHECKPOINT_VERSION}) + "\n")
-            fh.write(line + "\n")
-            if self.fsync:
-                fh.flush()
-                os.fsync(fh.fileno())
-        if self._lines is None or self._live is None:
-            self.load()
-        else:
-            self._lines += 1
-            self._live[digest] = ref
-        self._maybe_compact()
-
-    # -- compaction ------------------------------------------------------
-
-    def _maybe_compact(self) -> None:
-        """Compact when stale lines outnumber live units.
-
-        Resumed sweeps, re-runs over overlapping grids, and units whose
-        payload refs changed all append fresh lines for digests the
-        journal already lists, so a long-lived journal grows without
-        bound even though only the *last* line per digest matters.
-        When the line count exceeds ``COMPACT_FACTOR`` times the live
-        unit count, the journal is rewritten in place.
-        """
-        if (self._lines is not None and self._live
-                and self._lines > self.COMPACT_FACTOR * len(self._live)):
-            self.compact()
-
-    def compact(self) -> int:
-        """Rewrite the journal keeping one line per unit; lines dropped.
-
-        The replacement is built in a temp file in the journal's own
-        directory and swapped in with an atomic ``os.replace``, so a
-        reader (or a crash) sees either the old journal or the new one,
-        never a partial rewrite.  Only the winning (latest) line per
-        digest survives — exactly the mapping :meth:`load` would have
-        produced — so a resume from the compacted journal restores the
-        same payload bytes and stays byte-identical.  Payload files and
-        blobs are untouched: they are content-addressed and may be
-        shared with other journals.
-        """
-        live = self.load()
-        before = self._lines or 0
-        lines = [json.dumps({"kind": "sweep-checkpoint",
-                             "version": CHECKPOINT_VERSION})]
-        lines += [json.dumps({"unit": unit, "payload": ref})
-                  for unit, ref in live.items()]
-        atomic_write_text(self.path, "\n".join(lines) + "\n",
-                          fsync=self.fsync)
-        self._lines = len(live)
-        self._live = dict(live)
-        dropped = before - len(live)
-        if dropped > 0:
-            _obs.counter("resil.checkpoint_compactions").inc()
-            logger.info("checkpoint %s compacted: %d line(s) -> %d",
-                        self.path, before, len(live))
-        return dropped
 
     def __repr__(self) -> str:
         return f"SweepCheckpoint({self.path!r})"

@@ -17,8 +17,9 @@ or crashed tasks are retried with exponential backoff under a
 :class:`~repro.tools.resilience.RetryPolicy`, per-task wall-clock
 deadlines are enforced worker-side, a dead worker process breaks only its
 pool — the pool is rebuilt and in-flight tasks requeued — and an optional
-durable checkpoint journal lets ``run_sweep(..., checkpoint=path)`` resume
-a killed sweep from the last completed task with byte-identical results.
+checkpoint directory, one record file per completed task, lets
+``run_sweep(..., checkpoint=path)`` resume a killed sweep from the last
+completed task with byte-identical results.
 
 Combined with the per-task :class:`~repro.tools.cache.AnalysisCache`,
 repeated sweeps over overlapping grids run at file-read speed.
@@ -327,7 +328,7 @@ class _TaskScheduler:
       going; a task that exhausts its budget this way is reported as a
       ``poison`` failure rather than requeued forever;
     * completed tasks stream to an ``on_done`` callback in completion
-      order, which is what lets the checkpoint journal stay current
+      order, which is what lets the checkpoint records stay current
       while the sweep is still running.
 
     Backoff never blocks the loop: delayed tasks sit in a ready-time
@@ -648,15 +649,20 @@ def run_sweep(tasks: Sequence[SweepTask],
     no deadline); retried tasks re-run the same deterministic analysis,
     so results are byte-identical however many attempts they took.
 
-    ``checkpoint`` names a durable JSONL journal: each completed task is
-    recorded (payload + journal line) as soon as it finishes, and a
-    later ``run_sweep(..., checkpoint=same_path)`` restores those tasks
-    from disk instead of recomputing them — a sweep killed mid-run
-    resumes from where it died with byte-identical results.
-    ``checkpoint_fsync`` additionally fsyncs each journal append.
+    ``checkpoint`` names a directory of record files (see
+    :class:`~repro.tools.resilience.SweepCheckpoint`): each completed
+    task's outcome is written to ``<unit_digest>.pkl`` as soon as it
+    finishes, and a later ``run_sweep(..., checkpoint=same_dir)``
+    restores those tasks from disk instead of recomputing them — a
+    sweep killed mid-run resumes from where it died with byte-identical
+    results.  A path that exists and is not a directory raises
+    ``ValueError`` before any task runs.  ``checkpoint_fsync``
+    additionally fsyncs each record before it is renamed into place.
 
     ``manifest_out`` writes a sweep-level roll-up JSON (see
-    :func:`build_sweep_manifest`) after the sweep completes.
+    :func:`build_sweep_manifest`) after the sweep completes; with
+    observability enabled its metrics are the sweep's whole delta, the
+    parent-side ``resil.*`` counts included.
     """
     t_start = time.perf_counter()
     tasks = list(tasks)
@@ -665,28 +671,18 @@ def run_sweep(tasks: Sequence[SweepTask],
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     policy = retry if retry is not None else DEFAULT_POLICY
-    ckpt: Optional[SweepCheckpoint] = None
+    obs_before = (_obs.snapshot() if manifest_out and _obs.is_enabled()
+                  else None)
+    ckpt = (SweepCheckpoint(checkpoint, fsync=checkpoint_fsync)
+            if checkpoint else None)
     digests: List[str] = []
     restored: Dict[int, SweepOutcome] = {}
-    if checkpoint:
-        # Dedup journal payloads against the sweep's analysis cache when
-        # every caching task agrees on one directory; mixed or absent
-        # cache dirs fall back to content-addressed sidecar files.
-        ckpt_cache = None
-        cache_dirs = {task.cache_dir for task in tasks if task.cache_dir}
-        if len(cache_dirs) == 1:
-            from repro.tools.cache import AnalysisCache
-            ckpt_cache = AnalysisCache(cache_dirs.pop(),
-                                       fsync=checkpoint_fsync)
-        ckpt = SweepCheckpoint(checkpoint, fsync=checkpoint_fsync,
-                               cache=ckpt_cache)
+    if ckpt is not None:
         digests = [SweepCheckpoint.unit_digest(task) for task in tasks]
-        journal = ckpt.load()
         for i, digest in enumerate(digests):
-            if digest in journal:
-                payload = ckpt.restore(digest, journal[digest])
-                if payload is not None:
-                    restored[i] = payload
+            outcome = ckpt.restore(digest)
+            if outcome is not None:
+                restored[i] = outcome
         if restored:
             _obs.counter("resil.checkpoint_restored").inc(len(restored))
             logger.info("sweep checkpoint %s: restored %d/%d task(s)",
@@ -747,8 +743,10 @@ def run_sweep(tasks: Sequence[SweepTask],
                 "derivation": deriv})
 
     def on_done(i: int, result: SweepOutcome) -> None:
+        # a record holds the task's answer, not its work: restored
+        # tasks count no sweep.* or analyzer.* work a second time
         if ckpt is not None and i not in restored:
-            ckpt.record(digests[i], repr(tasks[i].key), result)
+            ckpt.record(digests[i], replace(result, metrics=None))
 
     scheduler = _TaskScheduler(tasks, policy, on_done=on_done)
     scheduler.results.update(restored)
@@ -770,6 +768,10 @@ def run_sweep(tasks: Sequence[SweepTask],
     if manifest_out:
         manifest = build_sweep_manifest(
             outcomes, wall_time=time.perf_counter() - t_start)
+        if obs_before is not None:
+            # the workers' merged snapshots plus the parent-side counts
+            # (resil.*, sweep.worker_failures) of this sweep
+            manifest["metrics"] = _obs.delta(obs_before, _obs.snapshot())
         with open(manifest_out, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, default=str)
         logger.info("sweep manifest written to %s", manifest_out)

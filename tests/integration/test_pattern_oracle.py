@@ -1,14 +1,19 @@
-"""Every numpy feed against a naive O(N^2) pattern oracle.
+"""Every dynamic path against a naive O(N^2) pattern oracle.
 
 ``tests.helpers.oracle_state`` analyses a recorded event list the slow,
 obvious way: an explicit scan per reuse for its distance, the innermost
 scope at the previous touch for its source, a linear top-down frame scan
 for its carrying scope.  On small generated kernels — including the
 loop-carried and escaping scalars the enumeration rejects — the
-``dump_state()`` of the walked feed (a recording fed whole), of the
-table feed and of a ``shards=3`` session each equal the oracle's, and
-so do the registry workloads at small sizes.
+``dump_state()`` of each path equals the oracle's, and so does each on
+the registry workloads at small sizes: the walked feed (a recording fed
+whole), the table feed, the scalar ``Executor`` with fenwick, treap on
+both executors, ``shards=K`` for every K in 1..7, a spilled scalar
+recording at K=1 and K=3, and the hit of a cache round-trip.
 """
+
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +27,7 @@ from repro.lang import (
 from repro.model import MachineConfig
 from repro.static.itermodel import StaticUnsupported
 from repro.static.segments import build_segments
+from repro.tools.cache import AnalysisCache
 from repro.tools.session import AnalysisSession
 from tests.helpers import SMALLER, fed_analyzer, kernels, oracle_state
 
@@ -42,9 +48,23 @@ def check_oracle(prog) -> bool:
         table = None
     else:
         assert fed_analyzer(table, GRANS).dump_state() == want
-    sharded = AnalysisSession(prog, shards=3, shard_jobs=1).run()
-    assert sharded.fallback is None
-    assert sharded.analyzer.dump_state() == want
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = AnalysisCache(os.path.join(tmp, "cache"))
+        AnalysisSession(prog, cache=cache).run()
+        hit = AnalysisSession(prog, cache=cache).run()
+        assert hit.from_cache
+        spilled = [AnalysisSession(prog, shards=k, batch=False,
+                                   trace_store=tmp).run() for k in (1, 3)]
+        assert all(s.executor_ran == "scalar" and s.trace_path
+                   for s in spilled)
+    sessions = [AnalysisSession(prog, engine=engine, batch=batch).run()
+                for engine, batch in (("fenwick", False), ("treap", True),
+                                      ("treap", False))]
+    sessions += [AnalysisSession(prog, shards=k, shard_jobs=1).run()
+                 for k in range(1, 8)]
+    for session in sessions + spilled + [hit]:
+        assert session.fallback is None
+        assert session.analyzer.dump_state() == want
     return table is not None
 
 

@@ -200,9 +200,9 @@ class TestNumpyFlush:
     def test_manifest_carries_flush_metrics(self, obs_on):
         session = AnalysisSession(fig1_interchange(8, 8)).run()
         metrics = session.manifest.metrics
-        flushes = metrics["counters"]["analyzer.np_flushes"]
+        flushes = metrics["counters"]["analyzer.batch_calls"]
         assert flushes >= 1
-        assert metrics["counters"]["analyzer.np_flushed_events"] == \
+        assert metrics["counters"]["analyzer.batch_events"] == \
             session.stats.accesses
         timers = metrics["timers"]
         assert timers["analyzer.np_flush_latency"]["count"] == flushes
@@ -214,7 +214,7 @@ class TestNumpyFlush:
         fed_analyzer(trace, MachineConfig.scaled_itanium2().granularities(),
                      threshold=97)   # several windows
         d = obs_metrics.delta(before, obs_metrics.snapshot())
-        flushes = d["counters"]["analyzer.np_flushes"]
+        flushes = d["counters"]["analyzer.batch_calls"]
         flush_t = d["timers"]["analyzer.np_flush_latency"]
         kernel_t = d["timers"]["analyzer.np_count_smaller_latency"]
         assert flushes > 1

@@ -142,18 +142,30 @@ class TestSweepCommand:
             main(["sweep", "sweep3d", "--resume"])
 
     def test_existing_checkpoint_requires_resume(self, tmp_path):
-        ckpt = tmp_path / "ck.jsonl"
-        ckpt.write_text("{}\n")
+        ckpt = tmp_path / "ck"
+        ckpt.mkdir()
         with pytest.raises(SystemExit, match="already exists"):
             main(["sweep", "sweep3d", "--checkpoint", str(ckpt)])
 
     def test_resume_without_file_errors(self, tmp_path):
         with pytest.raises(SystemExit, match="nothing to resume"):
             main(["sweep", "sweep3d", "--resume",
-                  "--checkpoint", str(tmp_path / "missing.jsonl")])
+                  "--checkpoint", str(tmp_path / "missing")])
+
+    def test_checkpoint_file_is_a_usage_error(self, tmp_path, capsys):
+        # a JSONL journal written before record files is not read
+        journal = tmp_path / "ck.jsonl"
+        journal.write_text('{"kind": "sweep-checkpoint", "version": 1}\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "sweep3d", "--mesh", "4",
+                  "--checkpoint", str(journal), "--resume"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "not a directory" in err and str(journal) in err
+        assert "sweeping" not in err  # refused before any task ran
 
     def test_checkpoint_then_resume_roundtrip(self, tmp_path, capsys):
-        ckpt = str(tmp_path / "ck.jsonl")
+        ckpt = str(tmp_path / "ck")
         assert main(["sweep", "sweep3d", "--mesh", "4",
                      "--checkpoint", ckpt]) == 0
         first = capsys.readouterr().out

@@ -1,6 +1,5 @@
 """Resilience primitives: policies, deadlines, failures, checkpoints."""
 
-import json
 import os
 import pickle
 import time
@@ -178,20 +177,21 @@ def _task(n=4, **kw):
 
 class TestSweepCheckpoint:
     def test_round_trip(self, tmp_path):
-        import hashlib
-
-        ckpt = SweepCheckpoint(str(tmp_path / "ck.jsonl"))
+        ckpt = SweepCheckpoint(str(tmp_path / "ck"))
         digest = SweepCheckpoint.unit_digest(_task())
-        assert ckpt.load() == {}
-        payload = {"totals": {"L2": 7}}
-        ckpt.record(digest, "unit-4", payload)
-        journal = ckpt.load()
-        # payloads are named by content hash (for dedup), not unit digest
-        content = hashlib.sha256(
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        ).hexdigest()
-        assert journal == {digest: content + ".pkl"}
-        assert ckpt.restore(digest, journal[digest]) == payload
+        assert ckpt.restore(digest) is None
+        ckpt.record(digest, {"totals": {"L2": 7}})
+        # one file per task, named by the task's digest
+        assert os.listdir(ckpt.path) == [digest + ".pkl"]
+        assert ckpt.restore(digest) == {"totals": {"L2": 7}}
+
+    def test_rerecord_replaces_the_record(self, tmp_path):
+        ckpt = SweepCheckpoint(str(tmp_path / "ck"))
+        digest = SweepCheckpoint.unit_digest(_task())
+        ckpt.record(digest, {"gen": 1})
+        ckpt.record(digest, {"gen": 2})
+        assert os.listdir(ckpt.path) == [digest + ".pkl"]
+        assert ckpt.restore(digest) == {"gen": 2}
 
     def test_digest_changes_with_recipe(self):
         base = SweepCheckpoint.unit_digest(_task(4))
@@ -201,104 +201,50 @@ class TestSweepCheckpoint:
                 != base)
         assert SweepCheckpoint.unit_digest(_task(4)) == base
 
-    def test_digest_matches_earlier_journals(self):
-        # the digest a task had when sweeps still split sharded tasks
-        # into one pool unit per shard: journals written then resume
-        assert SweepCheckpoint.unit_digest(_task(4)) == (
-            "391f3d6083cfd19819ad8228dd7224df"
-            "3545353304a46a74b1d9999c413b0bde")
+    def test_digest_tags_the_record_format(self, monkeypatch):
+        from repro.tools import resilience
+        base = SweepCheckpoint.unit_digest(_task(4))
+        monkeypatch.setattr(resilience, "CHECKPOINT_VERSION",
+                            resilience.CHECKPOINT_VERSION + 1)
+        assert SweepCheckpoint.unit_digest(_task(4)) != base
 
-    def test_truncated_final_line_skipped(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        ckpt = SweepCheckpoint(str(path))
-        d1 = SweepCheckpoint.unit_digest(_task(4))
-        d2 = SweepCheckpoint.unit_digest(_task(5))
-        ckpt.record(d1, "a", 1)
-        after_first = ckpt.load()
-        ckpt.record(d2, "b", 2)
-        text = path.read_text()
-        path.write_text(text[:-20])  # crash mid-append of the last line
-        assert ckpt.load() == after_first
-        assert set(after_first) == {d1}
-
-    def test_missing_payload_degrades_to_recompute(self, tmp_path):
-        ckpt = SweepCheckpoint(str(tmp_path / "ck.jsonl"))
+    def test_missing_payload_degrades_to_recompute(self, tmp_path, caplog):
+        ckpt = SweepCheckpoint(str(tmp_path / "ck"))
         digest = SweepCheckpoint.unit_digest(_task())
-        ckpt.record(digest, "a", {"x": 1})
-        journal = ckpt.load()
-        assert digest in journal
-        os.unlink(os.path.join(ckpt.payload_dir, journal[digest]))
-        assert ckpt.restore(digest, journal[digest]) is None
+        ckpt.record(digest, {"x": 1})
+        os.unlink(os.path.join(ckpt.path, digest + ".pkl"))
+        # a writer killed before its rename leaves only a .tmp-* file
+        with open(os.path.join(ckpt.path, ".tmp-x.pkl"), "wb") as fh:
+            fh.write(pickle.dumps({"x": 1})[:5])
+        with caplog.at_level("WARNING", logger="repro.tools.resilience"):
+            assert ckpt.restore(digest) is None
+        assert caplog.text == ""  # as if the task never finished
 
-    def test_corrupt_payload_degrades_to_recompute(self, tmp_path):
-        ckpt = SweepCheckpoint(str(tmp_path / "ck.jsonl"))
+    def test_corrupt_payload_degrades_to_recompute(self, tmp_path, caplog):
+        ckpt = SweepCheckpoint(str(tmp_path / "ck"))
         digest = SweepCheckpoint.unit_digest(_task())
-        ckpt.record(digest, "a", {"x": 1})
-        payload_path = os.path.join(ckpt.payload_dir, digest + ".pkl")
-        with open(payload_path, "wb") as fh:
-            fh.write(b"\x00garbage")
-        assert ckpt.restore(digest, digest + ".pkl") is None
-
-    def test_version_mismatch_invalidates_journal(self, tmp_path):
-        path = tmp_path / "ck.jsonl"
-        ckpt = SweepCheckpoint(str(path))
-        digest = SweepCheckpoint.unit_digest(_task())
-        ckpt.record(digest, "a", 1)
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        header["version"] = 999
-        path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        assert ckpt.load() == {}
+        path = os.path.join(ckpt.path, digest + ".pkl")
+        ckpt.record(digest, {"x": list(range(100))})
+        data = open(path, "rb").read()
+        for damaged in (data[:len(data) // 2], b"\x00garbage"):
+            with open(path, "wb") as fh:
+                fh.write(damaged)
+            caplog.clear()
+            with caplog.at_level("WARNING",
+                                 logger="repro.tools.resilience"):
+                assert ckpt.restore(digest) is None
+            assert "unreadable" in caplog.text and path in caplog.text
 
     def test_fsync_mode_round_trips(self, tmp_path):
-        ckpt = SweepCheckpoint(str(tmp_path / "ck.jsonl"), fsync=True)
+        ckpt = SweepCheckpoint(str(tmp_path / "ck"), fsync=True)
         digest = SweepCheckpoint.unit_digest(_task())
-        ckpt.record(digest, "a", [1, 2, 3])
-        journal = ckpt.load()
-        assert ckpt.restore(digest, journal[digest]) == [1, 2, 3]
+        ckpt.record(digest, [1, 2, 3])
+        assert ckpt.restore(digest) == [1, 2, 3]
 
-    def test_identical_payloads_share_one_sidecar(self, obs_on, tmp_path):
-        ckpt = SweepCheckpoint(str(tmp_path / "ck.jsonl"))
-        d1 = SweepCheckpoint.unit_digest(_task(4))
-        d2 = SweepCheckpoint.unit_digest(_task(5))
-        payload = {"totals": {"L2": 7}}
-        ckpt.record(d1, "a", payload)
-        ckpt.record(d2, "b", payload)
-        journal = ckpt.load()
-        assert journal[d1] == journal[d2]
-        assert len(os.listdir(ckpt.payload_dir)) == 1
-        snap = obs_on.snapshot()
-        assert snap["counters"]["resil.checkpoint_dedup"] == 1
-        assert ckpt.restore(d1, journal[d1]) == payload
-        assert ckpt.restore(d2, journal[d2]) == payload
-
-    def test_cache_backed_payloads(self, obs_on, tmp_path):
-        from repro.tools.cache import AnalysisCache
-        cache = AnalysisCache(str(tmp_path / "cache"))
-        ckpt = SweepCheckpoint(str(tmp_path / "ck.jsonl"), cache=cache)
-        d1 = SweepCheckpoint.unit_digest(_task(4))
-        d2 = SweepCheckpoint.unit_digest(_task(5))
-        ckpt.record(d1, "a", {"x": 1})
-        ckpt.record(d2, "b", {"x": 1})
-        journal = ckpt.load()
-        assert journal[d1].startswith("cache:")
-        assert journal[d1] == journal[d2]
-        # payloads live in the cache blob store, not a sidecar dir
-        assert not os.path.exists(ckpt.payload_dir)
-        snap = obs_on.snapshot()
-        assert snap["counters"]["resil.checkpoint_dedup"] == 1
-        assert ckpt.restore(d1, journal[d1]) == {"x": 1}
-        # a resume without the cache attached degrades to recompute
-        bare = SweepCheckpoint(str(tmp_path / "ck.jsonl"))
-        assert bare.restore(d1, journal[d1]) is None
-
-    def test_legacy_unit_named_payload_restores(self, tmp_path):
-        # journals written before content addressing named payloads by
-        # the unit digest; restore must still read them
-        ckpt = SweepCheckpoint(str(tmp_path / "ck.jsonl"))
-        digest = SweepCheckpoint.unit_digest(_task())
-        os.makedirs(ckpt.payload_dir, exist_ok=True)
-        with open(os.path.join(ckpt.payload_dir, digest + ".pkl"),
-                  "wb") as fh:
-            fh.write(pickle.dumps({"x": 2}))
-        assert ckpt.restore(digest, digest + ".pkl") == {"x": 2}
+    def test_path_that_is_not_a_directory_is_refused(self, tmp_path):
+        # a JSONL journal written before record files is not read
+        journal = tmp_path / "ck.jsonl"
+        journal.write_text('{"kind": "sweep-checkpoint", "version": 1}\n')
+        with pytest.raises(ValueError, match="not a directory") as err:
+            SweepCheckpoint(str(journal))
+        assert str(journal) in str(err.value)

@@ -5,13 +5,16 @@ fault, and the results are *byte-identical* to an undisturbed run — the
 resilience layer steers scheduling only, never answers.
 """
 
+import json
 import multiprocessing
 import os
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.apps.sweep3d import SweepParams, build_original
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.testing import faults
 from repro.testing.faults import FaultSpec
@@ -141,43 +144,144 @@ def _crashing_sweep_child(checkpoint: str, marker: str) -> None:
     run_sweep(_analyze_tasks((4, 5)), jobs=1, checkpoint=checkpoint)
 
 
+#: keys of the tasks _counting_builder has built, in this process
+_BUILT = []
+
+
+def _counting_builder(params):
+    _BUILT.append(params.n)
+    return build_original(params)
+
+
+def _record_names(tasks):
+    return sorted(SweepCheckpoint.unit_digest(t) + ".pkl" for t in tasks)
+
+
+def _work_counts(counters):
+    return {n: v for n, v in counters.items()
+            if n.startswith(("sweep.", "analyzer."))}
+
+
 class TestCheckpointResume:
     def test_completed_units_restored_not_recomputed(self, obs_on,
                                                      tmp_path):
-        ckpt_path = str(tmp_path / "ck.jsonl")
-        first = run_sweep(_analyze_tasks((4, 5)), checkpoint=ckpt_path)
-        assert len(SweepCheckpoint(ckpt_path).load()) == 2
+        ckpt_path = str(tmp_path / "ck")
+        tasks = _analyze_tasks((4, 5))
+        first = run_sweep(tasks, checkpoint=ckpt_path)
+        assert sorted(os.listdir(ckpt_path)) == _record_names(tasks)
         second = run_sweep(_analyze_tasks((4, 5)), checkpoint=ckpt_path)
         assert _states(second) == _states(first)
         snap = obs_on.snapshot()
         assert snap["counters"]["resil.checkpoint_restored"] == 2
 
-    def test_recipe_edit_invalidates_stale_units(self, tmp_path):
-        ckpt_path = str(tmp_path / "ck.jsonl")
-        run_sweep(_analyze_tasks((4,)), checkpoint=ckpt_path)
-        outcomes = run_sweep(_analyze_tasks((5,)), checkpoint=ckpt_path)
-        assert not outcomes[0].failed
-        assert not outcomes[0].from_cache
-        assert len(SweepCheckpoint(ckpt_path).load()) == 2
+    def test_resume_counts_restores_not_their_work(self, obs_on,
+                                                   tmp_path):
+        """A record holds a task's answer, not its metrics: a resume
+        that runs no task counts its restores and no task work."""
+        ckpt_path = str(tmp_path / "ck")
+        run_sweep(_analyze_tasks((4, 5)), checkpoint=ckpt_path)
+        before = obs_on.snapshot()
+        out = str(tmp_path / "resume.json")
+        run_sweep(_analyze_tasks((4, 5)), checkpoint=ckpt_path,
+                  manifest_out=out)
+        d = obs_metrics.delta(before, obs_on.snapshot())
+        assert d["counters"]["resil.checkpoint_restored"] == 2
+        assert _work_counts(d["counters"]) == {}
+        with open(out) as fh:
+            counters = json.load(fh)["metrics"]["counters"]
+        assert counters["resil.checkpoint_restored"] == 2
+        assert _work_counts(counters) == {}
+
+    def test_recipe_edit_invalidates_stale_units(self, obs_on, tmp_path):
+        ckpt_path = str(tmp_path / "ck")
+        first = run_sweep(_analyze_tasks((4, 5)), checkpoint=ckpt_path)
+        edited = _analyze_tasks((4, 5))
+        edited[1] = replace(edited[1], engine="fenwick")
+        before = obs_on.snapshot()
+        outcomes = run_sweep(edited, checkpoint=ckpt_path)
+        d = obs_metrics.delta(before, obs_on.snapshot())
+        assert d["counters"]["resil.checkpoint_restored"] == 1
+        assert d["counters"]["sweep.tasks"] == 1
+        assert [out.engine for out in outcomes] == ["numpy", "fenwick"]
+        assert _states(outcomes) == _states(first)
+        # the edited task has a record of its own; the stale one stays
+        assert len(os.listdir(ckpt_path)) == 3
+
+    @pytest.mark.parametrize("damage",
+                             ["missing", "truncated", "unpicklable"])
+    def test_lost_record_reruns_its_task(self, obs_on, tmp_path, caplog,
+                                         damage):
+        ckpt_path = str(tmp_path / "ck")
+        clean = run_sweep(_analyze_tasks((4, 5)), checkpoint=ckpt_path)
+        (name,) = _record_names(_analyze_tasks((5,)))
+        path = os.path.join(ckpt_path, name)
+        if damage == "missing":
+            os.unlink(path)
+        else:
+            data = open(path, "rb").read()
+            with open(path, "wb") as fh:
+                fh.write(data[:len(data) // 2] if damage == "truncated"
+                         else b"\x00garbage")
+        before = obs_on.snapshot()
+        with caplog.at_level("WARNING", logger="repro.tools.resilience"):
+            resumed = run_sweep(_analyze_tasks((4, 5)),
+                                checkpoint=ckpt_path)
+        d = obs_metrics.delta(before, obs_on.snapshot())
+        assert d["counters"]["resil.checkpoint_restored"] == 1
+        assert d["counters"]["sweep.tasks"] == 1
+        assert _states(resumed) == _states(clean)
+        # a damaged record warns; a missing one is a task that never
+        # finished, as far as the checkpoint can tell
+        assert ("unreadable" in caplog.text) == (damage != "missing")
+        # the re-run wrote its record anew
+        assert pickle.loads(open(path, "rb").read()).state == \
+            clean[1].state
+
+    def test_failed_tasks_leave_no_record(self, tmp_path):
+        faults.install(FaultSpec(point="sweep.unit", action="raise",
+                                 exc="ValueError", match=(("key", 5),),
+                                 times=0))
+        ckpt_path = str(tmp_path / "ck")
+        outcomes = run_sweep(_analyze_tasks((4, 5)), retry=FAST,
+                             checkpoint=ckpt_path)
+        assert [out.failed for out in outcomes] == [False, True]
+        assert os.listdir(ckpt_path) == _record_names(_analyze_tasks((4,)))
+        faults.clear()
+        resumed = run_sweep(_analyze_tasks((4, 5)), checkpoint=ckpt_path)
+        assert [out.failed for out in resumed] == [False, False]
+
+    def test_journal_path_refused_before_any_task_runs(self, tmp_path):
+        # a JSONL journal written before record files is not read
+        journal = tmp_path / "ck.jsonl"
+        journal.write_text('{"kind": "sweep-checkpoint", "version": 1}\n')
+        _BUILT.clear()
+        tasks = [SweepTask(key=4, builder=_counting_builder,
+                           args=(SweepParams(n=4, mm=3, nm=2, noct=1),))]
+        with pytest.raises(ValueError, match="not a directory"):
+            run_sweep(tasks, checkpoint=str(journal))
+        assert _BUILT == []
+        run_sweep(tasks)
+        assert _BUILT == [4]  # the builder counts when a task runs
 
     def test_killed_sweep_resumes_byte_identical(self, tmp_path):
         """The acceptance scenario: kill mid-run, resume, same bytes."""
-        ckpt_path = str(tmp_path / "ck.jsonl")
+        ckpt_path = str(tmp_path / "ck")
         marker = str(tmp_path / "m")
         child = multiprocessing.Process(
             target=_crashing_sweep_child, args=(ckpt_path, marker))
         child.start()
         child.join(timeout=120)
         assert child.exitcode == 70  # died on the injected crash
-        journal = SweepCheckpoint(ckpt_path).load()
-        assert len(journal) == 1  # unit 4 completed, unit 5 never did
+        # unit 4 completed, unit 5 never did
+        assert os.listdir(ckpt_path) == _record_names(_analyze_tasks((4,)))
         clean = run_sweep(_analyze_tasks((4, 5)))
         resumed = run_sweep(_analyze_tasks((4, 5)), checkpoint=ckpt_path)
         assert [out.failed for out in resumed] == [False, False]
         assert _states(resumed) == _states(clean)
         assert [out.totals for out in resumed] == [
             out.totals for out in clean]
-        assert len(SweepCheckpoint(ckpt_path).load()) == 2
+        assert sorted(os.listdir(ckpt_path)) == _record_names(
+            _analyze_tasks((4, 5)))
 
     @pytest.mark.slow
     def test_killed_parallel_sharded_sweep_resumes(self, tmp_path):
@@ -186,7 +290,7 @@ class TestCheckpointResume:
                            args=(SweepParams(n=n, mm=3, nm=2, noct=1),),
                            mode="analyze", shards=2)
                  for n in (4, 5, 6)]
-        ckpt_path = str(tmp_path / "ck.jsonl")
+        ckpt_path = str(tmp_path / "ck")
         clean = run_sweep(tasks)
         faults.install(FaultSpec(point="sweep.unit", action="crash",
                                  match=(("key", 5),), times=1,
@@ -195,6 +299,7 @@ class TestCheckpointResume:
                             checkpoint=ckpt_path)
         assert [out.failed for out in crashed] == [False] * 3
         assert _states(crashed) == _states(clean)
+        assert sorted(os.listdir(ckpt_path)) == _record_names(tasks)
         faults.clear()
         resumed = run_sweep(tasks, checkpoint=ckpt_path)
         assert _states(resumed) == _states(clean)
